@@ -5,6 +5,14 @@ Tensors wrap numpy arrays and record the operations that produced them;
 the ``grad`` buffer of every tensor created with ``requires_grad=True``.
 Everything is double precision so analytic gradients can be audited
 against central finite differences.
+
+``backward`` consumes the graph: once a recorded op has passed its
+gradient on, its closure, its parent links and its own gradient are
+dropped, so the activations it held are freed while backward still runs.
+Call it once per forward pass; only leaf tensors (parameters and inputs
+created with ``requires_grad=True``) keep their ``grad`` afterwards.
+Gradient buffers are never written in place, so a leaf may own an array
+that another op also received.
 """
 
 from __future__ import annotations
@@ -60,13 +68,20 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # take the first gradient as is and sum out of place after it: the
+        # same array may reach several tensors, so none may write into it
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = np.asarray(g)
         else:
-            self.grad += g
+            self.grad = self.grad + g
 
     def backward(self) -> None:
-        """Populate grad buffers of every tracked ancestor of this scalar."""
+        """Populate grad buffers of every tracked leaf ancestor of this scalar.
+
+        The graph is consumed on the way: each interior node loses its
+        gradient, closure and parent links as soon as its closure has run.
+        Call once per forward pass; a second call finds nothing to replay.
+        """
         if self.data.shape != ():
             raise ValueError(f"backward requires a scalar, got shape {self.data.shape}")
         order: list[Tensor] = []
@@ -85,9 +100,15 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue                        # a leaf keeps its grad
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = None
+            node._parents = ()
 
     # -- operator sugar -------------------------------------------------
 
@@ -285,17 +306,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     return _make(out_data, (x, gain, bias), backward)
 
 
-def dropout(x: Tensor, rate: float, stream: RngStream) -> Tensor:
+def dropout(x: Tensor, rate: float, stream: RngStream,
+            draw_shape: tuple[int, ...] | None = None, index=None) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, rescale survivors.
 
     The mask comes solely from ``stream``, so a fixed (seed, label, counter)
-    reproduces it bit for bit.
+    reproduces it bit for bit. When ``x`` holds only part of a larger
+    activation, pass that activation's ``draw_shape`` and the ``index`` that
+    selects ``x`` from it: the mask is drawn at the full shape and sliced, so
+    the stream advances, and every kept mask value comes out, exactly as if
+    the whole activation had been dropped.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    mask = (stream.uniform(x.data.size).reshape(x.data.shape) >= rate) / (1.0 - rate)
+    shape = x.data.shape if draw_shape is None else tuple(draw_shape)
+    u = stream.uniform(int(np.prod(shape))).reshape(shape)
+    if index is not None:
+        u = u[index]
+    if u.shape != x.data.shape:
+        raise ShapeError(f"dropout mask {u.shape} does not fit input {x.data.shape}")
+    mask = (u >= rate) / (1.0 - rate)
     out_data = x.data * mask
 
     def backward(g):

@@ -216,9 +216,9 @@ def make_collision_mask(targets: np.ndarray, positive_targets: np.ndarray) -> np
     slot_targets[0::2] = targets
     slot_targets[1::2] = positive_targets
     mask = slot_targets[:, None] != slot_targets[None, :]
-    for i in range(2 * b):
-        mask[i, i] = False
-        mask[i, i ^ 1] = False
+    slots = np.arange(2 * b)
+    mask[slots, slots] = False
+    mask[slots, slots ^ 1] = False
     return mask
 
 

@@ -6,6 +6,14 @@ out). The representation of a user sequence is the hidden vector at the
 last (most recent) position. ``encode_twins`` runs the same weights under
 independent dropout streams to produce the augmented views used by the
 contrastive regularizer.
+
+Only the last position leaves the stack, so the final layer computes keys
+and values at every position but queries, attention, the output
+projection, both layer norms and the feed-forward network at the last
+position alone: B rows instead of B*N. Its dropout masks are still drawn at
+the full-sequence shape and sliced to that row, so every stream advances,
+and every mask value that reaches the output is the one the full
+computation would use.
 """
 
 from __future__ import annotations
@@ -106,36 +114,56 @@ def encode(h0: Tensor, item_ids: np.ndarray, params: EncoderParams,
     """Run the attention stack; return last-position vectors [B, d]."""
     cfg = params.config
     b, n, d = h0.shape
-    nh, dh = cfg.heads, cfg.d // cfg.heads
+    h = ad.reshape(h0, (b * n, d))
+    if cfg.layers == 0:
+        return ad.gather_rows(h, np.arange(n - 1, b * n, n))
     mask = _attention_mask(item_ids)
-    h = h0
     for layer in range(cfg.layers):
-        ls = stream.child(f"layer{layer}")
-        flat = ad.reshape(h, (b * n, d))
-        heads = []
-        for w in ("wq", "wk", "wv"):
-            proj = ad.matmul(flat, params[f"layer{layer}.{w}"])
-            heads.append(ad.transpose(ad.reshape(proj, (b, n, nh, dh)), (0, 2, 1, 3)))
-        q, k, vv = heads                                       # [B, nh, N, dh]
-        scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-        att = ad.softmax_rows(ad.add(scores, mask))
-        att = ad.dropout(att, cfg.hidden_dropout, ls.child("att"))
-        ctx = ad.matmul(att, vv)                               # [B, nh, N, dh]
-        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * n, d))
-        out = ad.matmul(ctx, params[f"layer{layer}.wo"])
-        out = ad.dropout(out, cfg.hidden_dropout, ls.child("attout"))
-        h = ad.layer_norm(ad.add(h, ad.reshape(out, (b, n, d))),
-                          params[f"layer{layer}.ln1_gain"], params[f"layer{layer}.ln1_bias"])
-        flat = ad.reshape(h, (b * n, d))
-        f1 = ad.gelu(ad.add(ad.matmul(flat, params[f"layer{layer}.ffn_w1"]),
-                            params[f"layer{layer}.ffn_b1"]))
-        f2 = ad.add(ad.matmul(f1, params[f"layer{layer}.ffn_w2"]),
-                    params[f"layer{layer}.ffn_b2"])
-        f2 = ad.dropout(f2, cfg.hidden_dropout, ls.child("ffn"))
-        h = ad.layer_norm(ad.add(h, ad.reshape(f2, (b, n, d))),
-                          params[f"layer{layer}.ln2_gain"], params[f"layer{layer}.ln2_bias"])
-    last = ad.reshape(h, (b * n, d))
-    return ad.gather_rows(last, np.arange(n - 1, b * n, n))    # [B, d]
+        h = _block(h, b, n, mask, params, layer, stream.child(f"layer{layer}"),
+                   last_only=layer == cfg.layers - 1)
+    return h
+
+
+def _block(h: Tensor, b: int, n: int, mask: np.ndarray, params: EncoderParams,
+           layer: int, stream: RngStream, last_only: bool) -> Tensor:
+    """One post-norm attention + feed-forward block over h [B*N, d].
+
+    With ``last_only``, keys and values still cover all N positions, but the
+    queries and everything after them run on each sequence's last position
+    only, and the block returns [B, d]. Dropout masks are drawn at the
+    full B*N-position shapes either way and sliced to the rows computed.
+    """
+    cfg = params.config
+    d, nh = cfg.d, cfg.heads
+    dh = d // nh
+    rate = cfg.hidden_dropout
+
+    def w(name: str) -> Tensor:
+        return params[f"layer{layer}.{name}"]
+
+    def split_heads(x: Tensor, m: int) -> Tensor:             # [B*m, d] -> [B, nh, m, dh]
+        return ad.transpose(ad.reshape(x, (b, m, nh, dh)), (0, 2, 1, 3))
+
+    if last_only:
+        rows = np.arange(n - 1, b * n, n)
+        hq, m = ad.gather_rows(h, rows), 1
+        mask, att_index = mask[:, :, n - 1:], np.s_[:, :, n - 1:]
+    else:
+        rows = att_index = None
+        hq, m = h, n
+    q = split_heads(ad.matmul(hq, w("wq")), m)
+    k = split_heads(ad.matmul(h, w("wk")), n)
+    v = split_heads(ad.matmul(h, w("wv")), n)
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    att = ad.softmax_rows(ad.add(scores, mask))               # [B, nh, m, N]
+    att = ad.dropout(att, rate, stream.child("att"), (b, nh, n, n), att_index)
+    ctx = ad.reshape(ad.transpose(ad.matmul(att, v), (0, 2, 1, 3)), (b * m, d))
+    out = ad.dropout(ad.matmul(ctx, w("wo")), rate, stream.child("attout"), (b * n, d), rows)
+    x = ad.layer_norm(ad.add(hq, out), w("ln1_gain"), w("ln1_bias"))
+    f1 = ad.gelu(ad.add(ad.matmul(x, w("ffn_w1")), w("ffn_b1")))
+    f2 = ad.add(ad.matmul(f1, w("ffn_w2")), w("ffn_b2"))
+    f2 = ad.dropout(f2, rate, stream.child("ffn"), (b * n, d), rows)
+    return ad.layer_norm(ad.add(x, f2), w("ln2_gain"), w("ln2_bias"))
 
 
 def encode_sequence(item_ids: np.ndarray, params: EncoderParams,

@@ -28,14 +28,6 @@ class EvalReport:
     n_users: int
 
 
-@dataclass
-class EmbeddingDiagnostics:
-    singular_values: np.ndarray     # descending, normalized by the largest
-    projection_2d: np.ndarray       # [n_items, 3]: x, y, frequency
-    alignment: float
-    uniformity: float
-
-
 # -- ranking ------------------------------------------------------------
 
 
@@ -44,7 +36,8 @@ def rank_full_catalog(h: np.ndarray, item_emb: np.ndarray, targets) -> np.ndarra
 
     Score is the dot product with the item embedding; ties resolve in
     favor of the smaller item index, the target included in its tie group
-    under the same rule.
+    under the same rule. A target whose score is not finite (a diverged
+    model) ranks last, so it never counts as a hit.
     """
     t = np.asarray(targets, dtype=np.int64)
     scores = h @ item_emb.T                                    # [B, |V|]
@@ -53,7 +46,8 @@ def rank_full_catalog(h: np.ndarray, item_emb: np.ndarray, targets) -> np.ndarra
     higher = (scores > target_scores[:, None]).sum(axis=1)
     tied_before = ((scores == target_scores[:, None])
                    & (np.arange(scores.shape[1])[None, :] < t[:, None])).sum(axis=1)
-    return 1 + higher + tied_before
+    n_items = scores.shape[1] - 1                              # pad row excluded
+    return np.where(np.isfinite(target_scores), 1 + higher + tied_before, n_items)
 
 
 def hr_at_k(ranks, k: int) -> float:
@@ -171,18 +165,6 @@ def project_2d(item_emb: np.ndarray, vocab: ItemVocab, center: bool = True) -> n
     return np.column_stack([coords, freq])
 
 
-def diagnostics(item_emb: np.ndarray, vocab: ItemVocab, pairs=None, reps=None,
-                center: bool = True) -> EmbeddingDiagnostics:
-    align = alignment(*pairs) if pairs is not None else float("nan")
-    unif = uniformity(reps) if reps is not None else float("nan")
-    return EmbeddingDiagnostics(
-        singular_values=singular_spectrum(item_emb, center),
-        projection_2d=project_2d(item_emb, vocab, center),
-        alignment=align,
-        uniformity=unif,
-    )
-
-
 def export_spectrum_csv(path, normalized_sv: np.ndarray) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
@@ -239,10 +221,6 @@ def _softmax_np(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def evaluate_ranks(h: np.ndarray, item_emb: np.ndarray, targets) -> np.ndarray:
-    return rank_full_catalog(h, item_emb, targets)
 
 
 def report(ranks, ks=(5, 10)) -> EvalReport:

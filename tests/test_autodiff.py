@@ -104,6 +104,20 @@ class TestDropout:
         np.testing.assert_array_equal(x.grad[~survivors], 0.0)
 
 
+    def test_sliced_draw_matches_full_draw(self, rng):
+        full = Tensor(rng.standard_normal((4, 6)))
+        rows = np.array([1, 3])
+        ref_stream, part_stream = RngStream(2, "m"), RngStream(2, "m")
+        ref = ad.dropout(full, 0.3, ref_stream)
+        part = ad.dropout(Tensor(full.data[rows]), 0.3, part_stream, (4, 6), rows)
+        np.testing.assert_array_equal(part.data, ref.data[rows])
+        assert part_stream.counter == ref_stream.counter
+
+    def test_draw_shape_must_fit_input(self):
+        with pytest.raises(ShapeError):
+            ad.dropout(Tensor(np.ones((2, 6))), 0.3, RngStream(0, "x"), (4, 6))
+
+
 class TestLayerNorm:
     def test_constant_row_collapses_to_bias(self):
         x = Tensor(np.full((2, 4), 3.7))
@@ -231,6 +245,41 @@ class TestBackward:
             return l.item()
 
         assert_grad_close(tw.grad, finite_difference_grad(f, w.copy()))
+
+    def test_backward_consumes_interior_nodes(self, rng):
+        w = rng.standard_normal((5, 4))
+        x = rng.standard_normal((3, 5))
+        tw = Tensor(w.copy(), requires_grad=True)
+        tg = Tensor(np.ones(4), requires_grad=True)
+        tb = Tensor(np.zeros(4), requires_grad=True)
+        h = ad.matmul(Tensor(x), tw)
+        z = ad.gelu(ad.layer_norm(h, tg, tb))
+        a = ad.add(z, z)                                       # one node, two gradient paths
+        loss = ad.cross_entropy_from_logits(ad.dropout(a, 0.2, RngStream(1, "d")), [0, 2, 3])
+        interior = [h, z, a, loss]
+        assert all(t._backward is not None and t._parents for t in interior)
+        loss.backward()
+        for t in interior:
+            assert t.grad is None and t._backward is None and t._parents == ()
+        for leaf in (tw, tg, tb):
+            assert leaf.grad is not None and leaf.grad.shape == leaf.data.shape
+
+        def f(wv):
+            hh = ad.matmul(Tensor(x), Tensor(wv))
+            zz = ad.gelu(ad.layer_norm(hh, Tensor(np.ones(4)), Tensor(np.zeros(4))))
+            out = ad.dropout(ad.add(zz, zz), 0.2, RngStream(1, "d"))
+            return ad.cross_entropy_from_logits(out, [0, 2, 3]).item()
+
+        assert_grad_close(tw.grad, finite_difference_grad(f, w.copy()))
+
+    def test_shared_gradient_array_is_never_written(self, rng):
+        a = Tensor(rng.standard_normal(4), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        ad.sum_all(ad.add(a, b)).backward()                    # a and b receive one array
+        b_before = b.grad.copy()
+        ad.sum_all(ad.mul(a, 2.0)).backward()                  # accumulates into a only
+        np.testing.assert_array_equal(a.grad, 3.0)
+        np.testing.assert_array_equal(b.grad, b_before)
 
     def test_forward_is_deterministic(self, rng):
         x = Tensor(rng.standard_normal((4, 4)), requires_grad=True)

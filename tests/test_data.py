@@ -174,6 +174,26 @@ class TestCollisionMask:
                 expected = slot_targets[i] != slot_targets[j] and j not in (i, i ^ 1)
                 assert mask[i, j] == expected
 
+    def test_matches_loop_reference_bytes(self, rng):
+        def loop_mask(targets, positive_targets):
+            b = len(targets)
+            slot_targets = np.empty(2 * b, dtype=np.int64)
+            slot_targets[0::2] = targets
+            slot_targets[1::2] = positive_targets
+            mask = slot_targets[:, None] != slot_targets[None, :]
+            for i in range(2 * b):
+                mask[i, i] = False
+                mask[i, i ^ 1] = False
+            return mask
+
+        for b in (1, 2, 7, 64):
+            targets = rng.integers(1, 6, size=b)               # few values: many collisions
+            positives = np.where(rng.random(b) < 0.5, targets, rng.integers(1, 6, size=b))
+            got = make_collision_mask(targets, positives)
+            want = loop_mask(targets, positives)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
 
 class TestBatching:
     def _split(self):

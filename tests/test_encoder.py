@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from duorec.autodiff import ConfigError
+from duorec import autodiff as ad
+from duorec.autodiff import ConfigError, no_grad
 from duorec.data import PAD_INDEX, Batch, make_collision_mask
-from duorec.encoder import (EncoderConfig, EncoderParams, embed, encode,
-                            encode_sequence, encode_twins, init_params)
+from duorec.encoder import (EncoderConfig, EncoderParams, _attention_mask, embed,
+                            encode, encode_sequence, encode_twins, init_params)
 from duorec.rng import RngStream
 
 
@@ -23,6 +24,46 @@ def make_batch(rows, max_len=6, positives=None, targets=None):
     pos = np.array(positives) if positives is not None else ids.copy()
     return Batch(item_ids=ids, lengths=lengths, targets=t, positive_ids=pos,
                  positive_targets=t.copy(), collision_mask=make_collision_mask(t, t.copy()))
+
+
+def full_stack_encode(h0, item_ids, params, stream):
+    """Reference stack: every layer over all B*N positions, then the last row.
+
+    This is the straightforward layer loop, kept here as the oracle for
+    ``encode``, whose final layer computes only the last position.
+    """
+    cfg = params.config
+    b, n, d = h0.shape
+    nh, dh = cfg.heads, cfg.d // cfg.heads
+    mask = _attention_mask(item_ids)
+    h = h0
+    for layer in range(cfg.layers):
+        ls = stream.child(f"layer{layer}")
+        flat = ad.reshape(h, (b * n, d))
+        heads = []
+        for w in ("wq", "wk", "wv"):
+            proj = ad.matmul(flat, params[f"layer{layer}.{w}"])
+            heads.append(ad.transpose(ad.reshape(proj, (b, n, nh, dh)), (0, 2, 1, 3)))
+        q, k, vv = heads                                       # [B, nh, N, dh]
+        scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+        att = ad.softmax_rows(ad.add(scores, mask))
+        att = ad.dropout(att, cfg.hidden_dropout, ls.child("att"))
+        ctx = ad.matmul(att, vv)                               # [B, nh, N, dh]
+        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * n, d))
+        out = ad.matmul(ctx, params[f"layer{layer}.wo"])
+        out = ad.dropout(out, cfg.hidden_dropout, ls.child("attout"))
+        h = ad.layer_norm(ad.add(h, ad.reshape(out, (b, n, d))),
+                          params[f"layer{layer}.ln1_gain"], params[f"layer{layer}.ln1_bias"])
+        flat = ad.reshape(h, (b * n, d))
+        f1 = ad.gelu(ad.add(ad.matmul(flat, params[f"layer{layer}.ffn_w1"]),
+                            params[f"layer{layer}.ffn_b1"]))
+        f2 = ad.add(ad.matmul(f1, params[f"layer{layer}.ffn_w2"]),
+                    params[f"layer{layer}.ffn_b2"])
+        f2 = ad.dropout(f2, cfg.hidden_dropout, ls.child("ffn"))
+        h = ad.layer_norm(ad.add(h, ad.reshape(f2, (b, n, d))),
+                          params[f"layer{layer}.ln2_gain"], params[f"layer{layer}.ln2_bias"])
+    last = ad.reshape(h, (b * n, d))
+    return ad.gather_rows(last, np.arange(n - 1, b * n, n))    # [B, d]
 
 
 class TestConfig:
@@ -165,3 +206,80 @@ class TestGradientFlow:
             assert np.abs(grad[row]).max() > 0
         # absent rows touched only through the softmax denominator
         assert np.abs(grad[7]).max() > 0
+
+
+class TestLastPositionFinalLayer:
+    """``encode`` against the full-sequence reference stack."""
+
+    MAX_LEN = 7
+
+    def inputs(self, layers, rate, seed=4):
+        params = make_params(vocab_size=30, d=8, layers=layers, heads=2,
+                             max_len=self.MAX_LEN, emb_dropout=rate,
+                             hidden_dropout=rate, seed=seed)
+        # left padding of every length, a full row and a one-item row
+        rows = [[5, 9, 2, 7, 11, 3, 8], [4], [12, 6], [1, 2, 3, 4, 5], [29, 28, 27]]
+        ids = np.array([[PAD_INDEX] * (self.MAX_LEN - len(r)) + r for r in rows])
+        return params, ids
+
+    @staticmethod
+    def both(params, ids, stream):
+        h0 = embed(ids, params, stream)
+        new = encode(h0, ids, params, stream.child("trm"))
+        ref = full_stack_encode(h0, ids, params, stream.child("trm"))
+        return new, ref
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_forward_matches_full_stack(self, layers, rate):
+        params, ids = self.inputs(layers, rate)
+        new, ref = self.both(params, ids, RngStream(3, "enc"))
+        assert new.shape == ref.shape == (len(ids), 8)
+        assert np.abs(new.data - ref.data).max() <= 1e-12
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_eval_mode_matches_full_stack(self, layers):
+        params, ids = self.inputs(layers, 0.0)
+        with no_grad():
+            new, ref = self.both(params, ids, RngStream(0, "eval"))
+        assert not new.requires_grad
+        assert np.abs(new.data - ref.data).max() <= 1e-12
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_gradients_match_full_stack(self, layers, rate):
+        params, ids = self.inputs(layers, rate)
+        v = np.random.default_rng(7).standard_normal((len(ids), 8))
+        grads = []
+        for which in (0, 1):
+            for t in params.tensors.values():
+                t.zero_grad()
+            out = self.both(params, ids, RngStream(3, "enc"))[which]
+            ad.sum_all(ad.mul(out, v)).backward()
+            grads.append({name: t.grad.copy() for name, t in params.named()})
+        for name, g in grads[1].items():
+            assert np.abs(grads[0][name] - g).max() <= 1e-12, name
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_stream_counters_match_full_draw(self, layers, monkeypatch):
+        params, ids = self.inputs(layers, 0.3)
+        counters = {}
+        original = RngStream.uniform
+
+        def recording_uniform(self, n):
+            out = original(self, n)
+            counters[self.label] = self.counter
+            return out
+
+        monkeypatch.setattr(RngStream, "uniform", recording_uniform)
+        seen = []
+        for run in (encode, full_stack_encode):
+            counters.clear()
+            stream = RngStream(3, "enc")
+            run(embed(ids, params, stream), ids, params, stream.child("trm"))
+            seen.append(dict(counters))
+        assert seen[0] == seen[1]
+        b, n, d, nh = len(ids), self.MAX_LEN, 8, 2
+        last = f"enc.trm.layer{layers - 1}"
+        assert seen[0][f"{last}.att"] == -(-b * nh * n * n // 4)
+        assert seen[0][f"{last}.attout"] == seen[0][f"{last}.ffn"] == -(-b * n * d // 4)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from duorec.data import PAD_INDEX, ItemVocab
+from duorec.data import PAD_INDEX, EvalExample, ItemVocab
 from duorec.metrics import (alignment, gradient_degeneration_probe, hr_at_k,
                             jacobi_eigh, ndcg_at_k, project_2d,
                             rank_full_catalog, report, singular_spectrum,
                             spectrum_tail_mass, uniformity)
 from duorec.rng import RngStream
+from duorec.trainer import evaluate
 
 from test_encoder import make_batch, make_params
 
@@ -44,6 +45,24 @@ class TestRanking:
                 scores = emb @ h[u]
                 order = sorted(range(1, 21), key=lambda i: (-scores[i], i))
                 assert ranks[u] == order.index(targets[u]) + 1
+
+    def test_non_finite_target_ranks_last(self, rng):
+        emb = rng.standard_normal((12, 4))
+        h = rng.standard_normal((4, 4))
+        h[0] = np.nan
+        h[1, 0] = np.inf
+        emb[5] = np.nan                                        # user 2's target scores NaN
+        ranks = rank_full_catalog(h, emb, [3, 4, 5, 6])
+        assert ranks[:3].tolist() == [11, 11, 11]
+        assert 1 <= ranks[3] <= 11
+
+    def test_nan_model_scores_zero(self):
+        params = make_params(vocab_size=12, d=8, max_len=6)
+        params["layer0.wo"].data[:] = np.nan
+        examples = [EvalExample([1, 2, 3], 4), EvalExample([5, 6], 7), EvalExample([8], 9)]
+        rep = evaluate(params, examples, max_len=6, ks=(5, 10))
+        assert rep.hr == {5: 0.0, 10: 0.0}
+        assert rep.ndcg == {5: 0.0, 10: 0.0}
 
 
 class TestHrNdcg:
