@@ -102,6 +102,14 @@ def _load_config(args) -> TrainConfig:
     return config
 
 
+def _write_eval(out: Path, rep) -> dict:
+    metrics = {f"hr@{k}": round(v, 6) for k, v in rep.hr.items()}
+    metrics |= {f"ndcg@{k}": round(v, 6) for k, v in rep.ndcg.items()}
+    with open(out / "eval.json", "w") as f:
+        json.dump(metrics, f, indent=2, sort_keys=True)
+    return metrics
+
+
 def _run_training(config: TrainConfig, data_dir, out: Path) -> dict:
     sequences, vocab = load_dataset_dir(data_dir)
     split = split_leave_one_out(sequences, vocab, max_len=config.max_len)
@@ -109,11 +117,7 @@ def _run_training(config: TrainConfig, data_dir, out: Path) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.duo", result.checkpoint)
     write_curves_csv(out / "curves.csv", result.curves)
-    rep = evaluate(result.checkpoint.params, split.test, config.max_len)
-    metrics = {f"hr@{k}": round(v, 6) for k, v in rep.hr.items()}
-    metrics |= {f"ndcg@{k}": round(v, 6) for k, v in rep.ndcg.items()}
-    with open(out / "eval.json", "w") as f:
-        json.dump(metrics, f, indent=2, sort_keys=True)
+    metrics = _write_eval(out, evaluate(result.checkpoint.params, *split.window(split.test)))
     if result.diverged:
         print("warning: training diverged; last finite checkpoint retained",
               file=sys.stderr)
@@ -139,14 +143,10 @@ def _cmd_eval(args) -> None:
     sequences, vocab = load_dataset_dir(args.data)
     split = split_leave_one_out(sequences, vocab, max_len=ckpt.train_config.max_len)
     examples = split.valid if args.split == "valid" else split.test
-    rep = evaluate(ckpt.params, examples, ckpt.train_config.max_len)
-    metrics = {f"hr@{k}": round(v, 6) for k, v in rep.hr.items()}
-    metrics |= {f"ndcg@{k}": round(v, 6) for k, v in rep.ndcg.items()}
+    rep = evaluate(ckpt.params, *split.window(examples))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "eval.json", "w") as f:
-        json.dump(metrics, f, indent=2, sort_keys=True)
-    print(json.dumps(metrics, sort_keys=True))
+    print(json.dumps(_write_eval(out, rep), sort_keys=True))
 
 
 def _cmd_diagnose(args) -> None:

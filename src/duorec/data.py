@@ -2,18 +2,27 @@
 
 Pipeline: raw (user, item, timestamp) events -> iterative 5-core filtering
 of users and items -> per-user time-ordered sequences truncated to the
-most recent ``max_len`` items -> leave-one-out split (last item is the
-test target, second-to-last the validation target, every earlier prefix a
-training example) -> shuffled batches carrying, for each row, a sampled
-partner sequence that shares its target item, plus the mask that removes
-same-target rows from the in-batch negative pool.
+most recent ``max_len`` items -> leave-one-out split -> shuffled batches.
+
+The split stores every example as one integer: the position of its target
+in a flat int64 item array, where each user's sequence is preceded by
+``max_len`` pad zeros. A user's last item is the test target, the
+second-to-last the validation target, and every earlier item after the
+first a training target. The model input for position ``p`` is the window
+``items[p - max_len:p]``, already left-padded by the pad run, so a batch of
+inputs is one gather (``SplitDataset.window``).
+
+Each training row also carries a partner drawn uniformly from the other
+examples with the same target (grouped once by ``build_target_index``),
+plus the mask that removes same-target rows from the in-batch negative
+pool.
 """
 
 from __future__ import annotations
 
 import csv
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,25 +73,32 @@ class UserSequence:
 
 
 @dataclass
-class TrainExample:
-    prefix: list[int]
-    target: int
-
-
-@dataclass
-class EvalExample:
-    prefix: list[int]
-    target: int
-
-
-@dataclass
 class SplitDataset:
-    train: list[TrainExample]
-    valid: list[EvalExample]
-    test: list[EvalExample]
+    """Leave-one-out examples as target positions in ``items`` (module docstring)."""
+    items: np.ndarray           # [T] int64, pad runs and sequences interleaved
+    train: np.ndarray           # [E] int64 target positions
+    valid: np.ndarray           # [U] int64
+    test: np.ndarray            # [U] int64
     vocab: ItemVocab
     max_len: int
     dropped_short: int = 0
+
+    def window(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Left-padded inputs [len(pos), max_len] and targets for positions."""
+        pos = np.asarray(pos, dtype=np.int64)
+        ids = self.items[pos[:, None] + np.arange(-self.max_len, 0)]
+        return ids, self.items[pos]
+
+
+@dataclass
+class TargetIndex:
+    """Example ids stably sorted by target (``order``); example ``e``'s group
+    is ``order[start[e]:start[e] + count[e]]``, where ``e`` sits at ``slot[e]``.
+    """
+    order: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+    slot: np.ndarray
 
 
 @dataclass
@@ -174,35 +190,30 @@ def build_sequences(events: list[RawEvent], min_count: int = 5, max_len: int = 5
 
 def split_leave_one_out(sequences: list[UserSequence], vocab: ItemVocab, max_len: int = 50) -> SplitDataset:
     """Last item -> test, second-to-last -> valid, earlier prefixes -> train."""
-    train: list[TrainExample] = []
-    valid: list[EvalExample] = []
-    test: list[EvalExample] = []
-    dropped = 0
-    for seq in sequences:
-        items = seq.items
-        if len(items) < 3:
-            dropped += 1
-            continue
-        test.append(EvalExample(prefix=items[:-1], target=items[-1]))
-        valid.append(EvalExample(prefix=items[:-2], target=items[-2]))
-        # training prefixes end strictly before the validation position
-        for t in range(1, len(items) - 2):
-            train.append(TrainExample(prefix=items[:t], target=items[t]))
-    return SplitDataset(train=train, valid=valid, test=test, vocab=vocab,
-                        max_len=max_len, dropped_short=dropped)
+    if max_len < 1:
+        raise ConfigError("max_len must be >= 1")
+    kept = [np.asarray(seq.items, dtype=np.int64) for seq in sequences if len(seq.items) >= 3]
+    pad = np.zeros(max_len, dtype=np.int64)
+    items = np.concatenate([pad[:0]] + [part for seq in kept for part in (pad, seq)])
+    lengths = np.array([len(seq) for seq in kept], dtype=np.int64)
+    ends = np.cumsum(lengths + max_len)                       # one past each user's last item
+    # training targets sit at offsets 1 .. len-3: strictly before validation
+    n_train = lengths - 3
+    first = np.repeat(ends - lengths + 1, n_train)
+    within = np.arange(n_train.sum()) - np.repeat(np.cumsum(n_train) - n_train, n_train)
+    return SplitDataset(items=items, train=first + within, valid=ends - 2, test=ends - 1,
+                        vocab=vocab, max_len=max_len,
+                        dropped_short=len(sequences) - len(kept))
 
 
-def build_target_index(train: list[TrainExample]) -> dict[int, list[int]]:
-    """Partition training-example ids by their target item."""
-    index: dict[int, list[int]] = defaultdict(list)
-    for i, ex in enumerate(train):
-        index[ex.target].append(i)
-    return dict(index)
-
-
-def left_pad(prefix: list[int], max_len: int) -> tuple[list[int], int]:
-    items = prefix[-max_len:]
-    return [PAD_INDEX] * (max_len - len(items)) + items, len(items)
+def build_target_index(targets: np.ndarray) -> TargetIndex:
+    """Group training examples by their target item."""
+    _, group, count = np.unique(targets, return_inverse=True, return_counts=True)
+    start = np.cumsum(count) - count
+    order = np.argsort(targets, kind="stable")
+    slot = np.empty_like(order)
+    slot[order] = np.arange(len(order)) - start[group[order]]
+    return TargetIndex(order=order, start=start[group], count=count[group], slot=slot)
 
 
 def make_collision_mask(targets: np.ndarray, positive_targets: np.ndarray) -> np.ndarray:
@@ -222,35 +233,25 @@ def make_collision_mask(targets: np.ndarray, positive_targets: np.ndarray) -> np
     return mask
 
 
-def _assemble_batch(train, ids, index, max_len, stream) -> Batch:
-    b = len(ids)
-    item_ids = np.zeros((b, max_len), dtype=np.int64)
-    positive_ids = np.zeros((b, max_len), dtype=np.int64)
-    lengths = np.zeros(b, dtype=np.int64)
-    targets = np.zeros(b, dtype=np.int64)
-    positive_targets = np.zeros(b, dtype=np.int64)
-    for row, ex_id in enumerate(ids):
-        ex = train[ex_id]
-        padded, n = left_pad(ex.prefix, max_len)
-        item_ids[row] = padded
-        lengths[row] = n
-        targets[row] = ex.target
-        peers = index[ex.target]
-        candidates = [p for p in peers if p != ex_id]
-        if candidates:
-            pick = candidates[int(stream.integers(0, len(candidates), 1)[0])]
-        else:
-            pick = ex_id  # singleton target: the dropout twin remains the positive
-        pex = train[pick]
-        positive_ids[row], _ = left_pad(pex.prefix, max_len)
-        positive_targets[row] = pex.target
-    mask = make_collision_mask(targets, positive_targets)
-    return Batch(item_ids=item_ids, lengths=lengths, targets=targets,
-                 positive_ids=positive_ids, positive_targets=positive_targets,
-                 collision_mask=mask)
+def _pick_partners(ids: np.ndarray, index: TargetIndex, stream: RngStream) -> np.ndarray:
+    """For each example, a uniformly drawn other example with its target.
+
+    The m rows with peers draw in row order from the first output of m
+    counter blocks: the values and counter advance of m ``integers(0, k, 1)``
+    calls. A singleton target keeps the row (its dropout twin is the positive).
+    """
+    has_peers = index.count[ids] > 1
+    drawn = ids[has_peers]
+    k = index.count[drawn] - 1                                 # peers other than the row
+    u = stream.uniform(4 * len(drawn))[0::4]
+    j = np.minimum((u * k).astype(np.int64), k - 1)
+    j += j >= index.slot[drawn]                                # skip the row's own slot
+    partners = ids.copy()
+    partners[has_peers] = index.order[index.start[drawn] + j]
+    return partners
 
 
-def iter_epoch(data: SplitDataset, index: dict[int, list[int]], batch_size: int,
+def iter_epoch(data: SplitDataset, index: TargetIndex, batch_size: int,
                stream: RngStream):
     """Yield batches covering each training example exactly once, shuffled."""
     if batch_size < 1:
@@ -258,17 +259,10 @@ def iter_epoch(data: SplitDataset, index: dict[int, list[int]], batch_size: int,
     order = stream.permutation(len(data.train))
     for start in range(0, len(order), batch_size):
         ids = order[start:start + batch_size]
-        yield _assemble_batch(data.train, ids, index, data.max_len, stream)
-
-
-def eval_batches(examples: list[EvalExample], max_len: int, batch_size: int = 256):
-    """Yield (item_ids, lengths, targets) triples for evaluation."""
-    for start in range(0, len(examples), batch_size):
-        chunk = examples[start:start + batch_size]
-        ids = np.zeros((len(chunk), max_len), dtype=np.int64)
-        lengths = np.zeros(len(chunk), dtype=np.int64)
-        targets = np.zeros(len(chunk), dtype=np.int64)
-        for row, ex in enumerate(chunk):
-            ids[row], lengths[row] = left_pad(ex.prefix, max_len)
-            targets[row] = ex.target
-        yield ids, lengths, targets
+        item_ids, targets = data.window(data.train[ids])
+        positive_ids, positive_targets = data.window(
+            data.train[_pick_partners(ids, index, stream)])
+        yield Batch(item_ids=item_ids, lengths=(item_ids != PAD_INDEX).sum(axis=1),
+                    targets=targets, positive_ids=positive_ids,
+                    positive_targets=positive_targets,
+                    collision_mask=make_collision_mask(targets, positive_targets))

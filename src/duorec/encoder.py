@@ -57,32 +57,29 @@ class EncoderParams:
         return self.tensors[name]
 
 
-def init_params(config: EncoderConfig, stream: RngStream) -> EncoderParams:
-    """Truncated-normal (std 0.02) weights, zero biases, unit layer-norm gains."""
-    p = EncoderParams(config)
-
-    def tn(name: str, shape):
-        n = int(np.prod(shape))
-        data = stream.child(f"init.{name}").truncated_normal(n, 0.02).reshape(shape)
-        p.tensors[name] = Tensor(data, requires_grad=True)
-
-    def const(name: str, shape, value: float):
-        p.tensors[name] = Tensor(np.full(shape, value), requires_grad=True)
-
-    tn("item_emb", (config.vocab_size, config.d))
-    p.tensors["item_emb"].data[PAD_INDEX] = 0.0
-    tn("pos_emb", (config.max_len, config.d))
+def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter tensor, in creation order."""
+    d = config.d
+    block = {"wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
+             "ffn_w1": (d, 4 * d), "ffn_b1": (4 * d,), "ffn_w2": (4 * d, d), "ffn_b2": (d,),
+             "ln1_gain": (d,), "ln1_bias": (d,), "ln2_gain": (d,), "ln2_bias": (d,)}
+    shapes = {"item_emb": (config.vocab_size, d), "pos_emb": (config.max_len, d)}
     for layer in range(config.layers):
-        for w in ("wq", "wk", "wv", "wo"):
-            tn(f"layer{layer}.{w}", (config.d, config.d))
-        tn(f"layer{layer}.ffn_w1", (config.d, 4 * config.d))
-        const(f"layer{layer}.ffn_b1", (4 * config.d,), 0.0)
-        tn(f"layer{layer}.ffn_w2", (4 * config.d, config.d))
-        const(f"layer{layer}.ffn_b2", (config.d,), 0.0)
-        const(f"layer{layer}.ln1_gain", (config.d,), 1.0)
-        const(f"layer{layer}.ln1_bias", (config.d,), 0.0)
-        const(f"layer{layer}.ln2_gain", (config.d,), 1.0)
-        const(f"layer{layer}.ln2_bias", (config.d,), 0.0)
+        shapes |= {f"layer{layer}.{name}": shape for name, shape in block.items()}
+    return shapes
+
+
+def init_params(config: EncoderConfig, stream: RngStream) -> EncoderParams:
+    """Truncated-normal (std 0.02) matrices, zero biases, unit layer-norm gains."""
+    p = EncoderParams(config)
+    for name, shape in param_shapes(config).items():
+        if len(shape) == 2:
+            n = int(np.prod(shape))
+            data = stream.child(f"init.{name}").truncated_normal(n, 0.02).reshape(shape)
+        else:
+            data = np.full(shape, 1.0 if name.endswith("_gain") else 0.0)
+        p.tensors[name] = Tensor(data, requires_grad=True)
+    p["item_emb"].data[PAD_INDEX] = 0.0
     return p
 
 

@@ -36,14 +36,17 @@ def rank_full_catalog(h: np.ndarray, item_emb: np.ndarray, targets) -> np.ndarra
 
     Score is the dot product with the item embedding; ties resolve in
     favor of the smaller item index, the target included in its tie group
-    under the same rule. A target whose score is not finite (a diverged
-    model) ranks last, so it never counts as a hit.
+    under the same rule. A score that is not finite (a diverged model)
+    never yields a hit: such a target ranks last, such an item above every
+    finite target.
     """
     t = np.asarray(targets, dtype=np.int64)
     scores = h @ item_emb.T                                    # [B, |V|]
+    non_finite = ~np.isfinite(scores)
+    non_finite[:, PAD_INDEX] = False
     scores[:, PAD_INDEX] = -np.inf
     target_scores = scores[np.arange(len(t)), t]
-    higher = (scores > target_scores[:, None]).sum(axis=1)
+    higher = ((scores > target_scores[:, None]) | non_finite).sum(axis=1)
     tied_before = ((scores == target_scores[:, None])
                    & (np.arange(scores.shape[1])[None, :] < t[:, None])).sum(axis=1)
     n_items = scores.shape[1] - 1                              # pad row excluded

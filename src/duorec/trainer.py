@@ -13,6 +13,7 @@ import contextlib
 import copy
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -22,14 +23,14 @@ from . import autodiff as ad
 from .autodiff import ConfigError, Tensor, no_grad
 from .contrastive import (POSITIVE_MODES, assemble, combined_loss,
                           contrastive_views, nce_regularizer)
-from .data import (PAD_INDEX, SplitDataset, build_target_index, eval_batches,
-                   iter_epoch)
+from .data import PAD_INDEX, SplitDataset, build_target_index, iter_epoch
 from .encoder import (EncoderConfig, EncoderParams, encode_sequence,
-                      encode_twins, init_params)
+                      encode_twins, init_params, param_shapes)
 from .metrics import EvalReport, alignment, rank_full_catalog, report, uniformity
 from .rng import RngStream
 
 MAGIC = b"DUO1"
+EVAL_BATCH = 256
 
 
 @dataclass
@@ -48,13 +49,6 @@ class TrainConfig:
     epochs: int = 100
     seed: int = 42
     early_stop_patience: int = 10
-    normalize_nce: bool = False     # ablation flag; raw dot products by default
-
-    _JSON_KEYS = {
-        "d", "layers", "heads", "max_len", "batch_size", "lr", "lambda", "tau",
-        "emb_dropout", "hidden_dropout", "positive_mode", "epochs", "seed",
-        "early_stop_patience", "normalize_nce",
-    }
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -68,7 +62,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        unknown = set(d) - cls._JSON_KEYS
+        keys = {f.name for f in dataclasses.fields(cls)} - {"lam"} | {"lambda"}
+        unknown = set(d) - keys
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         d = dict(d)
@@ -154,15 +149,19 @@ def inference_mode(params: EncoderParams):
         cfg.emb_dropout, cfg.hidden_dropout = saved
 
 
-def evaluate(params: EncoderParams, examples, max_len: int,
+def evaluate(params: EncoderParams, ids: np.ndarray, targets: np.ndarray,
              ks=(5, 10)) -> EvalReport:
-    """Full-catalog ranking of held-out targets, dropout off."""
+    """Full-catalog ranking of held-out targets, dropout off.
+
+    ``ids`` [U, N] are left-padded inputs, as ``SplitDataset.window`` makes.
+    """
     ranks: list[np.ndarray] = []
     dummy = RngStream(0, "eval")
     with inference_mode(params):
-        for ids, _lengths, targets in eval_batches(examples, max_len):
-            h = encode_sequence(ids, params, dummy)
-            ranks.append(rank_full_catalog(h.data, params["item_emb"].data, targets))
+        for start in range(0, len(targets), EVAL_BATCH):
+            rows = slice(start, start + EVAL_BATCH)
+            h = encode_sequence(ids[rows], params, dummy)
+            ranks.append(rank_full_catalog(h.data, params["item_emb"].data, targets[rows]))
     return report(np.concatenate(ranks) if ranks else np.array([]), ks)
 
 
@@ -191,27 +190,21 @@ def train_step(batch, params: EncoderParams, config: TrainConfig,
     rec = ad.cross_entropy_from_logits(logits, batch.targets)
     view_a, view_b = contrastive_views(config.positive_mode, batch, params,
                                        step_stream, h, h_prime, h_prime_s)
-    if config.normalize_nce:
-        view_a, view_b = _l2_rows(view_a), _l2_rows(view_b)
     cb = assemble(view_a, view_b, batch.collision_mask, config.tau)
     reg = nce_regularizer(cb)
     return combined_loss(rec, reg, config.lam), h, view_a, view_b
 
 
-def _l2_rows(x: Tensor) -> Tensor:
-    norms = np.linalg.norm(x.data, axis=-1, keepdims=True)
-    norms = np.where(norms == 0, 1.0, norms)
-    return ad.mul(x, 1.0 / norms)
-
-
 def train(config: TrainConfig, data: SplitDataset) -> TrainResult:
-    if not data.train:
+    if len(data.train) == 0:
         raise ValueError("empty training set")
+    if data.max_len != config.max_len:
+        raise ConfigError(f"split max_len {data.max_len} != config max_len {config.max_len}")
     root = RngStream(config.seed, "run")
     enc_cfg = config.encoder_config(data.vocab.size)
     params = init_params(enc_cfg, root)
     optimizer = Adam(params, lr=config.lr)
-    index = build_target_index(data.train)
+    index = build_target_index(data.items[data.train])
     data_stream = root.child("data")
 
     curves: list[dict] = []
@@ -242,7 +235,7 @@ def train(config: TrainConfig, data: SplitDataset) -> TrainResult:
         if diverged or n_batches == 0:
             break
 
-        valid_hr5 = evaluate(params, data.valid, config.max_len, ks=(5,)).hr[5]
+        valid_hr5 = evaluate(params, *data.window(data.valid), ks=(5,)).hr[5]
         curves.append({
             "epoch": epoch,
             "rec_loss": rec_sum / n_batches,
@@ -261,16 +254,14 @@ def train(config: TrainConfig, data: SplitDataset) -> TrainResult:
             if stale >= config.early_stop_patience:
                 break
 
-    best_params = EncoderParams(copy.deepcopy(enc_cfg))
-    for name, arr in best_state["params"].items():
-        best_params.tensors[name] = Tensor(arr, requires_grad=True)
+    best_params = EncoderParams(copy.deepcopy(enc_cfg), {
+        name: Tensor(arr, requires_grad=True) for name, arr in best_state["params"].items()})
     ckpt = Checkpoint(params=best_params, adam_m=best_state["m"],
                       adam_v=best_state["v"], adam_t=best_state["t"],
                       epoch=best_epoch, best_valid_hr5=max(best_hr5, 0.0),
                       data_counter=data_stream.counter, train_config=config)
-    final_params = EncoderParams(copy.deepcopy(enc_cfg))
-    for name, t in params.named():
-        final_params.tensors[name] = Tensor(t.data.copy(), requires_grad=True)
+    final_params = EncoderParams(copy.deepcopy(enc_cfg), {
+        name: Tensor(t.data.copy(), requires_grad=True) for name, t in params.named()})
     return TrainResult(checkpoint=ckpt, curves=curves, diverged=diverged,
                        final_params=final_params)
 
@@ -330,37 +321,50 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint. A torn or padded file, or tensors other than those
+    the trailer's config implies (parameters and both Adam moments), raise
+    IOError; a config key ``TrainConfig`` does not know raises ConfigError.
+    """
     with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise IOError(f"{path}: not a checkpoint file")
-        (n_entries,) = struct.unpack("<Q", f.read(8))
-        manifest: list[tuple[str, tuple[int, ...]]] = []
-        for _ in range(n_entries):
-            (name_len,) = struct.unpack("<Q", f.read(8))
-            name = f.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<Q", f.read(8))
-            shape = struct.unpack(f"<{ndim}Q", f.read(8 * ndim)) if ndim else ()
-            manifest.append((name, tuple(int(s) for s in shape)))
-        buffers: dict[str, np.ndarray] = {}
-        for name, shape in manifest:
-            count = int(np.prod(shape)) if shape else 1
-            buffers[name] = np.frombuffer(f.read(8 * count), dtype="<f8").reshape(shape).copy()
-        (json_len,) = struct.unpack("<Q", f.read(8))
-        trailer = json.loads(f.read(json_len).decode("utf-8"))
+        blob = f.read()
+    pos = 0
 
-    config = TrainConfig.from_dict(trailer["config"])
-    enc_cfg = config.encoder_config(trailer["vocab_size"])
-    params = EncoderParams(enc_cfg)
-    adam_m: dict[str, np.ndarray] = {}
-    adam_v: dict[str, np.ndarray] = {}
-    for name, arr in buffers.items():
-        if name.startswith("adam.m."):
-            adam_m[name[len("adam.m."):]] = arr
-        elif name.startswith("adam.v."):
-            adam_v[name[len("adam.v."):]] = arr
-        else:
-            params.tensors[name] = Tensor(arr, requires_grad=True)
-    return Checkpoint(params=params, adam_m=adam_m, adam_v=adam_v,
-                      adam_t=trailer["adam_t"], epoch=trailer["epoch"],
-                      best_valid_hr5=trailer["best_valid_hr5"],
-                      data_counter=trailer["data_counter"], train_config=config)
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if n > len(blob) - pos:
+            raise IOError(f"{path}: truncated checkpoint")
+        pos += n
+        return blob[pos - n:pos]
+
+    def u64() -> int:
+        return struct.unpack("<Q", take(8))[0]
+
+    if take(4) != MAGIC:
+        raise IOError(f"{path}: not a checkpoint file")
+    try:
+        manifest: list[tuple[str, tuple[int, ...]]] = []
+        for _ in range(u64()):
+            name = take(u64()).decode("utf-8")
+            ndim = u64()
+            manifest.append((name, struct.unpack(f"<{ndim}Q", take(8 * ndim))))
+        buffers = {name: np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
+                   .reshape(shape).copy() for name, shape in manifest}
+        trailer = json.loads(take(u64()).decode("utf-8"))
+        if pos != len(blob):
+            raise IOError(f"{path}: {len(blob) - pos} bytes after the trailer")
+        config = TrainConfig.from_dict(trailer["config"])
+        enc_cfg = config.encoder_config(trailer["vocab_size"])
+        shapes = param_shapes(enc_cfg)
+        expected = shapes | {f"adam.{moment}.{name}": shape
+                             for moment in "mv" for name, shape in shapes.items()}
+        if len(manifest) != len(expected) or dict(manifest) != expected:
+            raise IOError(f"{path}: tensor names or shapes do not match the config")
+        params = EncoderParams(enc_cfg, {name: Tensor(buffers[name], requires_grad=True)
+                                         for name in shapes})
+        moments = {m: {name: buffers[f"adam.{m}.{name}"] for name in shapes} for m in "mv"}
+        return Checkpoint(params=params, adam_m=moments["m"], adam_v=moments["v"],
+                          adam_t=trailer["adam_t"], epoch=trailer["epoch"],
+                          best_valid_hr5=trailer["best_valid_hr5"],
+                          data_counter=trailer["data_counter"], train_config=config)
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise IOError(f"{path}: malformed checkpoint ({exc!r})") from exc

@@ -16,8 +16,7 @@ from duorec import autodiff as ad
 from duorec.autodiff import Tensor
 from duorec.contrastive import (assemble, nce_regularizer,
                                 nce_regularizer_bruteforce)
-from duorec.data import (eval_batches, make_collision_mask,
-                         split_leave_one_out)
+from duorec.data import PAD_INDEX, make_collision_mask, split_leave_one_out
 from duorec.encoder import encode_sequence
 from duorec.metrics import (gradient_degeneration_probe, hr_at_k, ndcg_at_k,
                             rank_full_catalog, singular_spectrum,
@@ -224,12 +223,14 @@ def _degen_run(lam: float, seed: int):
     res = train(cfg, data)
     params = res.final_params
     tail = spectrum_tail_mass(singular_spectrum(params["item_emb"].data))
+    ids, targets = data.window(data.test)
     reps = []
     with inference_mode(params):
-        for ids, _lengths, _t in eval_batches(data.test, 20):
-            reps.append(encode_sequence(ids, params, RngStream(0, "u")).data)
+        for start in range(0, len(ids), 256):
+            reps.append(encode_sequence(ids[start:start + 256], params,
+                                        RngStream(0, "u")).data)
     unif = uniformity(np.vstack(reps))
-    hr10 = evaluate(params, data.test, 20, ks=(10,)).hr[10]
+    hr10 = evaluate(params, ids, targets, ks=(10,)).hr[10]
     return unif, tail, hr10
 
 
@@ -309,8 +310,8 @@ class TestCriterion7Determinism:
         loaded = load_checkpoint(p1)
         save_checkpoint(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
-        before = evaluate(results[0].checkpoint.params, data.test, 12)
-        after = evaluate(loaded.params, data.test, 12)
+        before = evaluate(results[0].checkpoint.params, *data.window(data.test))
+        after = evaluate(loaded.params, *data.window(data.test))
         assert before == after
         budget.check()
 
@@ -323,17 +324,16 @@ class TestCriterion8ChanceLevel:
         # targets drawn independently of the prefixes so the true hit
         # probability of any fixed scorer is exactly 10/|catalog|
         budget = Budget(60)
-        from duorec.data import EvalExample
         n_items, n_users = 1000, 2000
         gen = np.random.default_rng(3)
-        examples = [
-            EvalExample(prefix=[int(i) for i in gen.integers(1, n_items + 1, size=8)],
-                        target=int(gen.integers(1, n_items + 1)))
-            for _ in range(n_users)
-        ]
+        ids = np.full((n_users, 10), PAD_INDEX, dtype=np.int64)   # 8 items, left-padded
+        targets = np.empty(n_users, dtype=np.int64)
+        for u in range(n_users):
+            ids[u, 2:] = gen.integers(1, n_items + 1, size=8)
+            targets[u] = gen.integers(1, n_items + 1)
         params = make_params(vocab_size=n_items + 1, d=16, layers=1, heads=2,
                              max_len=10, seed=0)
-        hr10 = evaluate(params, examples, 10, ks=(10,)).hr[10]
+        hr10 = evaluate(params, ids, targets, ks=(10,)).hr[10]
         p = 10 / n_items
         se = math.sqrt(p * (1 - p) / n_users)
         assert abs(hr10 - p) <= 3 * se, f"hr10 {hr10:.5f} vs chance {p:.5f}"

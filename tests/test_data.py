@@ -1,12 +1,15 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
 from duorec.autodiff import ConfigError
-from duorec.data import (PAD_INDEX, EmptyDatasetError, ParseError, RawEvent,
-                         build_sequences, build_target_index, ingest,
+from duorec.data import (PAD_INDEX, Batch, EmptyDatasetError, ParseError,
+                         RawEvent, build_sequences, build_target_index, ingest,
                          iter_epoch, make_collision_mask, split_leave_one_out,
                          UserSequence, ItemVocab)
 from duorec.rng import RngStream
+from duorec.synthetic import make_clustered_corpus
 
 
 def _events(triples):
@@ -102,10 +105,22 @@ class TestSplitLeaveOneOut:
     def test_protocol_walkthrough(self):
         vocab = ItemVocab({}, ["<pad>"], np.zeros(5, dtype=np.int64))
         seqs = [UserSequence(0, [1, 2, 3, 4])]
-        split = split_leave_one_out(seqs, vocab, max_len=10)
-        assert split.test[0].prefix == [1, 2, 3] and split.test[0].target == 4
-        assert split.valid[0].prefix == [1, 2] and split.valid[0].target == 3
-        assert [(e.prefix, e.target) for e in split.train] == [([1], 2)]
+        split = split_leave_one_out(seqs, vocab, max_len=5)
+        for pos, prefix, target in ((split.test, [0, 0, 1, 2, 3], 4),
+                                    (split.valid, [0, 0, 0, 1, 2], 3),
+                                    (split.train, [0, 0, 0, 0, 1], 2)):
+            ids, targets = split.window(pos)
+            assert ids.tolist() == [prefix] and targets.tolist() == [target]
+
+    def test_window_stays_inside_its_user(self):
+        # the pad run before each sequence keeps a full-width window from
+        # reading the previous user's items
+        vocab = ItemVocab({}, ["<pad>"], np.zeros(10, dtype=np.int64))
+        seqs = [UserSequence(0, [1, 2, 3, 4, 5, 6]), UserSequence(1, [7, 8, 9])]
+        split = split_leave_one_out(seqs, vocab, max_len=3)
+        ids, targets = split.window(split.test)
+        assert ids.tolist() == [[3, 4, 5], [0, 7, 8]]
+        assert targets.tolist() == [6, 9]
 
     def test_length_three_contributes_eval_only(self):
         # shortest admissible sequence: valid and test pairs but no train
@@ -118,7 +133,7 @@ class TestSplitLeaveOneOut:
     def test_short_sequences_dropped_with_count(self):
         vocab = ItemVocab({}, ["<pad>"], np.zeros(4, dtype=np.int64))
         split = split_leave_one_out([UserSequence(0, [1, 2])], vocab, max_len=10)
-        assert split.dropped_short == 1 and not split.train
+        assert split.dropped_short == 1 and len(split.train) == 0
 
     def test_counting_oracle(self, rng):
         # one train example per prefix position strictly before the
@@ -131,25 +146,33 @@ class TestSplitLeaveOneOut:
         assert len(split.train) == int((lengths - 3).sum())
 
 
+def _groups(index, targets):
+    """The index read back as {target: example ids in order}."""
+    groups = {}
+    for e, t in enumerate(targets):
+        run = index.order[index.start[e]:index.start[e] + index.count[e]].tolist()
+        assert run[index.slot[e]] == e
+        assert groups.setdefault(int(t), run) == run
+    return groups
+
+
 class TestTargetIndex:
     def test_shared_target_grouped(self):
-        from duorec.data import TrainExample
-        train = [TrainExample([1], 9), TrainExample([2], 9)]
-        index = build_target_index(train)
-        assert index == {9: [0, 1]}
+        targets = np.array([9, 9])
+        assert _groups(build_target_index(targets), targets) == {9: [0, 1]}
 
     def test_disjoint_targets_singletons(self):
-        from duorec.data import TrainExample
-        train = [TrainExample([1], 5), TrainExample([2], 6)]
-        index = build_target_index(train)
-        assert all(len(v) == 1 for v in index.values())
+        index = build_target_index(np.array([5, 6]))
+        assert index.count.tolist() == [1, 1]
 
     def test_partition_counts(self, rng):
-        from duorec.data import TrainExample
         targets = rng.integers(1, 11, size=100)
-        train = [TrainExample([1], int(t)) for t in targets]
-        index = build_target_index(train)
-        assert sum(len(v) for v in index.values()) == 100
+        groups = _groups(build_target_index(targets), targets)
+        assert sum(len(v) for v in groups.values()) == 100
+        expected = defaultdict(list)
+        for e, t in enumerate(targets):
+            expected[int(t)].append(e)
+        assert groups == expected
 
 
 class TestCollisionMask:
@@ -196,26 +219,26 @@ class TestCollisionMask:
 
 
 class TestBatching:
-    def _split(self):
-        from duorec.synthetic import make_clustered_corpus
+    def _corpus(self):
         seqs, vocab = make_clustered_corpus(n_items=50, n_clusters=5,
                                             n_sequences=40, seed=3)
-        return split_leave_one_out(seqs, vocab, max_len=20)
+        return seqs, split_leave_one_out(seqs, vocab, max_len=20)
 
     def test_epoch_covers_every_example_once(self):
-        split = self._split()
-        index = build_target_index(split.train)
+        seqs, split = self._corpus()
+        index = build_target_index(split.items[split.train])
         seen = []
         for batch in iter_epoch(split, index, 32, RngStream(1, "ep")):
             for row in range(batch.size):
                 real = batch.item_ids[row][batch.item_ids[row] != PAD_INDEX]
                 seen.append((tuple(real.tolist()), int(batch.targets[row])))
         assert sorted(seen) == sorted(
-            (tuple(ex.prefix[-20:]), ex.target) for ex in split.train)
+            (tuple(s.items[:t][-20:]), s.items[t])
+            for s in seqs for t in range(1, len(s.items) - 2))
 
     def test_left_padding_layout(self):
-        split = self._split()
-        index = build_target_index(split.train)
+        _, split = self._corpus()
+        index = build_target_index(split.items[split.train])
         for batch in iter_epoch(split, index, 16, RngStream(2, "ep")):
             for row in range(batch.size):
                 n = batch.lengths[row]
@@ -224,17 +247,121 @@ class TestBatching:
                 assert batch.targets[row] != PAD_INDEX
 
     def test_positive_partner_shares_target(self):
-        split = self._split()
-        index = build_target_index(split.train)
+        _, split = self._corpus()
+        index = build_target_index(split.items[split.train])
         for batch in iter_epoch(split, index, 16, RngStream(3, "ep")):
             np.testing.assert_array_equal(batch.targets, batch.positive_targets)
 
     def test_singleton_target_falls_back_to_self(self):
-        from duorec.data import TrainExample, SplitDataset
         vocab = ItemVocab({}, ["<pad>"] + ["x"] * 9, np.zeros(10, dtype=np.int64))
-        train = [TrainExample([1, 2], 3), TrainExample([4, 5], 6)]
-        split = SplitDataset(train=train, valid=[], test=[], vocab=vocab, max_len=5)
-        index = build_target_index(train)
-        (batch,) = iter_epoch(split, index, 2, RngStream(4, "ep"))
-        for row in range(2):
+        # training targets 2, 3, 5 and 6, one example each
+        split = split_leave_one_out([UserSequence(0, [1, 2, 3, 4, 5]),
+                                     UserSequence(1, [4, 5, 6, 7, 8])], vocab, max_len=5)
+        index = build_target_index(split.items[split.train])
+        stream = RngStream(4, "ep")
+        (batch,) = iter_epoch(split, index, 4, stream)
+        for row in range(4):
             np.testing.assert_array_equal(batch.item_ids[row], batch.positive_ids[row])
+        assert stream.counter == 1                             # the shuffle's block only
+
+
+# -- oracle: the list-based layout and per-row assembly ------------------
+
+
+def _reference_split(sequences):
+    """(prefix, target) lists, as the data layer stored examples before."""
+    train, valid, test = [], [], []
+    for seq in sequences:
+        items = seq.items
+        if len(items) < 3:
+            continue
+        test.append((items[:-1], items[-1]))
+        valid.append((items[:-2], items[-2]))
+        for t in range(1, len(items) - 2):
+            train.append((items[:t], items[t]))
+    return train, valid, test
+
+
+def _left_pad(prefix, max_len):
+    items = prefix[-max_len:]
+    return [PAD_INDEX] * (max_len - len(items)) + items, len(items)
+
+
+def _reference_epoch(train, max_len, batch_size, stream):
+    """One row at a time: a candidates list and one ``integers`` draw per row."""
+    index = defaultdict(list)
+    for i, (_, target) in enumerate(train):
+        index[target].append(i)
+    order = stream.permutation(len(train))
+    for start in range(0, len(order), batch_size):
+        ids = order[start:start + batch_size]
+        b = len(ids)
+        item_ids = np.zeros((b, max_len), dtype=np.int64)
+        positive_ids = np.zeros((b, max_len), dtype=np.int64)
+        lengths = np.zeros(b, dtype=np.int64)
+        targets = np.zeros(b, dtype=np.int64)
+        positive_targets = np.zeros(b, dtype=np.int64)
+        for row, ex_id in enumerate(ids):
+            prefix, target = train[ex_id]
+            item_ids[row], lengths[row] = _left_pad(prefix, max_len)
+            targets[row] = target
+            candidates = [p for p in index[target] if p != ex_id]
+            if candidates:
+                pick = candidates[int(stream.integers(0, len(candidates), 1)[0])]
+            else:
+                pick = ex_id
+            positive_ids[row], _ = _left_pad(train[pick][0], max_len)
+            positive_targets[row] = train[pick][1]
+        yield Batch(item_ids=item_ids, lengths=lengths, targets=targets,
+                    positive_ids=positive_ids, positive_targets=positive_targets,
+                    collision_mask=make_collision_mask(targets, positive_targets))
+
+
+def _oracle_corpora():
+    """Clustered corpora, one with max_len below the sequence lengths, and
+    one whose training targets are mostly singletons."""
+    yield make_clustered_corpus(n_items=50, n_clusters=5, n_sequences=40, seed=3), 20
+    yield make_clustered_corpus(n_items=30, n_clusters=3, n_sequences=30,
+                                min_len=8, max_len=20, seed=4, zipf=1.5), 5
+    seqs = [UserSequence(u, [1 + (7 * u + 3 * t) % 97 for t in range(3 + u % 6)])
+            for u in range(30)]
+    seqs += [UserSequence(30, [1, 2]), UserSequence(31, [4, 4, 4, 4, 4, 4])]
+    yield (seqs, ItemVocab({}, ["<pad>"] + ["x"] * 97, np.zeros(98, dtype=np.int64))), 4
+
+
+BATCH_FIELDS = ("item_ids", "lengths", "targets", "positive_ids",
+                "positive_targets", "collision_mask")
+
+
+class TestAgainstListOracle:
+    @pytest.mark.parametrize("batch_size", [1, 7, 256])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_iter_epoch_matches_per_row_assembly(self, seed, batch_size):
+        for (seqs, vocab), max_len in _oracle_corpora():
+            split = split_leave_one_out(seqs, vocab, max_len=max_len)
+            train, _, _ = _reference_split(seqs)
+            index = build_target_index(split.items[split.train])
+            got_stream, want_stream = RngStream(seed, "data"), RngStream(seed, "data")
+            got = iter_epoch(split, index, batch_size, got_stream)
+            want = _reference_epoch(train, max_len, batch_size, want_stream)
+            n_batches = 0
+            for g, w in zip(got, want, strict=True):
+                for name in BATCH_FIELDS:
+                    a, b = getattr(g, name), getattr(w, name)
+                    assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                    assert a.tobytes() == b.tobytes(), name
+                assert got_stream.counter == want_stream.counter
+                n_batches += 1
+            assert n_batches == -(-len(train) // batch_size)
+
+    def test_eval_windows_match_left_pad(self):
+        for (seqs, vocab), max_len in _oracle_corpora():
+            split = split_leave_one_out(seqs, vocab, max_len=max_len)
+            _, valid, test = _reference_split(seqs)
+            assert split.dropped_short == sum(len(s.items) < 3 for s in seqs)
+            for pos, examples in ((split.valid, valid), (split.test, test)):
+                ids, targets = split.window(pos)
+                want = np.array([_left_pad(p, max_len)[0] for p, _ in examples],
+                                dtype=np.int64).reshape(-1, max_len)
+                assert ids.dtype == want.dtype and ids.tobytes() == want.tobytes()
+                assert targets.tolist() == [t for _, t in examples]

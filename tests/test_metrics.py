@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from duorec.data import PAD_INDEX, EvalExample, ItemVocab
+from duorec.data import PAD_INDEX, ItemVocab
 from duorec.metrics import (alignment, gradient_degeneration_probe, hr_at_k,
                             jacobi_eigh, ndcg_at_k, project_2d,
                             rank_full_catalog, report, singular_spectrum,
@@ -56,11 +56,20 @@ class TestRanking:
         assert ranks[:3].tolist() == [11, 11, 11]
         assert 1 <= ranks[3] <= 11
 
+    def test_non_finite_item_ranks_above_finite_target(self, rng):
+        emb = rng.standard_normal((10, 4))
+        h = emb[7][None, :] * 10                               # item 7 is the unique best
+        assert rank_full_catalog(h.copy(), emb, [7])[0] == 1
+        emb[2] = np.nan
+        assert rank_full_catalog(h.copy(), emb, [7])[0] == 2
+        emb[4] = np.where(h[0] > 0, -np.inf, np.inf)          # scores -inf
+        assert rank_full_catalog(h.copy(), emb, [7])[0] == 3
+
     def test_nan_model_scores_zero(self):
         params = make_params(vocab_size=12, d=8, max_len=6)
         params["layer0.wo"].data[:] = np.nan
-        examples = [EvalExample([1, 2, 3], 4), EvalExample([5, 6], 7), EvalExample([8], 9)]
-        rep = evaluate(params, examples, max_len=6, ks=(5, 10))
+        ids = np.array([[0, 0, 0, 1, 2, 3], [0, 0, 0, 0, 5, 6], [0, 0, 0, 0, 0, 8]])
+        rep = evaluate(params, ids, np.array([4, 7, 9]), ks=(5, 10))
         assert rep.hr == {5: 0.0, 10: 0.0}
         assert rep.ndcg == {5: 0.0, 10: 0.0}
 

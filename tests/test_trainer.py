@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from duorec.autodiff import ConfigError, Tensor
 from duorec.data import PAD_INDEX, split_leave_one_out
 from duorec.synthetic import make_clustered_corpus
-from duorec.trainer import (Adam, TrainConfig, evaluate, load_checkpoint,
-                            save_checkpoint, train, write_curves_csv)
+from duorec.trainer import (Adam, Checkpoint, TrainConfig, evaluate,
+                            load_checkpoint, save_checkpoint, train,
+                            write_curves_csv)
 
 from test_encoder import make_params
 
@@ -39,9 +41,10 @@ class TestConfig:
         assert cfg.to_dict()["lambda"] == 0.3
         assert "lam" not in cfg.to_dict()
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="not_a_field"):
-            TrainConfig.from_dict({"not_a_field": 1})
+    @pytest.mark.parametrize("key", ["not_a_field", "normalize_nce"])
+    def test_unknown_key_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig.from_dict({key: 1})
 
     def test_out_of_range_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -142,6 +145,14 @@ class TestTraining:
         with pytest.raises(ValueError):
             train(tiny_config(), empty)
 
+    @pytest.mark.parametrize("max_len", [5, 20])
+    def test_split_width_must_match_config(self, max_len):
+        seqs, vocab = make_clustered_corpus(n_items=30, n_clusters=3, n_sequences=20,
+                                            min_len=5, max_len=12, seed=0)
+        data = split_leave_one_out(seqs, vocab, max_len=max_len)
+        with pytest.raises(ConfigError, match="max_len"):
+            train(tiny_config(), data)
+
     def test_extreme_lr_returns_instead_of_raising(self):
         data = tiny_data()
         res = train(tiny_config(epochs=3, lr=1e8, lam=0.0), data)
@@ -160,7 +171,7 @@ class TestEvaluate:
     def test_report_shapes_and_bounds(self):
         data = tiny_data()
         params = make_params(vocab_size=data.vocab.size, d=8, max_len=10)
-        rep = evaluate(params, data.test, max_len=10)
+        rep = evaluate(params, *data.window(data.test))
         assert rep.n_users == len(data.test)
         assert 0.0 <= rep.ndcg[10] <= rep.hr[10] <= 1.0
 
@@ -168,8 +179,8 @@ class TestEvaluate:
         data = tiny_data()
         params = make_params(vocab_size=data.vocab.size, d=8, max_len=10,
                              emb_dropout=0.3, hidden_dropout=0.3)
-        a = evaluate(params, data.test, max_len=10)
-        b = evaluate(params, data.test, max_len=10)
+        a = evaluate(params, *data.window(data.test))
+        b = evaluate(params, *data.window(data.test))
         assert a == b
 
 
@@ -188,8 +199,8 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.duo"
         save_checkpoint(path, res.checkpoint)
         loaded = load_checkpoint(path)
-        before = evaluate(res.checkpoint.params, data.test, max_len=10)
-        after = evaluate(loaded.params, data.test, max_len=10)
+        before = evaluate(res.checkpoint.params, *data.window(data.test))
+        after = evaluate(loaded.params, *data.window(data.test))
         assert before == after
 
     def test_trailer_fields_preserved(self, tmp_path):
@@ -211,6 +222,61 @@ class TestCheckpoint:
         path = tmp_path / "junk.duo"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(IOError):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _checkpoint(**config):
+        cfg = tiny_config(max_len=6, **config)
+        params = make_params(vocab_size=12, d=8, max_len=6)
+        opt = Adam(params, lr=0.01)
+        return Checkpoint(params=params, adam_m=opt.m, adam_v=opt.v, adam_t=3,
+                          epoch=2, best_valid_hr5=0.5, data_counter=7,
+                          train_config=cfg)
+
+    def test_torn_or_padded_file_raises_ioerror(self, tmp_path):
+        ckpt = self._checkpoint()
+        path = tmp_path / "ckpt.duo"
+        save_checkpoint(path, ckpt)
+        blob = path.read_bytes()
+        n_floats = sum(t.data.size for _, t in ckpt.params.named()) * 3   # params, m, v
+        trailer = blob.rindex(b'{"adam_t"') - 8                # the trailer's length field
+        buffers = trailer - 8 * n_floats
+        # every offset of the header and the trailer, a stride through the buffers
+        cuts = [*range(buffers + 1), *range(buffers, trailer, 97), *range(trailer, len(blob))]
+        for cut in cuts:
+            path.write_bytes(blob[:cut])
+            with pytest.raises(IOError):
+                load_checkpoint(path)
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(IOError, match="after the trailer"):
+            load_checkpoint(path)
+        path.write_bytes(blob)
+        load_checkpoint(path)
+
+    @pytest.mark.parametrize("config", [dict(layers=2), dict(d=16), dict(max_len=7)])
+    def test_tensors_disagreeing_with_config_raise_ioerror(self, tmp_path, config):
+        ckpt = self._checkpoint()
+        ckpt.train_config = dataclasses.replace(ckpt.train_config, **config)
+        path = tmp_path / "ckpt.duo"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(IOError, match="do not match the config"):
+            load_checkpoint(path)
+
+    def test_missing_adam_moment_raises_ioerror(self, tmp_path):
+        ckpt = self._checkpoint()
+        del ckpt.adam_v["pos_emb"]
+        path = tmp_path / "ckpt.duo"
+        save_checkpoint(path, ckpt)
+        with pytest.raises(IOError, match="do not match the config"):
+            load_checkpoint(path)
+
+    def test_removed_config_key_in_trailer_fails_loudly(self, tmp_path, monkeypatch):
+        to_dict = TrainConfig.to_dict
+        monkeypatch.setattr(TrainConfig, "to_dict",
+                            lambda self: to_dict(self) | {"normalize_nce": False})
+        path = tmp_path / "ckpt.duo"
+        save_checkpoint(path, self._checkpoint())
+        with pytest.raises(ConfigError, match="normalize_nce"):
             load_checkpoint(path)
 
 
