@@ -18,6 +18,7 @@ that another op also received.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable
 
 import numpy as np
@@ -307,13 +308,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
 
 
 def dropout(x: Tensor, rate: float, stream: RngStream,
-            draw_shape: tuple[int, ...] | None = None, index=None) -> Tensor:
+            draw_shape: tuple[int, ...] | None = None, rows=None) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, rescale survivors.
 
     The mask comes solely from ``stream``, so a fixed (seed, label, counter)
-    reproduces it bit for bit. When ``x`` holds only part of a larger
-    activation, pass that activation's ``draw_shape`` and the ``index`` that
-    selects ``x`` from it: the mask is drawn at the full shape and sliced, so
+    reproduces it bit for bit. When ``x`` holds only some rows of a larger
+    activation, pass that activation's ``draw_shape`` and the strictly
+    increasing ``rows`` that ``x`` holds, counting rows of ``x.shape[-1]``
+    elements over the whole activation, so that ``x.reshape(-1, w)`` is
+    ``full.reshape(-1, w)[rows]``. Only those rows' draws are generated, and
     the stream advances, and every kept mask value comes out, exactly as if
     the whole activation had been dropped.
     """
@@ -322,11 +325,20 @@ def dropout(x: Tensor, rate: float, stream: RngStream,
     if rate == 0.0:
         return x
     shape = x.data.shape if draw_shape is None else tuple(draw_shape)
-    u = stream.uniform(int(np.prod(shape))).reshape(shape)
-    if index is not None:
-        u = u[index]
-    if u.shape != x.data.shape:
-        raise ShapeError(f"dropout mask {u.shape} does not fit input {x.data.shape}")
+    n = math.prod(shape)
+    if rows is None:
+        u = stream.uniform(n).reshape(shape)
+        if u.shape != x.data.shape:
+            raise ShapeError(f"dropout mask {u.shape} does not fit input {x.data.shape}")
+    else:
+        w = x.data.shape[-1]
+        rows = np.asarray(rows, dtype=np.int64)
+        if n % w or rows.size * w != x.data.size:
+            raise ShapeError(f"{rows.size} rows of {w} do not fit input {x.data.shape}")
+        cut = np.flatnonzero(np.diff(rows) != 1)                 # consecutive rows: one run
+        first = rows[np.concatenate(([0], cut + 1))]
+        last = rows[np.concatenate((cut, [-1]))]
+        u = stream.uniform(n, runs=(first * w, (last + 1) * w)).reshape(x.data.shape)
     mask = (u >= rate) / (1.0 - rate)
     out_data = x.data * mask
 
@@ -343,14 +355,39 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
         bad = idx[(idx < 0) | (idx >= n_rows)][0]
         raise IndexError(f"row index {bad} out of range [0, {n_rows})")
-    out_data = table.data[idx]
+    out_data = table.data.take(idx, axis=0)
 
     def backward(g):
-        acc = np.zeros_like(table.data)
-        np.add.at(acc, idx, g)
+        # both branches give np.add.at's bytes: every element starts at 0 and
+        # adds its gradients in index order
+        if idx.ndim == 1 and np.all(idx[1:] > idx[:-1]):
+            acc = np.zeros_like(table.data)
+            acc[idx] += g               # distinct rows: one addition each
+        else:
+            width = math.prod(table.data.shape[1:])
+            flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
+            acc = np.bincount(flat, weights=g.ravel(), minlength=table.data.size)
+            acc = acc.reshape(table.data.shape)
         table._accumulate(acc)
 
     return _make(out_data, (table,), backward)
+
+
+def scatter_rows(x: Tensor, rows, n_rows: int) -> Tensor:
+    """[n_rows, ...] zeros with ``x``'s rows placed at the strictly increasing
+    ``rows``; the inverse of ``gather_rows``, whose gather is its backward."""
+    idx = np.asarray(rows, dtype=np.int64)
+    if idx.shape != x.data.shape[:1]:
+        raise ShapeError(f"{idx.shape} row indices for input {x.data.shape}")
+    if idx.size and (idx[0] < 0 or idx[-1] >= n_rows or np.any(idx[1:] <= idx[:-1])):
+        raise IndexError(f"rows must be strictly increasing in [0, {n_rows})")
+    out_data = np.zeros((n_rows,) + x.data.shape[1:])
+    out_data[idx] = x.data
+
+    def backward(g):
+        x._accumulate(g[idx])
+
+    return _make(out_data, (x,), backward)
 
 
 def take_pairs(x: Tensor, rows, cols) -> Tensor:

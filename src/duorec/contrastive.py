@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ConfigError, Tensor
 from .data import Batch
-from .encoder import NEG_INF, EncoderParams, encode_sequence
+from .encoder import NEG_INF, EncoderParams, encode_sequence, encode_twins
 from .rng import RngStream
 
 
@@ -113,19 +113,21 @@ POSITIVE_MODES = ("unsupervised", "supervised", "duo")
 
 
 def contrastive_views(mode: str, batch: Batch, params: EncoderParams,
-                      base_stream: RngStream, h: Tensor, h_prime: Tensor,
-                      h_prime_s: Tensor) -> tuple[Tensor, Tensor]:
-    """Pick the positive pair for the configured mode.
+                      base_stream: RngStream) -> tuple[Tensor, Tensor, Tensor]:
+    """Encode the anchor and the positive pair of the configured mode.
 
-    duo: (dropout twin, encoded same-target partner). unsupervised: two
-    fresh dropout passes of the same sequence. supervised: the anchor
-    against the partner, one dropout pass each.
+    Returns (h, view_a, view_b). duo: the dropout twin and the encoded
+    same-target partner (``encode_twins``). unsupervised: two fresh dropout
+    passes of the anchor's sequence. supervised: the anchor itself against
+    the partner. Every pass draws from its own labeled stream, so a mode
+    encodes only the passes its pair uses, with the masks it always had.
     """
     if mode == "duo":
-        return h_prime, h_prime_s
+        return encode_twins(batch, params, base_stream)
+    if mode not in POSITIVE_MODES:
+        raise ConfigError(f"unknown positive mode {mode!r}")
+    h = encode_sequence(batch.item_ids, params, base_stream.child("anchor"))
     if mode == "unsupervised":
-        h_second = encode_sequence(batch.item_ids, params, base_stream.child("twin2"))
-        return h_prime, h_second
-    if mode == "supervised":
-        return h, h_prime_s
-    raise ConfigError(f"unknown positive mode {mode!r}")
+        return (h, encode_sequence(batch.item_ids, params, base_stream.child("twin")),
+                encode_sequence(batch.item_ids, params, base_stream.child("twin2")))
+    return h, h, encode_sequence(batch.positive_ids, params, base_stream.child("partner"))

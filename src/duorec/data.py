@@ -37,7 +37,7 @@ class ParseError(ValueError):
 
 
 class EmptyDatasetError(ValueError):
-    """Filtering removed every interaction."""
+    """Filtering removed every interaction, or no user is left to evaluate."""
 
 
 @dataclass

@@ -7,13 +7,24 @@ last (most recent) position. ``encode_twins`` runs the same weights under
 independent dropout streams to produce the augmented views used by the
 contrastive regularizer.
 
-Only the last position leaves the stack, so the final layer computes keys
-and values at every position but queries, attention, the output
-projection, both layer norms and the feed-forward network at the last
-position alone: B rows instead of B*N. Its dropout masks are still drawn at
-the full-sequence shape and sliced to that row, so every stream advances,
-and every mask value that reaches the output is the one the full
-computation would use.
+Inputs are left-padded windows, mostly padding, and no real position ever
+reads a pad position's result, so ``encode`` packs the rows it computes:
+the M real positions of the [B*N, d] layout plus each sequence's last
+position (an all-pad row still yields one vector). The first layer
+projects queries, keys and values from the embedding at every position;
+after attention, its output projection, residuals, both layer norms, the
+feed-forward network and the row dropouts run on the M packed rows. Later
+layers take the packed rows only: their projections run on M rows, and
+``autodiff.scatter_rows`` places keys, values and queries into the padded
+[B, nh, N, N] attention layout, with zeros at the rows left out. Only the
+last position leaves the stack, so the final layer's queries and
+everything after them run on B rows.
+
+Dropout masks are those of the full B*N-position activations: each stream
+advances as for the full draw and every mask value that reaches the
+output is the one the full computation would use, but only the counter
+blocks behind the computed rows are generated (``RngStream.uniform`` with
+``runs``).
 """
 
 from __future__ import annotations
@@ -112,28 +123,37 @@ def encode(h0: Tensor, item_ids: np.ndarray, params: EncoderParams,
     cfg = params.config
     b, n, d = h0.shape
     h = ad.reshape(h0, (b * n, d))
+    last = np.arange(n - 1, b * n, n)
     if cfg.layers == 0:
-        return ad.gather_rows(h, np.arange(n - 1, b * n, n))
+        return ad.gather_rows(h, last)
+    keep = (item_ids != PAD_INDEX).reshape(b * n)
+    keep[last] = True
+    rows = np.flatnonzero(keep)                                # increasing
     mask = _attention_mask(item_ids)
     for layer in range(cfg.layers):
-        h = _block(h, b, n, mask, params, layer, stream.child(f"layer{layer}"),
+        h = _block(h, rows, b, n, mask, params, layer, stream.child(f"layer{layer}"),
                    last_only=layer == cfg.layers - 1)
     return h
 
 
-def _block(h: Tensor, b: int, n: int, mask: np.ndarray, params: EncoderParams,
-           layer: int, stream: RngStream, last_only: bool) -> Tensor:
-    """One post-norm attention + feed-forward block over h [B*N, d].
+def _block(h: Tensor, rows: np.ndarray, b: int, n: int, mask: np.ndarray,
+           params: EncoderParams, layer: int, stream: RngStream,
+           last_only: bool) -> Tensor:
+    """One post-norm attention + feed-forward block; returns packed rows.
 
-    With ``last_only``, keys and values still cover all N positions, but the
-    queries and everything after them run on each sequence's last position
-    only, and the block returns [B, d]. Dropout masks are drawn at the
-    full B*N-position shapes either way and sliced to the rows computed.
+    ``rows`` holds the flat [B*N] position of each packed row. Layer 0 gets
+    the embedding at every position, [B*N, d]; later layers get the packed
+    rows, [M, d], and scatter their projections into the padded attention
+    layout. With ``last_only`` the queries and everything after them run on
+    each sequence's last position only, and the block returns [B, d].
+    Dropout masks are those of the full B*N-position activations, drawn
+    only where rows are computed.
     """
     cfg = params.config
     d, nh = cfg.d, cfg.heads
     dh = d // nh
     rate = cfg.hidden_dropout
+    full = layer == 0
 
     def w(name: str) -> Tensor:
         return params[f"layer{layer}.{name}"]
@@ -141,25 +161,35 @@ def _block(h: Tensor, b: int, n: int, mask: np.ndarray, params: EncoderParams,
     def split_heads(x: Tensor, m: int) -> Tensor:             # [B*m, d] -> [B, nh, m, dh]
         return ad.transpose(ad.reshape(x, (b, m, nh, dh)), (0, 2, 1, 3))
 
+    def projected(name: str) -> Tensor:                        # [B, nh, N, dh]
+        x = ad.matmul(h, w(name))
+        return split_heads(x if full else ad.scatter_rows(x, rows, b * n), n)
+
     if last_only:
-        rows = np.arange(n - 1, b * n, n)
-        hq, m = ad.gather_rows(h, rows), 1
-        mask, att_index = mask[:, :, n - 1:], np.s_[:, :, n - 1:]
+        out_rows = np.arange(n - 1, b * n, n)
+        hq = ad.gather_rows(h, out_rows if full else np.searchsorted(rows, out_rows))
+        q = split_heads(ad.matmul(hq, w("wq")), 1)
+        # a copy, so the graph holds the last query row and not the whole mask
+        mask, att_rows = mask[:, :, n - 1:].copy(), np.arange(b * nh) * n + n - 1
     else:
-        rows = att_index = None
-        hq, m = h, n
-    q = split_heads(ad.matmul(hq, w("wq")), m)
-    k = split_heads(ad.matmul(h, w("wk")), n)
-    v = split_heads(ad.matmul(h, w("wv")), n)
+        out_rows = rows
+        hq = ad.gather_rows(h, rows) if full else h
+        q = projected("wq")
+        att_rows = None
+    k = projected("wk")
+    v = projected("wv")
     scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    att = ad.softmax_rows(ad.add(scores, mask))               # [B, nh, m, N]
-    att = ad.dropout(att, rate, stream.child("att"), (b, nh, n, n), att_index)
-    ctx = ad.reshape(ad.transpose(ad.matmul(att, v), (0, 2, 1, 3)), (b * m, d))
-    out = ad.dropout(ad.matmul(ctx, w("wo")), rate, stream.child("attout"), (b * n, d), rows)
+    att = ad.softmax_rows(ad.add(scores, mask))               # [B, nh, 1 or N, N]
+    att = ad.dropout(att, rate, stream.child("att"), (b, nh, n, n), att_rows)
+    ctx = ad.transpose(ad.matmul(att, v), (0, 2, 1, 3))       # [B, 1 or N, nh, dh]
+    ctx = ad.reshape(ctx, (b * ctx.shape[1], d))
+    if not last_only:
+        ctx = ad.gather_rows(ctx, rows)
+    out = ad.dropout(ad.matmul(ctx, w("wo")), rate, stream.child("attout"), (b * n, d), out_rows)
     x = ad.layer_norm(ad.add(hq, out), w("ln1_gain"), w("ln1_bias"))
     f1 = ad.gelu(ad.add(ad.matmul(x, w("ffn_w1")), w("ffn_b1")))
     f2 = ad.add(ad.matmul(f1, w("ffn_w2")), w("ffn_b2"))
-    f2 = ad.dropout(f2, rate, stream.child("ffn"), (b * n, d), rows)
+    f2 = ad.dropout(f2, rate, stream.child("ffn"), (b * n, d), out_rows)
     return ad.layer_norm(ad.add(x, f2), w("ln2_gain"), w("ln2_bias"))
 
 

@@ -1,6 +1,6 @@
 """Training orchestration: config, Adam, the epoch loop, checkpointing.
 
-One training step encodes the anchor and its two augmented views, scores
+One training step encodes the anchor and the positive pair of its mode, scores
 the next item against the (tied) item embedding matrix, adds the weighted
 contrastive regularizer, backpropagates, and applies a bias-corrected
 Adam update with the pad embedding row pinned to zero. Model selection is
@@ -23,9 +23,10 @@ from . import autodiff as ad
 from .autodiff import ConfigError, Tensor, no_grad
 from .contrastive import (POSITIVE_MODES, assemble, combined_loss,
                           contrastive_views, nce_regularizer)
-from .data import PAD_INDEX, SplitDataset, build_target_index, iter_epoch
-from .encoder import (EncoderConfig, EncoderParams, encode_sequence,
-                      encode_twins, init_params, param_shapes)
+from .data import (PAD_INDEX, EmptyDatasetError, SplitDataset, build_target_index,
+                   iter_epoch)
+from .encoder import (EncoderConfig, EncoderParams, encode_sequence, init_params,
+                      param_shapes)
 from .metrics import EvalReport, alignment, rank_full_catalog, report, uniformity
 from .rng import RngStream
 
@@ -154,7 +155,11 @@ def evaluate(params: EncoderParams, ids: np.ndarray, targets: np.ndarray,
     """Full-catalog ranking of held-out targets, dropout off.
 
     ``ids`` [U, N] are left-padded inputs, as ``SplitDataset.window`` makes.
+    No users to rank (every user has fewer than 3 items) raises
+    EmptyDatasetError: HR and NDCG over no users are undefined.
     """
+    if len(targets) == 0:
+        raise EmptyDatasetError("no users to evaluate: every user has fewer than 3 items")
     ranks: list[np.ndarray] = []
     dummy = RngStream(0, "eval")
     with inference_mode(params):
@@ -162,7 +167,7 @@ def evaluate(params: EncoderParams, ids: np.ndarray, targets: np.ndarray,
             rows = slice(start, start + EVAL_BATCH)
             h = encode_sequence(ids[rows], params, dummy)
             ranks.append(rank_full_catalog(h.data, params["item_emb"].data, targets[rows]))
-    return report(np.concatenate(ranks) if ranks else np.array([]), ks)
+    return report(np.concatenate(ranks), ks)
 
 
 @dataclass
@@ -185,11 +190,9 @@ def train_step(batch, params: EncoderParams, config: TrainConfig,
         logits = ad.matmul(h, ad.transpose(params["item_emb"], (1, 0)))
         rec = ad.cross_entropy_from_logits(logits, batch.targets)
         return combined_loss(rec, Tensor(0.0), 0.0), h, None, None
-    h, h_prime, h_prime_s = encode_twins(batch, params, step_stream)
+    h, view_a, view_b = contrastive_views(config.positive_mode, batch, params, step_stream)
     logits = ad.matmul(h, ad.transpose(params["item_emb"], (1, 0)))
     rec = ad.cross_entropy_from_logits(logits, batch.targets)
-    view_a, view_b = contrastive_views(config.positive_mode, batch, params,
-                                       step_stream, h, h_prime, h_prime_s)
     cb = assemble(view_a, view_b, batch.collision_mask, config.tau)
     reg = nce_regularizer(cb)
     return combined_loss(rec, reg, config.lam), h, view_a, view_b
@@ -209,7 +212,7 @@ def train(config: TrainConfig, data: SplitDataset) -> TrainResult:
 
     curves: list[dict] = []
     best_hr5 = -1.0
-    best_state = _snapshot(params, optimizer)
+    best_state = _snapshot(params, optimizer, data_stream)
     best_epoch = 0
     stale = 0
     diverged = False
@@ -246,7 +249,7 @@ def train(config: TrainConfig, data: SplitDataset) -> TrainResult:
         })
         if valid_hr5 > best_hr5:
             best_hr5 = valid_hr5
-            best_state = _snapshot(params, optimizer)
+            best_state = _snapshot(params, optimizer, data_stream)
             best_epoch = epoch
             stale = 0
         else:
@@ -259,19 +262,20 @@ def train(config: TrainConfig, data: SplitDataset) -> TrainResult:
     ckpt = Checkpoint(params=best_params, adam_m=best_state["m"],
                       adam_v=best_state["v"], adam_t=best_state["t"],
                       epoch=best_epoch, best_valid_hr5=max(best_hr5, 0.0),
-                      data_counter=data_stream.counter, train_config=config)
+                      data_counter=best_state["data_counter"], train_config=config)
     final_params = EncoderParams(copy.deepcopy(enc_cfg), {
         name: Tensor(t.data.copy(), requires_grad=True) for name, t in params.named()})
     return TrainResult(checkpoint=ckpt, curves=curves, diverged=diverged,
                        final_params=final_params)
 
 
-def _snapshot(params: EncoderParams, optimizer: Adam) -> dict:
+def _snapshot(params: EncoderParams, optimizer: Adam, data_stream: RngStream) -> dict:
     return {
         "params": {name: t.data.copy() for name, t in params.named()},
         "m": {k: v.copy() for k, v in optimizer.m.items()},
         "v": {k: v.copy() for k, v in optimizer.v.items()},
         "t": optimizer.t,
+        "data_counter": data_stream.counter,
     }
 
 

@@ -113,6 +113,28 @@ class TestDropout:
         np.testing.assert_array_equal(part.data, ref.data[rows])
         assert part_stream.counter == ref_stream.counter
 
+    @pytest.mark.parametrize("rows", [[0], [2, 3, 4, 9], [1, 5, 6, 10, 11]])
+    def test_row_runs_match_full_draw(self, rng, rows):
+        # rows of 3 start inside counter blocks; consecutive rows merge into one run
+        full = Tensor(rng.standard_normal((12, 3)))
+        ref_stream, part_stream = RngStream(4, "r", 5), RngStream(4, "r", 5)
+        ref = ad.dropout(full, 0.3, ref_stream)
+        part = ad.dropout(Tensor(full.data[rows]), 0.3, part_stream, (12, 3), rows)
+        assert part.data.tobytes() == ref.data[rows].tobytes()
+        assert part_stream.counter == ref_stream.counter
+
+    def test_row_runs_over_leading_axes(self, rng):
+        # the attention layout: the last query row of every (sequence, head)
+        full = Tensor(rng.standard_normal((3, 2, 5, 5)))
+        ref = ad.dropout(full, 0.3, RngStream(1, "a"))
+        part = ad.dropout(Tensor(full.data[:, :, 4:]), 0.3, RngStream(1, "a"),
+                          (3, 2, 5, 5), np.arange(6) * 5 + 4)
+        assert part.data.tobytes() == ref.data[:, :, 4:].tobytes()
+
+    def test_rows_must_fit_input(self):
+        with pytest.raises(ShapeError):
+            ad.dropout(Tensor(np.ones((2, 6))), 0.3, RngStream(0, "x"), (4, 6), [0, 1, 2])
+
     def test_draw_shape_must_fit_input(self):
         with pytest.raises(ShapeError):
             ad.dropout(Tensor(np.ones((2, 6))), 0.3, RngStream(0, "x"), (4, 6))
@@ -175,6 +197,52 @@ class TestGatherRows:
     def test_out_of_range(self):
         with pytest.raises(IndexError, match="7"):
             ad.gather_rows(Tensor(np.zeros((5, 2))), [0, 7])
+
+    @pytest.mark.parametrize("indices", [[0, 2, 3, 7], [3], [[1, 4], [5, 6]],
+                                         [2, 2, 0, 7, 2], [[0, 0], [3, 0]]])
+    def test_backward_bytes_match_add_at(self, rng, indices):
+        # distinct increasing rows take the += path, the rest np.add.at; both
+        # must give np.add.at's bytes, signed zeros included
+        t = Tensor(rng.standard_normal((8, 3)), requires_grad=True)
+        out = ad.gather_rows(t, indices)
+        g = rng.standard_normal(out.shape)
+        g.flat[::4] = -0.0
+        out._backward(g)
+        want = np.zeros((8, 3))
+        np.add.at(want, np.asarray(indices), g)
+        assert t.grad.tobytes() == want.tobytes()
+
+
+class TestScatterRows:
+    def test_places_rows_between_zeros(self, rng):
+        x = rng.standard_normal((3, 2))
+        out = ad.scatter_rows(Tensor(x), [0, 2, 5], 6)
+        want = np.zeros((6, 2))
+        want[[0, 2, 5]] = x
+        np.testing.assert_array_equal(out.data, want)
+
+    def test_gradient_vs_finite_differences(self, rng):
+        x = rng.standard_normal((3, 4))
+        v = rng.standard_normal((5, 4))
+        rows = [1, 2, 4]
+        tx = Tensor(x.copy(), requires_grad=True)
+        ad.sum_all(ad.mul(ad.scatter_rows(tx, rows, 5), v)).backward()
+
+        def f(z):
+            full = np.zeros((5, 4))
+            full[rows] = z
+            return (full * v).sum()
+
+        assert_grad_close(tx.grad, finite_difference_grad(f, x.copy()))
+
+    @pytest.mark.parametrize("rows", [[0, 0, 1], [2, 1, 3], [1, 2, 6], [-1, 0, 1]])
+    def test_rows_must_be_increasing_and_in_range(self, rows):
+        with pytest.raises(IndexError):
+            ad.scatter_rows(Tensor(np.ones((3, 2))), rows, 6)
+
+    def test_one_index_per_row(self):
+        with pytest.raises(ShapeError):
+            ad.scatter_rows(Tensor(np.ones((3, 2))), [0, 1], 6)
 
 
 class TestCrossEntropy:
@@ -311,3 +379,45 @@ class TestRngStream:
     def test_permutation_covers_range(self):
         p = RngStream(1, "p").permutation(100)
         assert sorted(p.tolist()) == list(range(100))
+
+    @pytest.mark.parametrize("counter", [0, 3])
+    @pytest.mark.parametrize("n, runs", [
+        (37, ([0], [37])),                  # everything
+        (37, ([5], [6])),                   # one draw inside a block
+        (37, ([1, 6], [3, 7])),             # two runs in one block and the next
+        (37, ([2, 5, 13], [5, 11, 30])),    # adjacent runs, one sharing a block
+        (37, ([3, 21], [9, 37])),           # unaligned starts, a gap, the end
+        # gaps long enough to be skipped, from and to unaligned draws
+        (4001, ([1, 700, 1310, 3999], [9, 1303, 1311, 4001])),
+        (4001, ([0, 2048], [4, 2052])),     # aligned runs, a skipped gap
+    ])
+    def test_runs_match_full_draw(self, counter, n, runs):
+        full, part = RngStream(9, "k", counter), RngStream(9, "k", counter)
+        ref = full.uniform(n)
+        got = part.uniform(n, runs=runs)
+        want = np.concatenate([ref[a:b] for a, b in zip(*runs)])
+        assert got.tobytes() == want.tobytes()
+        assert part.counter == full.counter
+        # the next draw is unaffected
+        assert part.uniform(6).tobytes() == full.uniform(6).tobytes()
+
+    def test_runs_match_full_draw_at_random(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            # sparse draws over a long range leave gaps that are skipped
+            n = int(rng.integers(1, 4000))
+            kept = np.flatnonzero(rng.random(n) < rng.random() ** 4)
+            if kept.size == 0:
+                continue
+            cut = np.flatnonzero(np.diff(kept) != 1) + 1
+            runs = kept[np.r_[0, cut]], kept[np.r_[cut - 1, kept.size - 1]] + 1
+            counter = int(rng.integers(0, 9))
+            full, part = RngStream(2, "z", counter), RngStream(2, "z", counter)
+            assert part.uniform(n, runs=runs).tobytes() == full.uniform(n)[kept].tobytes()
+            assert part.counter == full.counter
+
+    @pytest.mark.parametrize("runs", [([0, 4], [5, 8]), ([3], [3]), ([0], [11]),
+                                      ([-1], [2]), ([4, 0], [6, 2]), ([], [])])
+    def test_bad_runs_rejected(self, runs):
+        with pytest.raises(ValueError):
+            RngStream(0, "b").uniform(10, runs=runs)

@@ -116,6 +116,21 @@ class TestTrainEvalDiagnose:
                    "--data", str(dataset_dir), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_eval_without_evaluable_users_fails(self, dataset_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["train", "--data", str(dataset_dir), "--config",
+                     tiny_config_file(tmp_path), "--out", str(run_dir)]) == 0
+        short = tmp_path / "short"
+        short.mkdir()
+        (short / "sequences.txt").write_text("1 2\n3\n4 5\n")
+        (short / "vocab.csv").write_text((dataset_dir / "vocab.csv").read_text())
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(run_dir / "checkpoint.duo"),
+                   "--data", str(short), "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        assert "no users to evaluate" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "eval.json").exists()
+
     def test_bad_config_key_is_runtime_error(self, dataset_dir, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"learning_rate": 0.1}))

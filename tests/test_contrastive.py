@@ -8,6 +8,7 @@ from duorec.autodiff import ConfigError, Tensor
 from duorec.contrastive import (assemble, combined_loss, contrastive_views,
                                 nce_regularizer, nce_regularizer_bruteforce)
 from duorec.data import make_collision_mask
+from duorec.encoder import encode_sequence
 from duorec.rng import RngStream
 
 from test_encoder import make_batch, make_params
@@ -226,19 +227,14 @@ class TestPositiveModes:
         return params, batch
 
     def _loss(self, mode, params, batch, stream_seed=3):
-        from duorec.encoder import encode_twins
         stream = RngStream(stream_seed, "step")
-        h, hp, hps = encode_twins(batch, params, stream)
-        a, b = contrastive_views(mode, batch, params, stream, h, hp, hps)
+        _, a, b = contrastive_views(mode, batch, params, stream)
         cb = assemble(a, b, batch.collision_mask, tau=1.0)
         return nce_regularizer(cb).item()
 
     def test_unsupervised_zero_dropout_identical_pair(self):
         params, batch = self._setup(0.0, 0.0)
-        from duorec.encoder import encode_twins
-        stream = RngStream(3, "step")
-        h, hp, hps = encode_twins(batch, params, stream)
-        a, b = contrastive_views("unsupervised", batch, params, stream, h, hp, hps)
+        _, a, b = contrastive_views("unsupervised", batch, params, RngStream(3, "step"))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_three_modes_three_losses(self):
@@ -258,3 +254,54 @@ class TestPositiveModes:
         params = make_params(vocab_size=20, emb_dropout=0.0, hidden_dropout=0.0)
         batch = make_batch([[1, 2, 3], [4, 5, 6]], targets=[10, 11])
         assert self._loss("duo", params, batch) == self._loss("supervised", params, batch)
+
+
+def _every_pass_views(mode, batch, params, stream):
+    """The views as they were picked once every pass had been encoded: the
+    anchor, its twin and the partner for every mode, plus a second twin in
+    unsupervised mode (reference for ``contrastive_views``)."""
+    h = encode_sequence(batch.item_ids, params, stream.child("anchor"))
+    twin = encode_sequence(batch.item_ids, params, stream.child("twin"))
+    partner = encode_sequence(batch.positive_ids, params, stream.child("partner"))
+    if mode == "duo":
+        return h, twin, partner
+    if mode == "unsupervised":
+        return h, twin, encode_sequence(batch.item_ids, params, stream.child("twin2"))
+    return h, h, partner
+
+
+class TestModePasses:
+    @pytest.mark.parametrize("mode, passes", [("duo", 3), ("unsupervised", 3),
+                                              ("supervised", 2)])
+    def test_encodes_only_the_passes_the_mode_uses(self, mode, passes, monkeypatch):
+        import duorec.contrastive
+        import duorec.encoder
+        calls = []
+        original = duorec.encoder.encode_sequence
+
+        def counting(*args):
+            calls.append(args[2].label)
+            return original(*args)
+
+        monkeypatch.setattr(duorec.encoder, "encode_sequence", counting)
+        monkeypatch.setattr(duorec.contrastive, "encode_sequence", counting)
+        params, batch = TestPositiveModes()._setup()
+        contrastive_views(mode, batch, params, RngStream(3, "step"))
+        assert len(calls) == passes
+
+    @pytest.mark.parametrize("mode", ["duo", "unsupervised", "supervised"])
+    def test_loss_and_gradients_match_every_pass(self, mode):
+        params, batch = TestPositiveModes()._setup()
+        results = []
+        for views in (contrastive_views, _every_pass_views):
+            for t in params.tensors.values():
+                t.zero_grad()
+            h, a, b = views(mode, batch, params, RngStream(3, "step"))
+            logits = ad.matmul(h, ad.transpose(params["item_emb"], (1, 0)))
+            rec = ad.cross_entropy_from_logits(logits, batch.targets)
+            reg = nce_regularizer(assemble(a, b, batch.collision_mask, tau=1.0))
+            total = combined_loss(rec, reg, 0.3).total
+            total.backward()
+            results.append((total.data.tobytes(),
+                            {name: t.grad.tobytes() for name, t in params.named()}))
+        assert results[0] == results[1]

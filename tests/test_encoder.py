@@ -212,14 +212,14 @@ class TestLastPositionFinalLayer:
     """``encode`` against the full-sequence reference stack."""
 
     MAX_LEN = 7
+    # left padding of every length, a full row and a one-item row
+    ROWS = [[5, 9, 2, 7, 11, 3, 8], [4], [12, 6], [1, 2, 3, 4, 5], [29, 28, 27]]
 
     def inputs(self, layers, rate, seed=4):
         params = make_params(vocab_size=30, d=8, layers=layers, heads=2,
                              max_len=self.MAX_LEN, emb_dropout=rate,
                              hidden_dropout=rate, seed=seed)
-        # left padding of every length, a full row and a one-item row
-        rows = [[5, 9, 2, 7, 11, 3, 8], [4], [12, 6], [1, 2, 3, 4, 5], [29, 28, 27]]
-        ids = np.array([[PAD_INDEX] * (self.MAX_LEN - len(r)) + r for r in rows])
+        ids = np.array([[PAD_INDEX] * (self.MAX_LEN - len(r)) + r for r in self.ROWS])
         return params, ids
 
     @staticmethod
@@ -243,7 +243,7 @@ class TestLastPositionFinalLayer:
         with no_grad():
             new, ref = self.both(params, ids, RngStream(0, "eval"))
         assert not new.requires_grad
-        assert np.abs(new.data - ref.data).max() <= 1e-12
+        assert np.array_equal(new.data, ref.data)
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("rate", [0.0, 0.3])
@@ -266,8 +266,8 @@ class TestLastPositionFinalLayer:
         counters = {}
         original = RngStream.uniform
 
-        def recording_uniform(self, n):
-            out = original(self, n)
+        def recording_uniform(self, n, runs=None):
+            out = original(self, n, runs)
             counters[self.label] = self.counter
             return out
 
@@ -283,3 +283,13 @@ class TestLastPositionFinalLayer:
         last = f"enc.trm.layer{layers - 1}"
         assert seen[0][f"{last}.att"] == -(-b * nh * n * n // 4)
         assert seen[0][f"{last}.attout"] == seen[0][f"{last}.ffn"] == -(-b * n * d // 4)
+
+
+class TestPackedRows(TestLastPositionFinalLayer):
+    """The same checks on ragged rows, which exercise the packing of real
+    positions: all-pad rows, consecutive full rows (one merged run of packed
+    rows) and one-item rows side by side."""
+
+    ROWS = [[], [3], [5, 9, 2, 7, 11, 3, 8], [1, 2, 3, 4, 5, 6, 7], [4], [],
+            [12, 6, 1], [8]]
+

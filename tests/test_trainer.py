@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from duorec.autodiff import ConfigError, Tensor
-from duorec.data import PAD_INDEX, split_leave_one_out
+from duorec.data import (PAD_INDEX, EmptyDatasetError, build_target_index, iter_epoch,
+                         split_leave_one_out)
+from duorec.metrics import EvalReport
+from duorec.rng import RngStream
 from duorec.synthetic import make_clustered_corpus
 from duorec.trainer import (Adam, Checkpoint, TrainConfig, evaluate,
                             load_checkpoint, save_checkpoint, train,
@@ -170,7 +173,32 @@ class TestTraining:
         assert res.curves[res.checkpoint.epoch - 1]["valid_hr5"] == best
 
 
+    def test_checkpoint_is_the_best_epochs_state(self, monkeypatch):
+        # validation HR@5 falls after epoch 1, so the best epoch is not the last
+        import duorec.trainer
+        scores = iter([0.5, 0.2, 0.1])
+        monkeypatch.setattr(duorec.trainer, "evaluate",
+                            lambda *a, **k: EvalReport({5: next(scores)}, {5: 0.0}, 1))
+        data = tiny_data()
+        config = tiny_config(epochs=3)
+        res = train(config, data)
+        assert res.checkpoint.epoch == 1 and len(res.curves) == 3
+        stream = RngStream(config.seed, "run").child("data")
+        index = build_target_index(data.items[data.train])
+        counters = []
+        for _ in range(3):
+            for _ in iter_epoch(data, index, config.batch_size, stream):
+                pass
+            counters.append(stream.counter)
+        assert res.checkpoint.data_counter == counters[0] != counters[-1]
+
+
 class TestEvaluate:
+    def test_no_users_raises(self):
+        params = make_params(vocab_size=12, d=8, max_len=10)
+        with pytest.raises(EmptyDatasetError):
+            evaluate(params, np.zeros((0, 10), dtype=np.int64), np.zeros(0, dtype=np.int64))
+
     def test_report_shapes_and_bounds(self):
         data = tiny_data()
         params = make_params(vocab_size=data.vocab.size, d=8, max_len=10)
