@@ -358,16 +358,12 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     out_data = table.data.take(idx, axis=0)
 
     def backward(g):
-        # both branches give np.add.at's bytes: every element starts at 0 and
-        # adds its gradients in index order
-        if idx.ndim == 1 and np.all(idx[1:] > idx[:-1]):
-            acc = np.zeros_like(table.data)
-            acc[idx] += g               # distinct rows: one addition each
-        else:
-            width = math.prod(table.data.shape[1:])
-            flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
-            acc = np.bincount(flat, weights=g.ravel(), minlength=table.data.size)
-            acc = acc.reshape(table.data.shape)
+        # np.add.at's bytes: every element starts at 0 and adds its gradients
+        # in index order
+        width = math.prod(table.data.shape[1:])
+        flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
+        acc = np.bincount(flat, weights=g.ravel(), minlength=table.data.size)
+        acc = acc.reshape(table.data.shape)
         table._accumulate(acc)
 
     return _make(out_data, (table,), backward)

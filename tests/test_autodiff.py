@@ -201,8 +201,8 @@ class TestGatherRows:
     @pytest.mark.parametrize("indices", [[0, 2, 3, 7], [3], [[1, 4], [5, 6]],
                                          [2, 2, 0, 7, 2], [[0, 0], [3, 0]]])
     def test_backward_bytes_match_add_at(self, rng, indices):
-        # distinct increasing rows take the += path, the rest np.add.at; both
-        # must give np.add.at's bytes, signed zeros included
+        # unique and repeated rows must give np.add.at's bytes, signed zeros
+        # included
         t = Tensor(rng.standard_normal((8, 3)), requires_grad=True)
         out = ad.gather_rows(t, indices)
         g = rng.standard_normal(out.shape)
