@@ -1,10 +1,14 @@
-"""Minimal reverse-mode automatic differentiation over float64 arrays.
+"""Minimal reverse-mode automatic differentiation over float32 or float64 arrays.
 
 Tensors wrap numpy arrays and record the operations that produced them;
 ``backward`` on a scalar replays the recorded graph in reverse and fills
 the ``grad`` buffer of every tensor created with ``requires_grad=True``.
-Everything is double precision so analytic gradients can be audited
-against central finite differences.
+
+A tensor keeps float32 data as float32 and holds anything else as float64.
+Every op returns its inputs' dtype and passes gradients of that dtype: its
+constants, and any scalar or array given to ``add`` or ``mul``, take the
+tensor's dtype. Training runs in float32; gradient audits against central
+finite differences, evaluation and the test oracles run in float64.
 
 ``backward`` consumes the graph: once a recorded op has passed its
 gradient on, its closure, its parent links and its own gradient are
@@ -50,12 +54,16 @@ def no_grad():
 
 
 class Tensor:
-    """Dense float64 array with an optional gradient buffer."""
+    """Dense float32 or float64 array with an optional gradient buffer.
+
+    float32 data stays float32; any other input becomes float64.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad and _grad_enabled
         self._parents: tuple[Tensor, ...] = ()
@@ -168,7 +176,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b) -> Tensor:
-    bd = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
+    bd = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=a.data.dtype)
     out_data = a.data + bd
 
     def backward(g):
@@ -181,7 +189,7 @@ def add(a: Tensor, b) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    bd = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
+    bd = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=a.data.dtype)
     out_data = a.data * bd
 
     def backward(g):
@@ -229,10 +237,16 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation)."""
-    c = np.sqrt(2.0 / np.pi)
+    c = x.data.dtype.type(np.sqrt(2.0 / np.pi))
     x2 = np.square(x.data)
-    t = np.tanh(c * x.data * (1.0 + 0.044715 * x2))
-    out_data = 0.5 * x.data * (1.0 + t)
+    # the arithmetic of tanh(c*x*(1 + 0.044715*x2)) and 0.5*x*(1 + t), in
+    # the same order, reusing temporaries: every temporary is as large as x
+    t = 0.044715 * x2
+    t += 1.0
+    t *= c * x.data
+    np.tanh(t, out=t)
+    out_data = 0.5 * x.data
+    out_data *= 1.0 + t
 
     def backward(g):
         du = c * (1.0 + 0.134145 * x2)
@@ -260,9 +274,9 @@ def mean_all(x: Tensor) -> Tensor:
 
 def softmax_rows(x: Tensor) -> Tensor:
     """Softmax over the last axis, max-subtracted for stability."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def backward(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
@@ -312,13 +326,17 @@ def dropout(x: Tensor, rate: float, stream: RngStream,
     """Inverted dropout: zero with probability ``rate``, rescale survivors.
 
     The mask comes solely from ``stream``, so a fixed (seed, label, counter)
-    reproduces it bit for bit. When ``x`` holds only some rows of a larger
-    activation, pass that activation's ``draw_shape`` and the strictly
-    increasing ``rows`` that ``x`` holds, counting rows of ``x.shape[-1]``
-    elements over the whole activation, so that ``x.reshape(-1, w)`` is
-    ``full.reshape(-1, w)[rows]``. Only those rows' draws are generated, and
-    the stream advances, and every kept mask value comes out, exactly as if
-    the whole activation had been dropped.
+    reproduces it bit for bit. Uniforms are drawn and compared with ``rate``
+    in float64 whatever ``x``'s dtype, so float32 and float64 inputs share
+    the keep pattern; only the scale ``1/(1-rate)`` is rounded to the dtype.
+
+    ``rows``, strictly increasing, counts rows of ``x.shape[-1]`` elements
+    over the whole activation of ``draw_shape`` (default ``x``'s shape), and
+    only those rows' draws are generated. When ``x`` holds just those rows,
+    ``x.reshape(-1, w)`` is ``full.reshape(-1, w)[rows]``; when ``x`` is the
+    whole activation, rows outside ``rows`` pass through unchanged. Either
+    way the stream advances, and every mask value of ``rows`` comes out,
+    exactly as if the whole activation had been dropped.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
@@ -326,20 +344,27 @@ def dropout(x: Tensor, rate: float, stream: RngStream,
         return x
     shape = x.data.shape if draw_shape is None else tuple(draw_shape)
     n = math.prod(shape)
+    scale = x.data.dtype.type(1.0 / (1.0 - rate))
     if rows is None:
         u = stream.uniform(n).reshape(shape)
         if u.shape != x.data.shape:
             raise ShapeError(f"dropout mask {u.shape} does not fit input {x.data.shape}")
+        mask = (u >= rate) * scale
     else:
         w = x.data.shape[-1]
         rows = np.asarray(rows, dtype=np.int64)
-        if n % w or rows.size * w != x.data.size:
+        whole = x.data.size == n
+        if n % w or not (whole or rows.size * w == x.data.size):
             raise ShapeError(f"{rows.size} rows of {w} do not fit input {x.data.shape}")
         cut = np.flatnonzero(np.diff(rows) != 1)                 # consecutive rows: one run
         first = rows[np.concatenate(([0], cut + 1))]
         last = rows[np.concatenate((cut, [-1]))]
-        u = stream.uniform(n, runs=(first * w, (last + 1) * w)).reshape(x.data.shape)
-    mask = (u >= rate) / (1.0 - rate)
+        u = stream.uniform(n, runs=(first * w, (last + 1) * w)).reshape(rows.size, w)
+        if whole:
+            mask = np.ones(x.data.shape, dtype=x.data.dtype)
+            mask.reshape(-1, w)[rows] = (u >= rate) * scale
+        else:
+            mask = ((u >= rate) * scale).reshape(x.data.shape)
     out_data = x.data * mask
 
     def backward(g):
@@ -363,7 +388,7 @@ def gather_rows(table: Tensor, indices) -> Tensor:
         width = math.prod(table.data.shape[1:])
         flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
         acc = np.bincount(flat, weights=g.ravel(), minlength=table.data.size)
-        acc = acc.reshape(table.data.shape)
+        acc = acc.astype(table.data.dtype, copy=False).reshape(table.data.shape)
         table._accumulate(acc)
 
     return _make(out_data, (table,), backward)
@@ -377,7 +402,7 @@ def scatter_rows(x: Tensor, rows, n_rows: int) -> Tensor:
         raise ShapeError(f"{idx.shape} row indices for input {x.data.shape}")
     if idx.size and (idx[0] < 0 or idx[-1] >= n_rows or np.any(idx[1:] <= idx[:-1])):
         raise IndexError(f"rows must be strictly increasing in [0, {n_rows})")
-    out_data = np.zeros((n_rows,) + x.data.shape[1:])
+    out_data = np.zeros((n_rows,) + x.data.shape[1:], dtype=x.data.dtype)
     out_data[idx] = x.data
 
     def backward(g):

@@ -74,7 +74,7 @@ def nce_regularizer(cb: ContrastiveBatch) -> Tensor:
     partner = slots ^ 1
     allowed = cb.collision_mask.copy()
     allowed[slots, partner] = True
-    penalty = np.where(allowed, 0.0, NEG_INF)
+    penalty = np.where(allowed, 0, sim.data.dtype.type(NEG_INF))
     lse = ad.logsumexp_rows(ad.add(sim, penalty))              # [2B]
     pos = ad.take_pairs(sim, slots, partner)                   # [2B]
     return ad.mul(ad.sum_all(ad.add(lse, ad.mul(pos, -1.0))), 1.0 / b)

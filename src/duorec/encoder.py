@@ -24,7 +24,13 @@ Dropout masks are those of the full B*N-position activations: each stream
 advances as for the full draw and every mask value that reaches the
 output is the one the full computation would use, but only the counter
 blocks behind the computed rows are generated (``RngStream.uniform`` with
-``runs``).
+``runs``). That includes the embedding dropout and the attention dropout
+of every layer but the last, which act on every position but draw only for
+the packed rows (and their query rows); pad rows pass through them
+unchanged, since no output reads them.
+
+The encoder runs in its weights' dtype: float32 weights give float32
+activations, attention mask included.
 """
 
 from __future__ import annotations
@@ -94,26 +100,37 @@ def init_params(config: EncoderConfig, stream: RngStream) -> EncoderParams:
     return p
 
 
+def _packed_rows(item_ids: np.ndarray) -> np.ndarray:
+    """Flat [B*N] positions the stack computes, increasing: every real
+    position plus each sequence's last position."""
+    b, n = item_ids.shape
+    keep = (item_ids != PAD_INDEX).reshape(b * n)
+    keep[n - 1::n] = True
+    return np.flatnonzero(keep)
+
+
 def embed(item_ids: np.ndarray, params: EncoderParams, stream: RngStream) -> Tensor:
-    """Item embedding + positional row per slot, then embedding dropout."""
+    """Item embedding + positional row per slot, then embedding dropout.
+
+    Dropout draws only the positions the stack computes (``_packed_rows``);
+    the other (pad) positions pass through undropped.
+    """
     cfg = params.config
     b, n = item_ids.shape
     v = ad.gather_rows(params["item_emb"], item_ids)          # [B, N, d]
     pos = ad.gather_rows(params["pos_emb"], np.arange(n))     # [N, d]
     h0 = ad.add(v, ad.reshape(pos, (1, n, cfg.d)))
-    return ad.dropout(h0, cfg.emb_dropout, stream.child("emb"))
+    return ad.dropout(h0, cfg.emb_dropout, stream.child("emb"), rows=_packed_rows(item_ids))
 
 
-def _attention_mask(item_ids: np.ndarray) -> np.ndarray:
-    """[B, 1, N, N] additive mask: causal plus pad-key removal."""
+def _attention_mask(item_ids: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """[B, 1, N, N] additive mask in ``dtype``: causal plus pad-key removal,
+    with the diagonal open so a pad query does not mask its whole row."""
     b, n = item_ids.shape
-    causal = np.triu(np.full((n, n), NEG_INF), k=1)
-    mask = np.broadcast_to(causal, (b, 1, n, n)).copy()
-    pad_key = item_ids == PAD_INDEX                            # [B, N]
-    mask += np.where(pad_key, NEG_INF, 0.0)[:, None, None, :]
-    # a fully masked row (pad query) would be all -inf; keep self-attention open
-    eye = np.eye(n, dtype=bool)
-    mask[:, 0][np.broadcast_to(eye, (b, n, n)) & (mask[:, 0] <= NEG_INF)] = 0.0
+    neg = np.dtype(dtype).type(NEG_INF)
+    causal = np.triu(np.full((n, n), neg), k=1)
+    mask = causal + np.where(item_ids == PAD_INDEX, neg, 0)[:, None, None, :]
+    mask.reshape(b, n * n)[:, ::n + 1] = 0
     return mask
 
 
@@ -126,10 +143,8 @@ def encode(h0: Tensor, item_ids: np.ndarray, params: EncoderParams,
     last = np.arange(n - 1, b * n, n)
     if cfg.layers == 0:
         return ad.gather_rows(h, last)
-    keep = (item_ids != PAD_INDEX).reshape(b * n)
-    keep[last] = True
-    rows = np.flatnonzero(keep)                                # increasing
-    mask = _attention_mask(item_ids)
+    rows = _packed_rows(item_ids)
+    mask = _attention_mask(item_ids, h0.data.dtype)
     for layer in range(cfg.layers):
         h = _block(h, rows, b, n, mask, params, layer, stream.child(f"layer{layer}"),
                    last_only=layer == cfg.layers - 1)
@@ -147,7 +162,8 @@ def _block(h: Tensor, rows: np.ndarray, b: int, n: int, mask: np.ndarray,
     layout. With ``last_only`` the queries and everything after them run on
     each sequence's last position only, and the block returns [B, d].
     Dropout masks are those of the full B*N-position activations, drawn
-    only where rows are computed.
+    only where rows are computed; the attention dropout draws the query rows
+    of the packed positions, and pad query rows pass through it.
     """
     cfg = params.config
     d, nh = cfg.d, cfg.heads
@@ -175,7 +191,9 @@ def _block(h: Tensor, rows: np.ndarray, b: int, n: int, mask: np.ndarray,
         out_rows = rows
         hq = ad.gather_rows(h, rows) if full else h
         q = projected("wq")
-        att_rows = None
+        query = np.zeros((b, 1, n), dtype=bool)
+        query.reshape(-1)[rows] = True
+        att_rows = np.flatnonzero(np.broadcast_to(query, (b, nh, n)))
     k = projected("wk")
     v = projected("wv")
     scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))

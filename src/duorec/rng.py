@@ -77,9 +77,10 @@ class RngStream:
 
 
 # Runs closer than this many draws share one call, which draws through the
-# gap: skipping it with advance() and a second call costs about 5 us, the
-# time it takes to generate some 500 draws (NumPy 2.4, x86-64).
-_MIN_SKIP = 512
+# gap and copies the runs out of it. A group of its own costs about 5 us
+# (advance(), a call and its loop turn), the time it takes to generate some
+# 700-800 draws (NumPy 2.4, x86-64).
+_MIN_SKIP = 768
 
 
 def _draw_runs(gen: np.random.Generator, n: int, starts, stops) -> np.ndarray:
@@ -87,8 +88,11 @@ def _draw_runs(gen: np.random.Generator, n: int, starts, stops) -> np.ndarray:
 
     Philox is counter-based: draw i is lane ``i % 4`` of the ``i // 4``-th
     block after ``gen``'s position. Runs are drawn in groups; each group
-    advances the counter to the block that holds its first draw and
-    generates its own draws only.
+    advances the counter to the block that holds its first draw, generates
+    its own span of draws only, and writes its runs into their place in the
+    output. A group of one run is generated there directly: the lanes before
+    its first draw land on the three values in front of it, which are put
+    back. A longer group draws through its gaps and takes its runs out.
     """
     starts = np.asarray(starts, dtype=np.int64)
     stops = np.asarray(stops, dtype=np.int64)
@@ -98,20 +102,24 @@ def _draw_runs(gen: np.random.Generator, n: int, starts, stops) -> np.ndarray:
             or starts[0] < 0 or stops[-1] > n or lengths.min() <= 0
             or gaps.size and gaps.min() < 0):
         raise ValueError(f"runs must be increasing, non-overlapping intervals in [0, {n})")
-    cut = np.flatnonzero(gaps >= _MIN_SKIP)                    # a group ends at run cut
-    first = np.concatenate(([0], cut + 1))
-    lo = starts[first] & ~3                                    # groups start on a block edge
-    hi = stops[np.concatenate((cut, [-1]))]
-    at = np.concatenate(([0], np.cumsum(hi - lo)))             # groups' places in buf
-    buf = np.empty(at[-1])
+    cut = (np.flatnonzero(gaps >= _MIN_SKIP) + 1).tolist()    # first run of each later group
+    dst = np.cumsum(lengths) - lengths + 3                     # run k's place in buf
+    at, s, e = dst.tolist(), starts.tolist(), stops.tolist()
+    buf = np.empty(at[-1] + e[-1] - s[-1])                     # the output, behind 3 spare slots
     bitgen = gen.bit_generator
     blocks = 0                                                 # generated so far
-    for g0, g1, a in zip(lo.tolist(), hi.tolist(), at.tolist()):
-        bitgen.advance((g0 >> 2) - blocks)
-        gen.random(out=buf[a:a + g1 - g0])
-        blocks = (g1 + 3) >> 2
-    # draw i of a group sits at buf[i + at - lo]; run k starts the output's
-    # draws at sum(lengths[:k])
-    shift = np.repeat(at[:-1] - lo, np.diff(np.concatenate((first, [starts.size]))))
-    dst = np.cumsum(lengths) - lengths
-    return buf[np.repeat(starts + shift - dst, lengths) + np.arange(dst[-1] + lengths[-1])]
+    for r0, r1 in zip([0] + cut, cut + [len(s)]):
+        lo, hi = s[r0] & ~3, e[r1 - 1]                         # groups start on a block edge
+        bitgen.advance((lo >> 2) - blocks)
+        blocks = (hi + 3) >> 2
+        end = at[r1 - 1] + e[r1 - 1] - s[r1 - 1]
+        if r1 - r0 == 1:
+            a = at[r0] - (s[r0] - lo)
+            held = buf[a:at[r0]].tolist()
+            gen.random(out=buf[a:end])
+            buf[a:at[r0]] = held
+        else:
+            # draw i of the span is gen's draw lo + i; run k starts at buf[at[k]]
+            shift = np.repeat(starts[r0:r1] - lo - dst[r0:r1], lengths[r0:r1])
+            np.take(gen.random(hi - lo), shift + np.arange(at[r0], end), out=buf[at[r0]:end])
+    return buf[3:]

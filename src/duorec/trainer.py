@@ -5,6 +5,12 @@ the next item against the (tied) item embedding matrix, adds the weighted
 contrastive regularizer, backpropagates, and applies a bias-corrected
 Adam update with the pad embedding row pinned to zero. Model selection is
 validation HR@5 with early stopping.
+
+Training steps run in float32 by default: the weights (drawn in float64,
+then rounded), the activations, the gradients and Adam's moments.
+Everything that reads a trained model runs in float64: ``evaluate`` upcasts
+the weights it is given, and ``train`` hands back its checkpoint and final
+weights upcast, so they are the float32 values exactly.
 """
 
 from __future__ import annotations
@@ -155,11 +161,13 @@ def evaluate(params: EncoderParams, ids: np.ndarray, targets: np.ndarray,
     """Full-catalog ranking of held-out targets, dropout off.
 
     ``ids`` [U, N] are left-padded inputs, as ``SplitDataset.window`` makes.
+    Weights of any dtype are encoded and ranked in float64, upcast exactly.
     No users to rank (every user has fewer than 3 items) raises
     EmptyDatasetError: HR and NDCG over no users are undefined.
     """
     if len(targets) == 0:
         raise EmptyDatasetError("no users to evaluate: every user has fewer than 3 items")
+    params = _as_dtype(params, np.float64, params.config)
     ranks: list[np.ndarray] = []
     dummy = RngStream(0, "eval")
     with inference_mode(params):
@@ -189,7 +197,7 @@ def train_step(batch, params: EncoderParams, config: TrainConfig,
         h = encode_sequence(batch.item_ids, params, step_stream.child("anchor"))
         logits = ad.matmul(h, ad.transpose(params["item_emb"], (1, 0)))
         rec = ad.cross_entropy_from_logits(logits, batch.targets)
-        return combined_loss(rec, Tensor(0.0), 0.0), h, None, None
+        return combined_loss(rec, Tensor(np.zeros_like(rec.data)), 0.0), h, None, None
     h, view_a, view_b = contrastive_views(config.positive_mode, batch, params, step_stream)
     logits = ad.matmul(h, ad.transpose(params["item_emb"], (1, 0)))
     rec = ad.cross_entropy_from_logits(logits, batch.targets)
@@ -198,14 +206,19 @@ def train_step(batch, params: EncoderParams, config: TrainConfig,
     return combined_loss(rec, reg, config.lam), h, view_a, view_b
 
 
-def train(config: TrainConfig, data: SplitDataset) -> TrainResult:
+def train(config: TrainConfig, data: SplitDataset, *, dtype=np.float32) -> TrainResult:
+    """Train in ``dtype``; the checkpoint and ``final_params`` are float64.
+
+    The initial weights are the float64 draws rounded to ``dtype``.
+    float64 training is the reference the float32 default is tested against.
+    """
     if len(data.train) == 0:
         raise ValueError("empty training set")
     if data.max_len != config.max_len:
         raise ConfigError(f"split max_len {data.max_len} != config max_len {config.max_len}")
     root = RngStream(config.seed, "run")
     enc_cfg = config.encoder_config(data.vocab.size)
-    params = init_params(enc_cfg, root)
+    params = _as_dtype(init_params(enc_cfg, root), dtype, enc_cfg)
     optimizer = Adam(params, lr=config.lr)
     index = build_target_index(data.items[data.train])
     data_stream = root.child("data")
@@ -233,8 +246,9 @@ def train(config: TrainConfig, data: SplitDataset) -> TrainResult:
             rec_sum += bundle.rec_loss.item()
             reg_sum += bundle.reg_loss.item()
             n_batches += 1
-            last_h = h.data
-            last_pair = (view_a.data, view_b.data) if view_a is not None else None
+            last_h = h.data.astype(np.float64)
+            last_pair = ((view_a.data.astype(np.float64), view_b.data.astype(np.float64))
+                         if view_a is not None else None)
         if diverged or n_batches == 0:
             break
 
@@ -263,17 +277,23 @@ def train(config: TrainConfig, data: SplitDataset) -> TrainResult:
                       adam_v=best_state["v"], adam_t=best_state["t"],
                       epoch=best_epoch, best_valid_hr5=max(best_hr5, 0.0),
                       data_counter=best_state["data_counter"], train_config=config)
-    final_params = EncoderParams(copy.deepcopy(enc_cfg), {
-        name: Tensor(t.data.copy(), requires_grad=True) for name, t in params.named()})
+    final_params = _as_dtype(params, np.float64, copy.deepcopy(enc_cfg))
     return TrainResult(checkpoint=ckpt, curves=curves, diverged=diverged,
                        final_params=final_params)
 
 
+def _as_dtype(params: EncoderParams, dtype, config: EncoderConfig) -> EncoderParams:
+    """A copy of ``params`` in ``dtype`` (exact when widening), under ``config``."""
+    return EncoderParams(config, {name: Tensor(t.data.astype(dtype), requires_grad=True)
+                                  for name, t in params.named()})
+
+
 def _snapshot(params: EncoderParams, optimizer: Adam, data_stream: RngStream) -> dict:
+    """float64 copies of the weights and Adam's moments, and the data counter."""
     return {
-        "params": {name: t.data.copy() for name, t in params.named()},
-        "m": {k: v.copy() for k, v in optimizer.m.items()},
-        "v": {k: v.copy() for k, v in optimizer.v.items()},
+        "params": {name: t.data.astype(np.float64) for name, t in params.named()},
+        "m": {k: v.astype(np.float64) for k, v in optimizer.m.items()},
+        "v": {k: v.astype(np.float64) for k, v in optimizer.v.items()},
         "t": optimizer.t,
         "data_counter": data_stream.counter,
     }

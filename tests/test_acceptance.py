@@ -6,6 +6,7 @@ reproduction (criterion 5) trains six small models and dominates the runtime
 of the suite.
 """
 
+import functools
 import math
 import time
 
@@ -210,18 +211,29 @@ DEGEN_LR = 0.003
 DEGEN_D = 16
 
 
-def _degen_run(lam: float, seed: int):
+@functools.lru_cache(maxsize=None)
+def _degen_data():
     seqs, vocab = make_clustered_corpus(n_items=200, n_clusters=10,
                                         n_sequences=500, min_len=8,
                                         max_len=20, seed=1, zipf=DEGEN_ZIPF)
-    data = split_leave_one_out(seqs, vocab, max_len=20)
+    return split_leave_one_out(seqs, vocab, max_len=20)
+
+
+@functools.lru_cache(maxsize=None)
+def _degen_train(lam: float, seed: int, dtype=np.float32):
+    """Final weights of one degeneration run (shared by criterion 5 and the
+    dtype gate; training is deterministic)."""
     cfg = TrainConfig(d=DEGEN_D, layers=1, heads=2, max_len=20,
                       batch_size=256, lr=DEGEN_LR, lam=lam, tau=1.0,
                       emb_dropout=0.1, hidden_dropout=0.1,
                       epochs=DEGEN_EPOCHS, seed=seed,
                       early_stop_patience=DEGEN_EPOCHS)
-    res = train(cfg, data)
-    params = res.final_params
+    return train(cfg, _degen_data(), dtype=dtype).final_params
+
+
+def _degen_run(lam: float, seed: int):
+    data = _degen_data()
+    params = _degen_train(lam, seed)
     tail = spectrum_tail_mass(singular_spectrum(params["item_emb"].data))
     ids, targets = data.window(data.test)
     reps = []
@@ -251,6 +263,25 @@ class TestCriterion5Degeneration:
         assert mean_duo >= mean_plain, (
             f"HR@10: duo {mean_duo:.4f} < plain {mean_plain:.4f}")
         budget.check()
+
+
+class TestFloat32TrainingGate:
+    """Training runs in float32. On the criterion-5 corpus, at each of its
+    seeds and at lambda 0 and 0.2, float32 training's validation HR@10 is
+    within the float64 runs' spread across those seeds of float64 training's."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    def test_validation_hr10_within_seed_noise(self, lam):
+        data = _degen_data()
+        ids, targets = data.window(data.valid)
+        hr = {(dtype, seed): evaluate(_degen_train(lam, seed, dtype), ids, targets,
+                                      ks=(10,)).hr[10]
+              for dtype in (np.float32, np.float64) for seed in DEGEN_SEEDS}
+        hr64 = [hr[np.float64, s] for s in DEGEN_SEEDS]
+        noise = max(hr64) - min(hr64)
+        for seed in DEGEN_SEEDS:
+            gap = abs(hr[np.float32, seed] - hr[np.float64, seed])
+            assert gap <= noise, f"seed {seed}: float32/float64 HR@10 gap {gap} > {noise}"
 
 
 # -- criterion 6: preprocessing fidelity (optional) ----------------------

@@ -131,6 +131,37 @@ class TestDropout:
                           (3, 2, 5, 5), np.arange(6) * 5 + 4)
         assert part.data.tobytes() == ref.data[:, :, 4:].tobytes()
 
+    @pytest.mark.parametrize("rows", [[1, 3], [0, 1, 2, 5, 6, 7]])
+    def test_rows_of_whole_input_drop_only_those_rows(self, rng, rows):
+        # x is the whole activation: the rows get the full draw's mask values,
+        # the other rows pass through, forward and backward
+        full = rng.standard_normal((8, 6))
+        ref_stream, part_stream = RngStream(6, "w", 3), RngStream(6, "w", 3)
+        ref = ad.dropout(Tensor(full), 0.3, ref_stream)
+        x = Tensor(full.copy(), requires_grad=True)
+        part = ad.dropout(x, 0.3, part_stream, rows=rows)
+        other = np.setdiff1d(np.arange(8), rows)
+        assert part.data[rows].tobytes() == ref.data[rows].tobytes()
+        assert part.data[other].tobytes() == full[other].tobytes()
+        assert part_stream.counter == ref_stream.counter
+        g = rng.standard_normal((8, 6))
+        ad.sum_all(ad.mul(part, g)).backward()
+        np.testing.assert_array_equal(x.grad[other], g[other])
+        np.testing.assert_array_equal(x.grad[rows], g[rows] * ((ref.data[rows] != 0) * (1 / 0.7)))
+
+    def test_query_rows_of_whole_attention_layout(self, rng):
+        # rows of the last axis over leading axes, as the first layer's
+        # attention dropout draws them: some query rows of every (sequence, head)
+        full = rng.standard_normal((3, 2, 5, 5))
+        ref = ad.dropout(Tensor(full), 0.3, RngStream(1, "a"))
+        query = np.zeros((3, 1, 5), dtype=bool)
+        query[0, 0, 2:] = query[1, 0, 4:] = query[2, 0, :] = True
+        rows = np.flatnonzero(np.broadcast_to(query, (3, 2, 5)))
+        part = ad.dropout(Tensor(full), 0.3, RngStream(1, "a"), rows=rows)
+        keep = np.broadcast_to(query[..., None], full.shape)
+        assert part.data[keep].tobytes() == ref.data[keep].tobytes()
+        assert part.data[~keep].tobytes() == full[~keep].tobytes()
+
     def test_rows_must_fit_input(self):
         with pytest.raises(ShapeError):
             ad.dropout(Tensor(np.ones((2, 6))), 0.3, RngStream(0, "x"), (4, 6), [0, 1, 2])
@@ -390,6 +421,9 @@ class TestRngStream:
         # gaps long enough to be skipped, from and to unaligned draws
         (4001, ([1, 700, 1310, 3999], [9, 1303, 1311, 4001])),
         (4001, ([0, 2048], [4, 2052])),     # aligned runs, a skipped gap
+        (6001, ([1, 1700, 2510, 5999], [9, 1703, 2511, 6001])),
+        # one-run groups starting at every lane, the first at draw 1
+        (9000, ([1, 2002, 4003, 6004, 8000], [2, 2010, 4100, 6005, 9000])),
     ])
     def test_runs_match_full_draw(self, counter, n, runs):
         full, part = RngStream(9, "k", counter), RngStream(9, "k", counter)
@@ -421,3 +455,84 @@ class TestRngStream:
     def test_bad_runs_rejected(self, runs):
         with pytest.raises(ValueError):
             RngStream(0, "b").uniform(10, runs=runs)
+
+
+# -- the dtype rule -------------------------------------------------------
+
+
+def _op_cases(rng):
+    """(name, inputs, op) for every op; op maps input tensors to its output."""
+    def r(*shape):
+        return rng.standard_normal(shape)
+    idx, rows = np.array([2, 0, 2, 1]), np.array([0, 2, 3])
+    return [
+        ("add", [r(3, 4), r(4)], lambda a, b: ad.add(a, b)),
+        ("add_scalar", [r(3, 4)], lambda a: ad.add(a, 0.1)),
+        ("add_array", [r(3, 4)], lambda a: ad.add(a, np.linspace(-1, 1, 4))),
+        ("mul", [r(3, 4), r(3, 4)], lambda a, b: ad.mul(a, b)),
+        ("mul_scalar", [r(3, 4)], lambda a: ad.mul(a, 1.0 / np.sqrt(3.0))),
+        ("sub_neg_div", [r(3, 4), r(3, 4)], lambda a, b: -(a - b) / 3.0),
+        ("matmul", [r(2, 3, 4), r(2, 4, 5)], lambda a, b: ad.matmul(a, b)),
+        ("reshape", [r(3, 4)], lambda a: ad.reshape(a, (2, 6))),
+        ("transpose", [r(2, 3, 4)], lambda a: ad.transpose(a, (2, 0, 1))),
+        ("gelu", [r(3, 4)], lambda a: ad.gelu(a)),
+        ("sum_all", [r(3, 4)], lambda a: ad.sum_all(a)),
+        ("mean_all", [r(3, 4)], lambda a: ad.mean_all(a)),
+        ("softmax_rows", [r(3, 4)], lambda a: ad.softmax_rows(a)),
+        ("logsumexp_rows", [r(3, 4)], lambda a: ad.logsumexp_rows(a)),
+        ("layer_norm", [r(3, 4), r(4), r(4)], lambda a, g, b: ad.layer_norm(a, g, b)),
+        ("dropout", [r(3, 4)], lambda a: ad.dropout(a, 0.3, RngStream(0, "d"))),
+        ("dropout_packed", [r(3, 4)],
+         lambda a: ad.dropout(a, 0.3, RngStream(0, "d"), (5, 4), rows)),
+        ("dropout_whole", [r(5, 4)],
+         lambda a: ad.dropout(a, 0.3, RngStream(0, "d"), rows=rows)),
+        ("gather_rows", [r(3, 4)], lambda a: ad.gather_rows(a, idx)),
+        ("scatter_rows", [r(3, 4)], lambda a: ad.scatter_rows(a, rows, 5)),
+        ("take_pairs", [r(3, 4)], lambda a: ad.take_pairs(a, [0, 2, 2], [3, 1, 1])),
+        ("cross_entropy", [r(3, 4)], lambda a: ad.cross_entropy_from_logits(a, [1, 0, 3])),
+    ]
+
+
+class TestDtypeRule:
+    def test_tensor_keeps_float32_and_widens_the_rest(self):
+        a = np.ones(3, dtype=np.float32)
+        assert Tensor(a).data is a
+        for data in (np.ones(3, dtype=np.float16), [1, 2], 0.5, np.arange(3)):
+            assert Tensor(data).data.dtype == np.float64
+
+    @pytest.mark.parametrize("case", range(len(_op_cases(np.random.default_rng(0)))))
+    def test_op_keeps_the_dtype_of_its_inputs(self, case):
+        outs = {}
+        for dtype in (np.float32, np.float64):
+            name, inputs, op = _op_cases(np.random.default_rng(case))[case]
+            leaves = [Tensor(x.astype(dtype), requires_grad=True) for x in inputs]
+            out = op(*leaves)
+            assert out.data.dtype == dtype, name
+            weights = np.random.default_rng(1).standard_normal(out.shape).astype(dtype)
+            loss = ad.sum_all(ad.mul(out, weights))
+            assert loss.data.dtype == dtype, name
+            loss.backward()
+            for leaf in leaves:
+                assert leaf.grad.dtype == dtype, name
+            outs[dtype] = out.data, [leaf.grad for leaf in leaves]
+        # the float32 op computes the float64 op's values, rounded
+        (o32, g32), (o64, g64) = outs[np.float32], outs[np.float64]
+        np.testing.assert_allclose(o32, o64, rtol=1e-5, atol=1e-6)
+        for a, b in zip(g32, g64):
+            np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("rows", [None, [1, 2, 5, 9]])
+    def test_float32_dropout_keeps_the_float64_pattern(self, rng, rows):
+        x = rng.standard_normal((12, 7))
+        out = {}
+        for dtype in (np.float32, np.float64):
+            stream = RngStream(8, "k", 2)
+            out[dtype] = ad.dropout(Tensor(x.astype(dtype)), 0.25, stream, rows=rows).data
+            out[dtype, "counter"] = stream.counter
+        kept32, kept64 = out[np.float32] != 0, out[np.float64] != 0
+        np.testing.assert_array_equal(kept32, kept64)
+        assert out[np.float32, "counter"] == out[np.float64, "counter"]
+        dropped = slice(None) if rows is None else rows
+        scale = np.float32(1.0 / 0.75)
+        assert out[np.float32][dropped][kept32[dropped]].tobytes() == (
+            x.astype(np.float32)[dropped][kept32[dropped]] * scale).tobytes()

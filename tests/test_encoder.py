@@ -4,8 +4,9 @@ import pytest
 from duorec import autodiff as ad
 from duorec.autodiff import ConfigError, no_grad
 from duorec.data import PAD_INDEX, Batch, make_collision_mask
-from duorec.encoder import (EncoderConfig, EncoderParams, _attention_mask, embed,
-                            encode, encode_sequence, encode_twins, init_params)
+from duorec.encoder import (NEG_INF, EncoderConfig, EncoderParams, _attention_mask,
+                            _packed_rows, embed, encode, encode_sequence, encode_twins,
+                            init_params)
 from duorec.rng import RngStream
 
 
@@ -26,6 +27,20 @@ def make_batch(rows, max_len=6, positives=None, targets=None):
                  positive_targets=t.copy(), collision_mask=make_collision_mask(t, t.copy()))
 
 
+def reference_attention_mask(item_ids):
+    """The mask built step by step (test oracle for ``_attention_mask``):
+    causal -inf above the diagonal, plus -inf at pad keys, then the diagonal
+    reopened wherever it was masked."""
+    b, n = item_ids.shape
+    causal = np.triu(np.full((n, n), NEG_INF), k=1)
+    mask = np.broadcast_to(causal, (b, 1, n, n)).copy()
+    pad_key = item_ids == PAD_INDEX                            # [B, N]
+    mask += np.where(pad_key, NEG_INF, 0.0)[:, None, None, :]
+    eye = np.eye(n, dtype=bool)
+    mask[:, 0][np.broadcast_to(eye, (b, n, n)) & (mask[:, 0] <= NEG_INF)] = 0.0
+    return mask
+
+
 def full_stack_encode(h0, item_ids, params, stream):
     """Reference stack: every layer over all B*N positions, then the last row.
 
@@ -35,7 +50,7 @@ def full_stack_encode(h0, item_ids, params, stream):
     cfg = params.config
     b, n, d = h0.shape
     nh, dh = cfg.heads, cfg.d // cfg.heads
-    mask = _attention_mask(item_ids)
+    mask = reference_attention_mask(item_ids)
     h = h0
     for layer in range(cfg.layers):
         ls = stream.child(f"layer{layer}")
@@ -98,6 +113,50 @@ class TestEmbed:
         a2 = embed(ids, params, RngStream(1, "a"))
         assert not np.array_equal(a.data, b.data)
         np.testing.assert_array_equal(a.data, a2.data)
+
+
+    def test_dropout_draws_only_the_packed_rows(self):
+        # the positions the stack computes get the full draw's mask values;
+        # the other pad positions pass through undropped
+        params = make_params(vocab_size=12, max_len=6, emb_dropout=0.4)
+        ids = np.array([[0, 0, 0, 4, 5, 6], [0] * 6, [1, 2, 3, 4, 5, 6], [0, 0, 0, 0, 0, 7]])
+        stream = RngStream(2, "s")
+        out = embed(ids, params, stream)
+        v = params["item_emb"].data[ids] + params["pos_emb"].data
+        full_stream = RngStream(2, "s").child("emb")
+        ref = ad.dropout(ad.Tensor(v), 0.4, full_stream).data
+        computed = np.zeros(ids.size, dtype=bool)
+        computed[_packed_rows(ids)] = True
+        computed = computed.reshape(ids.shape)
+        np.testing.assert_array_equal(computed, (ids != PAD_INDEX) | (np.arange(6) == 5))
+        assert out.data[computed].tobytes() == ref[computed].tobytes()
+        assert out.data[~computed].tobytes() == v[~computed].tobytes()
+        drawn = RngStream(2, "s").child("emb")
+        ad.dropout(ad.Tensor(v), 0.4, drawn, rows=_packed_rows(ids))
+        assert drawn.counter == full_stream.counter
+
+
+class TestAttentionMask:
+    # ragged left padding: all-pad rows, full rows, one-item rows
+    IDS = np.array([[0, 0, 0, 0, 0], [0, 0, 3, 4, 5], [1, 2, 3, 4, 5], [0, 0, 0, 0, 9],
+                    [0, 0, 0, 0, 0], [6, 7, 8, 9, 1]])
+
+    def test_matches_the_step_by_step_builder(self):
+        got = _attention_mask(self.IDS)
+        want = reference_attention_mask(self.IDS)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_random_padding_patterns(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            ids = rng.integers(0, 4, size=(int(rng.integers(1, 6)), int(rng.integers(1, 9))))
+            assert _attention_mask(ids).tobytes() == reference_attention_mask(ids).tobytes()
+
+    def test_float32_is_the_float64_mask_rounded(self):
+        got = _attention_mask(self.IDS, np.float32)
+        assert got.dtype == np.float32
+        assert got.tobytes() == reference_attention_mask(self.IDS).astype(np.float32).tobytes()
 
 
 class TestEncode:
@@ -283,6 +342,31 @@ class TestLastPositionFinalLayer:
         last = f"enc.trm.layer{layers - 1}"
         assert seen[0][f"{last}.att"] == -(-b * nh * n * n // 4)
         assert seen[0][f"{last}.attout"] == seen[0][f"{last}.ffn"] == -(-b * n * d // 4)
+
+
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_draws_only_rows_that_reach_the_output(self, layers, monkeypatch):
+        # every layer but the last draws the packed rows (attention: their
+        # query rows); the last draws each sequence's last row
+        params, ids = self.inputs(layers, 0.3)
+        drawn = {}
+        original = RngStream.uniform
+
+        def recording_uniform(self, n, runs=None):
+            out = original(self, n, runs)
+            drawn[self.label] = out.size
+            return out
+
+        monkeypatch.setattr(RngStream, "uniform", recording_uniform)
+        encode_sequence(ids, params, RngStream(3, "enc"))
+        b, n, d, nh, m = len(ids), self.MAX_LEN, 8, 2, len(_packed_rows(ids))
+        want = {"enc.emb": m * d}
+        for layer in range(layers):
+            rows = b if layer == layers - 1 else m
+            want |= {f"enc.trm.layer{layer}.att": rows * nh * n,
+                     f"enc.trm.layer{layer}.attout": rows * d,
+                     f"enc.trm.layer{layer}.ffn": rows * d}
+        assert drawn == want
 
 
 class TestPackedRows(TestLastPositionFinalLayer):

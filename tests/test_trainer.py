@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from duorec import autodiff as ad
 from duorec.autodiff import ConfigError, Tensor
 from duorec.data import (PAD_INDEX, EmptyDatasetError, build_target_index, iter_epoch,
                          split_leave_one_out)
@@ -12,7 +13,7 @@ from duorec.metrics import EvalReport
 from duorec.rng import RngStream
 from duorec.synthetic import make_clustered_corpus
 from duorec.trainer import (Adam, Checkpoint, TrainConfig, evaluate,
-                            load_checkpoint, save_checkpoint, train,
+                            load_checkpoint, save_checkpoint, train, train_step,
                             write_curves_csv)
 
 from test_encoder import make_params
@@ -213,6 +214,110 @@ class TestEvaluate:
         a = evaluate(params, *data.window(data.test))
         b = evaluate(params, *data.window(data.test))
         assert a == b
+
+
+def with_dtype(params, dtype):
+    for t in params.tensors.values():
+        t.data = t.data.astype(dtype)
+    return params
+
+
+class TestDtypePolicy:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    def test_train_step_stays_in_the_weights_dtype(self, dtype, lam, monkeypatch):
+        # every op output and every gradient passed back has the weights' dtype
+        data = tiny_data()
+        config = tiny_config(lam=lam)
+        params = with_dtype(make_params(vocab_size=data.vocab.size, d=8, max_len=10,
+                                        emb_dropout=0.1, hidden_dropout=0.1), dtype)
+        seen = set()
+        make = ad._make
+
+        def recording_make(out_data, parents, backward):
+            seen.add(("out", out_data.dtype))
+
+            def recording_backward(g):
+                seen.add(("grad", np.asarray(g).dtype))
+                backward(g)
+
+            return make(out_data, parents, recording_backward)
+
+        monkeypatch.setattr(ad, "_make", recording_make)
+        batch = next(iter_epoch(data, build_target_index(data.items[data.train]),
+                                config.batch_size, RngStream(0, "data")))
+        bundle, *views = train_step(batch, params, config, RngStream(0, "step"))
+        bundle.total.backward()
+        assert seen == {("out", np.dtype(dtype)), ("grad", np.dtype(dtype))}
+        assert bundle.total.data.dtype == dtype
+        assert all(v.data.dtype == dtype for v in views if v is not None)
+        for name, t in params.named():
+            assert t.data.dtype == t.grad.dtype == dtype, name
+
+    def test_adam_moments_follow_the_weights(self):
+        params = with_dtype(make_params(vocab_size=6, d=4, max_len=4), np.float32)
+        opt = Adam(params, lr=0.01)
+        for t in params.tensors.values():
+            t.grad = np.ones_like(t.data)
+        opt.step(params)
+        for name, t in params.named():
+            assert t.data.dtype == opt.m[name].dtype == opt.v[name].dtype == np.float32
+
+    def test_returned_weights_are_the_float32_weights_upcast(self, monkeypatch):
+        import duorec.trainer
+        seen = []
+        real = duorec.trainer.evaluate
+
+        def recording(params, *args, **kwargs):
+            seen.append({name: t.data.copy() for name, t in params.named()})
+            return real(params, *args, **kwargs)
+
+        monkeypatch.setattr(duorec.trainer, "evaluate", recording)
+        res = train(tiny_config(epochs=1), tiny_data())
+        trained = seen[-1]                                     # the epoch's validation
+        ckpt = res.checkpoint
+        assert ckpt.epoch == 1
+        for name, w in trained.items():
+            assert w.dtype == np.float32, name
+            for got in (ckpt.params[name].data, res.final_params[name].data):
+                assert got.dtype == np.float64
+                assert got.tobytes() == w.astype(np.float64).tobytes(), name
+            for moment in (ckpt.adam_m[name], ckpt.adam_v[name]):
+                assert moment.dtype == np.float64
+                assert moment.astype(np.float32).astype(np.float64).tobytes() == moment.tobytes()
+
+    def test_float64_training_is_kept_as_a_reference(self):
+        data = tiny_data()
+        res64 = train(tiny_config(epochs=1), data, dtype=np.float64)
+        res32 = train(tiny_config(epochs=1), data)
+        w64 = res64.final_params["layer0.wq"].data
+        w32 = res32.final_params["layer0.wq"].data
+        assert w64.dtype == w32.dtype == np.float64
+        assert not np.array_equal(w64.astype(np.float32).astype(np.float64), w64)
+        assert 0 < np.abs(w64 - w32).max() < 1e-4
+
+    def test_evaluate_upcasts_float32_weights_exactly(self, monkeypatch):
+        # what is ranked, and the report, are those of the upcast weights
+        import duorec.trainer
+        ranked = []
+        rank = duorec.trainer.rank_full_catalog
+
+        def recording(h, item_emb, targets):
+            ranked.append((h.dtype, item_emb.dtype, h.tobytes(), item_emb.tobytes()))
+            return rank(h, item_emb, targets)
+
+        monkeypatch.setattr(duorec.trainer, "rank_full_catalog", recording)
+        data = tiny_data()
+        params = make_params(vocab_size=data.vocab.size, d=8, max_len=10,
+                             emb_dropout=0.3, hidden_dropout=0.3)
+        p32 = with_dtype(copy.deepcopy(params), np.float32)
+        p64 = with_dtype(copy.deepcopy(p32), np.float64)
+        ids, targets = data.window(data.test)
+        assert evaluate(p32, ids, targets) == evaluate(p64, ids, targets)
+        (dt_h, dt_e, *got), (_, _, *want) = ranked
+        assert dt_h == dt_e == np.float64
+        assert got == want
+        assert all(t.data.dtype == np.float32 for _, t in p32.named())
 
 
 class TestCheckpoint:
