@@ -69,6 +69,8 @@ def ndcg_at_k(ranks, k: int) -> float:
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit length, in float64 whatever ``x``'s dtype."""
+    x = np.asarray(x, dtype=np.float64)
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
     if np.any(norms == 0):
         raise ValueError("cannot normalize a zero vector")

@@ -246,9 +246,8 @@ def train(config: TrainConfig, data: SplitDataset, *, dtype=np.float32) -> Train
             rec_sum += bundle.rec_loss.item()
             reg_sum += bundle.reg_loss.item()
             n_batches += 1
-            last_h = h.data.astype(np.float64)
-            last_pair = ((view_a.data.astype(np.float64), view_b.data.astype(np.float64))
-                         if view_a is not None else None)
+            last_h = h.data
+            last_pair = (view_a.data, view_b.data) if view_a is not None else None
         if diverged or n_batches == 0:
             break
 

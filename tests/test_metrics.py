@@ -145,6 +145,15 @@ class TestAlignmentUniformity:
         assert abs(uniformity(x) - uniformity(x @ q)) < 1e-10
 
 
+    def test_float32_input_is_measured_in_float64(self, rng):
+        # training hands float32 representations to the per-epoch curves
+        x, y = rng.standard_normal((2, 12, 5))
+        x32, y32 = x.astype(np.float32), y.astype(np.float32)
+        x64, y64 = x32.astype(np.float64), y32.astype(np.float64)
+        assert uniformity(x32) == uniformity(x64)
+        assert alignment(x32, y32) == alignment(x64, y64)
+
+
 class TestSingularSpectrum:
     def test_jacobi_matches_numpy(self, rng):
         for n in (2, 5, 16):
