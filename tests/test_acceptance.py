@@ -2,8 +2,9 @@
 
 One test per acceptance criterion, each asserting the stated property at the
 stated tolerance and staying inside its runtime budget. The degeneration
-reproduction (criterion 5) trains six small models and dominates the runtime
-of the suite.
+reproduction (criterion 5) trains six small models in float32, the float32
+training gate the same six in float64, and the two dominate the runtime of
+the suite.
 """
 
 import functools
