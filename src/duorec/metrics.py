@@ -2,9 +2,10 @@
 
 Full-catalog ranking with deterministic index tie-break, HR@K / NDCG@K,
 alignment and uniformity on the unit sphere, the singular spectrum and 2D
-projection of the item embedding matrix (own Jacobi eigensolver on the
-Gram matrix), and a probe comparing the measured gradient on items absent
-from a batch with the closed softmax form that drives embedding collapse.
+projection of the item embedding matrix (own round-robin Jacobi
+eigensolver on the Gram matrix), and a probe comparing the measured
+gradient on items absent from a batch with the closed softmax form that
+drives embedding collapse.
 """
 
 from __future__ import annotations
@@ -84,53 +85,93 @@ def alignment(pairs_x: np.ndarray, pairs_y: np.ndarray) -> float:
     return float((np.linalg.norm(xn - yn, axis=-1) ** 2).mean())
 
 
+# Rows per block of uniformity's Gram matrix: a block is at most 1024 x U.
+_UNIFORMITY_BLOCK = 1024
+
+
 def uniformity(reps: np.ndarray) -> float:
-    """log mean over distinct unordered pairs of exp(-2 ||x - y||^2), normalized vectors."""
+    """log mean over distinct unordered pairs of exp(-2 ||x - y||^2), normalized vectors.
+
+    Computed over row blocks of the Gram matrix, so memory grows as
+    block x U, not U x U x d.
+    """
     if reps.shape[0] < 2:
         raise ValueError("uniformity needs at least 2 vectors")
     xn = _normalize_rows(reps)
-    sq = ((xn[:, None, :] - xn[None, :, :]) ** 2).sum(axis=-1)
-    iu = np.triu_indices(len(xn), k=1)
-    return float(np.log(np.exp(-2.0 * sq[iu]).mean()))
+    u = len(xn)
+    total = 0.0
+    for lo in range(0, u, _UNIFORMITY_BLOCK):
+        hi = min(lo + _UNIFORMITY_BLOCK, u)
+        # ||x - y||^2 = 2 - 2 x.y for unit rows; pairs above the diagonal only
+        sq = np.maximum(2.0 - 2.0 * (xn[lo:hi] @ xn[lo:].T), 0.0)
+        above = np.arange(lo, u)[None, :] > np.arange(lo, hi)[:, None]
+        total += np.exp(-2.0 * sq[above]).sum()
+    return float(np.log(total / (u * (u - 1) // 2)))
 
 
 # -- singular spectrum --------------------------------------------------
 
 
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix by round-robin Jacobi rotations.
 
-    Iterates until every off-diagonal magnitude is below ``tol``.
+    Each sweep is n-1 rounds of disjoint (p, q) pairs (Brent & Luk 1985),
+    and each round applies all of its rotations as one vectorized update.
+    A pair whose off-diagonal magnitude is at or below ``tol * max|a|`` (of
+    the input) is not rotated, and the solve stops once every off-diagonal
+    magnitude is. Both read the upper triangle: rounding leaves the two
+    triangles a few ulps apart, and a lower entry just above the threshold
+    with its upper twin just below would stall the solve.
     Returns (eigenvalues, eigenvectors-as-columns), unordered.
+    Raises ``ValueError`` on a non-finite input and
+    ``np.linalg.LinAlgError`` if ``max_sweeps`` sweeps do not converge.
     """
-    a = a.copy()
+    a = np.array(a, dtype=np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError("jacobi_eigh needs a finite matrix")
     n = a.shape[0]
     v = np.eye(n)
-    for _ in range(max_sweeps):
-        off = np.abs(a - np.diag(np.diag(a))).max() if n > 1 else 0.0
-        if off < tol:
+    thresh = tol * np.abs(a).max()
+    diag = a.diagonal()                                        # a view: follows a
+    rounds = _round_robin(n)
+    for sweep in range(max_sweeps + 1):
+        if np.abs(np.triu(a, 1)).max() <= thresh:
+            return diag.copy(), v
+        if sweep == max_sweeps:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) < tol:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # rotate columns then rows of a, and columns of v, in place
-                ap, aq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    return np.diag(a).copy(), v
+        for p, q, pq, qp in rounds:
+            apq = a[p, q]
+            rotate = np.abs(apq) > thresh
+            theta = np.divide(diag[q] - diag[p], 2.0 * apq,
+                              out=np.zeros_like(apq), where=rotate)
+            t = rotate * np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(theta, 1.0))
+            c = 1.0 / np.hypot(t, 1.0)
+            s = t * c
+            # column p <- c*p - s*q and column q <- c*q + s*p, for every pair
+            cs, sn = np.concatenate([c, c]), np.concatenate([-s, s])
+            a[:, pq] = a[:, pq] * cs + a[:, qp] * sn
+            a[pq] = cs[:, None] * a[pq] + sn[:, None] * a[qp]
+            v[:, pq] = v[:, pq] * cs + v[:, qp] * sn
+    raise np.linalg.LinAlgError(f"Jacobi did not converge in {max_sweeps} sweeps")
+
+
+def _round_robin(n: int):
+    """The n-1 rounds (n if odd) of a round-robin tournament on range(n).
+
+    Each round pairs every index with one other, once per sweep; an odd n
+    gets a dummy index, and the pair holding it is dropped. Returns per
+    round (p, q, p+q, q+p), with p < q pairwise.
+    """
+    m = n + n % 2
+    ring = np.arange(1, m)
+    rounds = []
+    for r in range(m - 1):
+        seats = np.concatenate([[0], np.roll(ring, r)])
+        top, bottom = seats[:m // 2], seats[::-1][:m // 2]
+        p, q = np.minimum(top, bottom), np.maximum(top, bottom)
+        p, q = p[q < n], q[q < n]
+        rounds.append((p, q, np.concatenate([p, q]), np.concatenate([q, p])))
+    return rounds
 
 
 def _centered_embeddings(item_emb: np.ndarray, center: bool = True) -> np.ndarray:
@@ -165,6 +206,10 @@ def project_2d(item_emb: np.ndarray, vocab: ItemVocab, center: bool = True) -> n
     eigvals, eigvecs = jacobi_eigh(gram)
     order = np.argsort(eigvals)[::-1]
     basis = eigvecs[:, order[:2]]                              # [d, 2]
+    # an eigenvector's sign is arbitrary: make each column's largest-magnitude
+    # component (the lowest index on a tie) positive
+    lead = basis[np.abs(basis).argmax(axis=0), [0, 1]]
+    basis = basis * np.sign(lead)
     coords = x @ basis                                         # carries the singular-value scale
     freq = vocab.frequency[PAD_INDEX + 1:].astype(np.float64)
     return np.column_stack([coords, freq])

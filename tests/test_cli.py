@@ -6,6 +6,7 @@ import pytest
 
 from duorec.cli import load_dataset_dir, main
 from duorec.synthetic import make_clustered_corpus
+from duorec.trainer import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture()
@@ -130,6 +131,21 @@ class TestTrainEvalDiagnose:
         assert rc == 2
         assert "no users to evaluate" in capsys.readouterr().err
         assert not (tmp_path / "eval" / "eval.json").exists()
+
+    def test_diagnose_diverged_checkpoint_fails(self, dataset_dir, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["train", "--data", str(dataset_dir), "--config",
+                     tiny_config_file(tmp_path), "--out", str(run_dir)]) == 0
+        ckpt = load_checkpoint(run_dir / "checkpoint.duo")
+        ckpt.params["item_emb"].data[4] = np.nan
+        save_checkpoint(tmp_path / "nan.duo", ckpt)
+        capsys.readouterr()
+        diag_dir = tmp_path / "diag"
+        rc = main(["diagnose", "--checkpoint", str(tmp_path / "nan.duo"),
+                   "--data", str(dataset_dir), "--out", str(diag_dir)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (diag_dir / "spectrum.csv").exists()
 
     def test_bad_config_key_is_runtime_error(self, dataset_dir, tmp_path):
         path = tmp_path / "bad.json"

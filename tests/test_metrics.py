@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from duorec import metrics
 from duorec.data import PAD_INDEX, ItemVocab
 from duorec.metrics import (alignment, gradient_degeneration_probe, hr_at_k,
                             jacobi_eigh, ndcg_at_k, project_2d,
@@ -10,6 +11,52 @@ from duorec.rng import RngStream
 from duorec.trainer import evaluate
 
 from test_encoder import make_batch, make_params
+
+
+def cyclic_jacobi_eigh(a, tol=1e-12, max_sweeps=100):
+    """The former solver: cyclic Jacobi, one (p, q) rotation at a time,
+    with an absolute tolerance. The oracle for the round-robin solver."""
+    a = a.copy()
+    n = a.shape[0]
+    v = np.eye(n)
+    for _ in range(max_sweeps):
+        off = np.abs(a - np.diag(np.diag(a))).max() if n > 1 else 0.0
+        if off < tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if abs(a[p, q]) < tol:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
+                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                if theta == 0.0:
+                    t = 1.0
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                ap, aq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * ap - s * aq
+                a[:, q] = s * ap + c * aq
+                rp, rq = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    return np.diag(a).copy(), v
+
+
+def reference_uniformity(reps):
+    """The former uniformity: every pair's difference as one [U, U, d] array."""
+    xn = reps / np.linalg.norm(reps, axis=-1, keepdims=True)
+    sq = ((xn[:, None, :] - xn[None, :, :]) ** 2).sum(axis=-1)
+    iu = np.triu_indices(len(xn), k=1)
+    return float(np.log(np.exp(-2.0 * sq[iu]).mean()))
+
+
+def _gram(rng, rows, d):
+    """An anisotropic Gram matrix, like the item embeddings' x^T x."""
+    x = rng.standard_normal((rows, d)) * np.linspace(0.1, 3.0, d)
+    return x.T @ x
 
 
 def _vocab(n_items, freq=None):
@@ -144,6 +191,21 @@ class TestAlignmentUniformity:
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         assert abs(uniformity(x) - uniformity(x @ q)) < 1e-10
 
+    def test_matches_reference_form(self, rng):
+        for _ in range(25):
+            u, d = int(rng.integers(2, 301)), int(rng.integers(1, 65))
+            x = rng.standard_normal((u, d)) * rng.uniform(0.01, 100.0)
+            x[rng.integers(0, u)] = x[0]                       # a duplicate row
+            assert abs(uniformity(x) - reference_uniformity(x)) < 1e-12
+
+    def test_blocks_match_one_block(self, rng, monkeypatch):
+        x = rng.standard_normal((50, 6))
+        x[7] = -x[3]                                           # an antipodal pair
+        whole = uniformity(x)
+        for block in (1, 7, 49, 50):
+            monkeypatch.setattr(metrics, "_UNIFORMITY_BLOCK", block)
+            assert abs(uniformity(x) - whole) < 1e-12
+            assert abs(uniformity(x) - reference_uniformity(x)) < 1e-12
 
     def test_float32_input_is_measured_in_float64(self, rng):
         # training hands float32 representations to the per-epoch curves
@@ -152,6 +214,116 @@ class TestAlignmentUniformity:
         x64, y64 = x32.astype(np.float64), y32.astype(np.float64)
         assert uniformity(x32) == uniformity(x64)
         assert alignment(x32, y32) == alignment(x64, y64)
+
+
+class TestJacobi:
+    SIZES = (1, 2, 3, 5, 16, 17, 64)
+
+    @staticmethod
+    def assert_eigvals_close(got, want, scale):
+        assert np.abs(np.sort(got) - np.sort(want)).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_cyclic_and_numpy(self, rng, n):
+        m = rng.standard_normal((n, n))
+        for a in (_gram(rng, 3 * n + 5, n), m + m.T):
+            w, _ = jacobi_eigh(a)
+            want = np.linalg.eigh(a)[0]
+            self.assert_eigvals_close(w, want, np.abs(want).max())
+            self.assert_eigvals_close(w, cyclic_jacobi_eigh(a)[0], np.abs(want).max())
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_reconstruction_and_orthogonality(self, rng, n):
+        a = _gram(rng, 3 * n + 5, n)
+        w, v = jacobi_eigh(a)
+        # off-diagonal entries up to 1e-12 * max|a| are left in place
+        assert np.abs(v @ np.diag(w) @ v.T - a).max() <= 1e-11 * np.abs(a).max()
+        np.testing.assert_allclose(v.T @ v, np.eye(n), rtol=0, atol=1e-12)
+
+    def test_round_robin_meets_every_pair_once_per_sweep(self):
+        for n in range(1, 12):
+            rounds = metrics._round_robin(n)
+            assert len(rounds) == (n - 1 if n % 2 == 0 else n)
+            met = []
+            for p, q, pq, qp in rounds:
+                assert np.all(p < q) and len(set(pq.tolist())) == len(pq)
+                np.testing.assert_array_equal(pq, np.concatenate([p, q]))
+                np.testing.assert_array_equal(qp, np.concatenate([q, p]))
+                met += list(zip(p.tolist(), q.tolist()))
+            assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+    def test_diagonal_input_is_not_rotated(self):
+        a = np.diag([4.0, -1.0, 0.0, 2.5, 1e-3])
+        w, v = jacobi_eigh(a)
+        np.testing.assert_array_equal(w, np.diag(a))
+        np.testing.assert_array_equal(v, np.eye(5))
+
+    def test_repeated_eigenvalues(self, rng):
+        q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+        want = np.array([3.0, 3.0, 3.0, 1.0, 1.0, 0.5, -2.0])
+        a = q @ np.diag(want) @ q.T
+        w, v = jacobi_eigh(a)
+        self.assert_eigvals_close(w, want, 3.0)
+        np.testing.assert_allclose(v.T @ v, np.eye(7), rtol=0, atol=1e-12)
+        assert np.abs(v @ np.diag(w) @ v.T - a).max() <= 1e-11 * np.abs(a).max()
+
+    def test_rank_deficient_gram(self, rng):
+        x = rng.standard_normal((30, 3)) @ rng.standard_normal((3, 8))
+        a = x.T @ x                                            # rank 3 of 8
+        w, v = jacobi_eigh(a)
+        scale = np.abs(a).max()
+        self.assert_eigvals_close(w, np.linalg.eigvalsh(a), scale)
+        assert np.sum(np.abs(w) > 1e-10 * scale) == 3
+        assert np.abs(v @ np.diag(w) @ v.T - a).max() <= 1e-11 * scale
+
+    @pytest.mark.parametrize("c", [1e-6, 4e3])
+    def test_scale_invariance(self, rng, c):
+        a = _gram(rng, 40, 16)
+        w, _ = jacobi_eigh(a)
+        wc, _ = jacobi_eigh(c * a)
+        self.assert_eigvals_close(wc, c * w, c * np.abs(w).max())
+
+    def test_all_zero_matrix_stops_at_once(self):
+        w, v = jacobi_eigh(np.zeros((4, 4)), max_sweeps=0)
+        np.testing.assert_array_equal(w, 0.0)
+        np.testing.assert_array_equal(v, np.eye(4))
+
+    def test_rounding_asymmetry_does_not_stall(self):
+        # the rotations leave the triangles a few ulps apart; an upper entry
+        # just under the threshold is never rotated, so its lower twin just
+        # over it must not keep the solve going
+        a = np.diag([3.0, 2.0, 1.0])
+        a[0, 1] = 3e-12 * (1 - 1e-6)
+        a[1, 0] = 3e-12 * (1 + 1e-6)
+        w, v = jacobi_eigh(a, max_sweeps=0)
+        np.testing.assert_array_equal(w, [3.0, 2.0, 1.0])
+        np.testing.assert_array_equal(v, np.eye(3))
+
+    def test_checkpoint_like_spectra_converge(self):
+        # near-isotropic spectra with one dominant direction, as trained item
+        # embeddings give; the stall above showed on one such checkpoint
+        rng = np.random.default_rng(3)
+        for d in (16, 64):
+            for _ in range(10):
+                q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+                want = np.append(rng.uniform(0.7, 1.9, d - 1), 17.0)
+                a = (q * want) @ q.T
+                a = (a + a.T) / 2
+                w, _ = jacobi_eigh(a, max_sweeps=12)
+                self.assert_eigvals_close(w, want, 17.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, rng, bad):
+        a = _gram(rng, 20, 6)
+        a[2, 4] = a[4, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            jacobi_eigh(a)
+
+    def test_no_convergence_raises(self, rng):
+        a = _gram(rng, 40, 16)
+        with pytest.raises(np.linalg.LinAlgError):
+            jacobi_eigh(a, max_sweeps=1)
+        jacobi_eigh(a, max_sweeps=20)
 
 
 class TestSingularSpectrum:
@@ -177,8 +349,10 @@ class TestSingularSpectrum:
         emb = np.zeros((31, 6))
         emb[1:] = np.outer(np.arange(30) - 14.5, direction)
         sv = singular_spectrum(emb)
-        # Gram-matrix eigenvalues carry tol 1e-12 of the matrix scale, which
-        # becomes ~1e-7 on singular values after the square root
+        # the null Gram eigenvalues are rounding noise, ~1e-16 of the largest:
+        # jacobi_eigh stops at off-diagonals of 1e-12 * max|a| (relative),
+        # which enter them only at second order; the square root makes that
+        # ~1e-8 on normalized singular values
         np.testing.assert_allclose(sv[1:], 0.0, atol=1e-7)
         assert sv[0] == 1.0
 
@@ -201,6 +375,15 @@ class TestSingularSpectrum:
     def test_rank_zero_rejected(self):
         with pytest.raises(ValueError):
             singular_spectrum(np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_diverged_embedding_rejected(self, rng, bad):
+        emb = np.vstack([np.zeros(6), rng.standard_normal((20, 6))])
+        emb[4, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            singular_spectrum(emb)
+        with pytest.raises(ValueError, match="finite"):
+            project_2d(emb, _vocab(20))
 
 
 class TestProject2d:
@@ -226,6 +409,26 @@ class TestProject2d:
             return np.linalg.norm(p[:, None, :] - p[None, :, :], axis=-1)
 
         np.testing.assert_allclose(dists(a), dists(b), atol=1e-8)
+
+    def test_signs_do_not_depend_on_the_solver(self, rng, monkeypatch):
+        emb = np.vstack([np.zeros(6), rng.standard_normal((30, 6))])
+        base = project_2d(emb, _vocab(30))
+        solve = metrics.jacobi_eigh
+        for flip in ([-1.0] * 6, [1.0, -1.0] * 3, [-1.0, 1.0] * 3):
+            monkeypatch.setattr(metrics, "jacobi_eigh",
+                                lambda a: (solve(a)[0], solve(a)[1] * flip))
+            assert project_2d(emb, _vocab(30)).tobytes() == base.tobytes()
+
+    def test_largest_component_positive_lowest_index_on_tie(self, rng, monkeypatch):
+        h = 1.0 / np.sqrt(2.0)
+        basis = np.array([[h, 0.6], [-h, -0.8], [0.0, 0.0]])  # column 0 ties
+        emb = np.vstack([np.zeros(3), rng.standard_normal((10, 3))])
+        x = emb[1:] - emb[1:].mean(axis=0)
+        for signs in ([1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]):
+            v = np.column_stack([basis * signs, [0.0, 0.0, 1.0]])
+            monkeypatch.setattr(metrics, "jacobi_eigh", lambda a: (np.array([2.0, 1.0, 0.5]), v))
+            proj = project_2d(emb, _vocab(10))
+            np.testing.assert_array_equal(proj[:, :2], x @ (basis * [1.0, -1.0]))
 
     def test_frequency_joined(self, rng):
         freq = np.concatenate([[0], np.arange(1, 13)])
