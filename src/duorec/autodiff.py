@@ -119,32 +119,6 @@ class Tensor:
             node._backward = None
             node._parents = ()
 
-    # -- operator sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported")
-        return mul(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def item(self) -> float:
         return float(self.data)
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (ItemVocab, UserSequence, build_sequences, ingest,
+from .data import (ItemVocab, ParseError, UserSequence, build_sequences, ingest,
                    split_leave_one_out)
 from .metrics import (export_projection_csv, export_spectrum_csv, project_2d,
                       singular_spectrum)
@@ -79,18 +79,30 @@ def _write_dataset(out: Path, sequences: list[UserSequence], vocab: ItemVocab) -
 
 
 def load_dataset_dir(path) -> tuple[list[UserSequence], ItemVocab]:
+    """Read a directory written by prep. A ``vocab.csv`` whose index column
+    is not 1..V in file order, or a sequence item outside [1, V), raises
+    ParseError naming the file and line."""
     path = Path(path)
+    id_of, item_of, freqs = {}, ["<pad>"], [0]
+    with open(path / "vocab.csv", newline="") as f:
+        rows = csv.DictReader(f)
+        for row in rows:
+            if int(row["index"]) != len(item_of):
+                raise ParseError(f"{path / 'vocab.csv'}:{rows.line_num}: index "
+                                 f"{row['index']}, expected {len(item_of)}")
+            id_of[row["item_id"]] = len(item_of)
+            item_of.append(row["item_id"])
+            freqs.append(int(row["frequency"]))
+    size = len(item_of)
     sequences = []
     with open(path / "sequences.txt") as f:
         for u, line in enumerate(f):
             items = [int(x) for x in line.split()]
+            if items and not 1 <= min(items) <= max(items) < size:
+                bad = next(i for i in items if not 1 <= i < size)
+                raise ParseError(f"{path / 'sequences.txt'}:{u + 1}: item {bad} "
+                                 f"outside [1, {size})")
             sequences.append(UserSequence(user=u, items=items))
-    id_of, item_of, freqs = {}, ["<pad>"], [0]
-    with open(path / "vocab.csv", newline="") as f:
-        for row in csv.DictReader(f):
-            id_of[row["item_id"]] = int(row["index"])
-            item_of.append(row["item_id"])
-            freqs.append(int(row["frequency"]))
     return sequences, ItemVocab(id_of=id_of, item_of=item_of,
                                 frequency=np.array(freqs, dtype=np.int64))
 
@@ -138,9 +150,18 @@ def _cmd_train(args) -> None:
     print(json.dumps(metrics, sort_keys=True))
 
 
-def _cmd_eval(args) -> None:
+def _load_for_checkpoint(args):
+    """The checkpoint and the dataset it is applied to, which must share a vocabulary."""
     ckpt = load_checkpoint(args.checkpoint)
     sequences, vocab = load_dataset_dir(args.data)
+    if vocab.size != ckpt.params.config.vocab_size:
+        raise ValueError(f"{args.data} has {vocab.size - 1} items but the checkpoint "
+                         f"was trained on {ckpt.params.config.vocab_size - 1}")
+    return ckpt, sequences, vocab
+
+
+def _cmd_eval(args) -> None:
+    ckpt, sequences, vocab = _load_for_checkpoint(args)
     split = split_leave_one_out(sequences, vocab, max_len=ckpt.train_config.max_len)
     examples = split.valid if args.split == "valid" else split.test
     rep = evaluate(ckpt.params, *split.window(examples))
@@ -150,8 +171,7 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_diagnose(args) -> None:
-    ckpt = load_checkpoint(args.checkpoint)
-    _, vocab = load_dataset_dir(args.data)
+    ckpt, _, vocab = _load_for_checkpoint(args)
     emb = ckpt.params["item_emb"].data
     center = not args.no_center
     out = Path(args.out)

@@ -11,17 +11,19 @@ then rounded), the activations, the gradients and Adam's moments.
 Everything that reads a trained model runs in float64: ``evaluate`` upcasts
 the weights it is given, and ``train`` hands back its checkpoint and final
 weights upcast, so they are the float32 values exactly.
+
+A checkpoint is the model alone: the best-validation weights, their epoch
+and score, and the config that built them. Adam's moments and the data
+stream's position are not saved, so a checkpoint is read, not resumed.
 """
 
 from __future__ import annotations
 
-import contextlib
-import copy
 import dataclasses
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from .encoder import (EncoderConfig, EncoderParams, encode_sequence, init_params
 from .metrics import EvalReport, alignment, rank_full_catalog, report, uniformity
 from .rng import RngStream
 
-MAGIC = b"DUO1"
+MAGIC = b"DUO2"
 EVAL_BATCH = 256
 
 
@@ -66,6 +68,13 @@ class TrainConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 0.5:
                 raise ConfigError(f"{name} must be in [0, 0.5], got {v}")
+        for name, low in (("d", 1), ("heads", 1), ("layers", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        if not self.tau > 0:
+            raise ConfigError(f"tau must be > 0, got {self.tau}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -134,26 +143,9 @@ class Adam:
 @dataclass
 class Checkpoint:
     params: EncoderParams
-    adam_m: dict
-    adam_v: dict
-    adam_t: int
     epoch: int
     best_valid_hr5: float
-    data_counter: int
     train_config: TrainConfig
-
-
-@contextlib.contextmanager
-def inference_mode(params: EncoderParams):
-    """Evaluate with dropout disabled and no graph recording."""
-    cfg = params.config
-    saved = (cfg.emb_dropout, cfg.hidden_dropout)
-    cfg.emb_dropout = cfg.hidden_dropout = 0.0
-    try:
-        with no_grad():
-            yield
-    finally:
-        cfg.emb_dropout, cfg.hidden_dropout = saved
 
 
 def evaluate(params: EncoderParams, ids: np.ndarray, targets: np.ndarray,
@@ -167,10 +159,11 @@ def evaluate(params: EncoderParams, ids: np.ndarray, targets: np.ndarray,
     """
     if len(targets) == 0:
         raise EmptyDatasetError("no users to evaluate: every user has fewer than 3 items")
-    params = _as_dtype(params, np.float64, params.config)
+    params = _as_dtype(params, np.float64, dataclasses.replace(
+        params.config, emb_dropout=0.0, hidden_dropout=0.0))
     ranks: list[np.ndarray] = []
     dummy = RngStream(0, "eval")
-    with inference_mode(params):
+    with no_grad():
         for start in range(0, len(targets), EVAL_BATCH):
             rows = slice(start, start + EVAL_BATCH)
             h = encode_sequence(ids[rows], params, dummy)
@@ -225,7 +218,7 @@ def train(config: TrainConfig, data: SplitDataset, *, dtype=np.float32) -> Train
 
     curves: list[dict] = []
     best_hr5 = -1.0
-    best_state = _snapshot(params, optimizer, data_stream)
+    best_params = _as_dtype(params, np.float64, enc_cfg)
     best_epoch = 0
     stale = 0
     diverged = False
@@ -262,7 +255,7 @@ def train(config: TrainConfig, data: SplitDataset, *, dtype=np.float32) -> Train
         })
         if valid_hr5 > best_hr5:
             best_hr5 = valid_hr5
-            best_state = _snapshot(params, optimizer, data_stream)
+            best_params = _as_dtype(params, np.float64, enc_cfg)
             best_epoch = epoch
             stale = 0
         else:
@@ -270,13 +263,9 @@ def train(config: TrainConfig, data: SplitDataset, *, dtype=np.float32) -> Train
             if stale >= config.early_stop_patience:
                 break
 
-    best_params = EncoderParams(copy.deepcopy(enc_cfg), {
-        name: Tensor(arr, requires_grad=True) for name, arr in best_state["params"].items()})
-    ckpt = Checkpoint(params=best_params, adam_m=best_state["m"],
-                      adam_v=best_state["v"], adam_t=best_state["t"],
-                      epoch=best_epoch, best_valid_hr5=max(best_hr5, 0.0),
-                      data_counter=best_state["data_counter"], train_config=config)
-    final_params = _as_dtype(params, np.float64, copy.deepcopy(enc_cfg))
+    ckpt = Checkpoint(params=best_params, epoch=best_epoch,
+                      best_valid_hr5=max(best_hr5, 0.0), train_config=config)
+    final_params = _as_dtype(params, np.float64, enc_cfg)
     return TrainResult(checkpoint=ckpt, curves=curves, diverged=diverged,
                        final_params=final_params)
 
@@ -285,17 +274,6 @@ def _as_dtype(params: EncoderParams, dtype, config: EncoderConfig) -> EncoderPar
     """A copy of ``params`` in ``dtype`` (exact when widening), under ``config``."""
     return EncoderParams(config, {name: Tensor(t.data.astype(dtype), requires_grad=True)
                                   for name, t in params.named()})
-
-
-def _snapshot(params: EncoderParams, optimizer: Adam, data_stream: RngStream) -> dict:
-    """float64 copies of the weights and Adam's moments, and the data counter."""
-    return {
-        "params": {name: t.data.astype(np.float64) for name, t in params.named()},
-        "m": {k: v.astype(np.float64) for k, v in optimizer.m.items()},
-        "v": {k: v.astype(np.float64) for k, v in optimizer.v.items()},
-        "t": optimizer.t,
-        "data_counter": data_stream.counter,
-    }
 
 
 def write_curves_csv(path, curves: list[dict]) -> None:
@@ -311,21 +289,13 @@ def write_curves_csv(path, curves: list[dict]) -> None:
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Binary layout: magic, manifest, raw float64 buffers, JSON trailer."""
-    entries: list[tuple[str, np.ndarray]] = []
-    for name in sorted(ckpt.params.tensors):
-        entries.append((name, ckpt.params[name].data))
-    for name in sorted(ckpt.adam_m):
-        entries.append((f"adam.m.{name}", ckpt.adam_m[name]))
-    for name in sorted(ckpt.adam_v):
-        entries.append((f"adam.v.{name}", ckpt.adam_v[name]))
+    entries = [(name, ckpt.params[name].data) for name in sorted(ckpt.params.tensors)]
 
     trailer = json.dumps({
         "config": ckpt.train_config.to_dict(),
         "vocab_size": ckpt.params.config.vocab_size,
-        "adam_t": ckpt.adam_t,
         "epoch": ckpt.epoch,
         "best_valid_hr5": ckpt.best_valid_hr5,
-        "data_counter": ckpt.data_counter,
     }, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
     with open(path, "wb") as f:
@@ -344,9 +314,11 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint. A torn or padded file, or tensors other than those
-    the trailer's config implies (parameters and both Adam moments), raise
-    IOError; a config key ``TrainConfig`` does not know raises ConfigError.
+    """Read a checkpoint's weights, epoch, score and config.
+
+    A torn or padded file, a file in an older format, or tensors other than
+    the parameters the trailer's config implies raise IOError; a config key
+    ``TrainConfig`` does not know raises ConfigError.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -362,7 +334,11 @@ def load_checkpoint(path) -> Checkpoint:
     def u64() -> int:
         return struct.unpack("<Q", take(8))[0]
 
-    if take(4) != MAGIC:
+    magic = take(4)
+    if magic == b"DUO1":
+        raise IOError(f"{path}: DUO1 checkpoint (weights with Adam state) is no longer "
+                      f"read; retrain to write {MAGIC.decode()}")
+    if magic != MAGIC:
         raise IOError(f"{path}: not a checkpoint file")
     try:
         manifest: list[tuple[str, tuple[int, ...]]] = []
@@ -378,16 +354,11 @@ def load_checkpoint(path) -> Checkpoint:
         config = TrainConfig.from_dict(trailer["config"])
         enc_cfg = config.encoder_config(trailer["vocab_size"])
         shapes = param_shapes(enc_cfg)
-        expected = shapes | {f"adam.{moment}.{name}": shape
-                             for moment in "mv" for name, shape in shapes.items()}
-        if len(manifest) != len(expected) or dict(manifest) != expected:
+        if len(manifest) != len(shapes) or dict(manifest) != shapes:
             raise IOError(f"{path}: tensor names or shapes do not match the config")
         params = EncoderParams(enc_cfg, {name: Tensor(buffers[name], requires_grad=True)
                                          for name in shapes})
-        moments = {m: {name: buffers[f"adam.{m}.{name}"] for name in shapes} for m in "mv"}
-        return Checkpoint(params=params, adam_m=moments["m"], adam_v=moments["v"],
-                          adam_t=trailer["adam_t"], epoch=trailer["epoch"],
-                          best_valid_hr5=trailer["best_valid_hr5"],
-                          data_counter=trailer["data_counter"], train_config=config)
+        return Checkpoint(params=params, epoch=trailer["epoch"],
+                          best_valid_hr5=trailer["best_valid_hr5"], train_config=config)
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise IOError(f"{path}: malformed checkpoint ({exc!r})") from exc

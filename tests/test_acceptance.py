@@ -7,6 +7,7 @@ training gate the same six in float64, and the two dominate the runtime of
 the suite.
 """
 
+import dataclasses
 import functools
 import math
 import time
@@ -15,19 +16,18 @@ import numpy as np
 import pytest
 
 from duorec import autodiff as ad
-from duorec.autodiff import Tensor
+from duorec.autodiff import Tensor, no_grad
 from duorec.contrastive import (assemble, nce_regularizer,
                                 nce_regularizer_bruteforce)
 from duorec.data import PAD_INDEX, make_collision_mask, split_leave_one_out
-from duorec.encoder import encode_sequence
+from duorec.encoder import EncoderParams, encode_sequence
 from duorec.metrics import (gradient_degeneration_probe, hr_at_k, ndcg_at_k,
                             rank_full_catalog, singular_spectrum,
                             spectrum_tail_mass, uniformity)
 from duorec.rng import RngStream
 from duorec.synthetic import make_clustered_corpus
-from duorec.trainer import (TrainConfig, evaluate, inference_mode,
-                            load_checkpoint, save_checkpoint, train,
-                            write_curves_csv)
+from duorec.trainer import (TrainConfig, evaluate, load_checkpoint,
+                            save_checkpoint, train, write_curves_csv)
 
 from conftest import finite_difference_grad
 from test_encoder import make_batch, make_params
@@ -237,10 +237,12 @@ def _degen_run(lam: float, seed: int):
     params = _degen_train(lam, seed)
     tail = spectrum_tail_mass(singular_spectrum(params["item_emb"].data))
     ids, targets = data.window(data.test)
+    eval_params = EncoderParams(dataclasses.replace(
+        params.config, emb_dropout=0.0, hidden_dropout=0.0), params.tensors)
     reps = []
-    with inference_mode(params):
+    with no_grad():
         for start in range(0, len(ids), 256):
-            reps.append(encode_sequence(ids[start:start + 256], params,
+            reps.append(encode_sequence(ids[start:start + 256], eval_params,
                                         RngStream(0, "u")).data)
     unif = uniformity(np.vstack(reps))
     hr10 = evaluate(params, ids, targets, ks=(10,)).hr[10]

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from duorec.cli import load_dataset_dir, main
+from duorec.data import ParseError
 from duorec.synthetic import make_clustered_corpus
-from duorec.trainer import load_checkpoint, save_checkpoint
+from duorec.trainer import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
+
+from test_encoder import make_params
 
 
 @pytest.fixture()
@@ -153,6 +156,62 @@ class TestTrainEvalDiagnose:
         rc = main(["train", "--data", str(dataset_dir), "--config", str(path),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+def untrained_checkpoint(path, n_items):
+    """A checkpoint of initial weights over ``n_items`` items (no training needed)."""
+    config = TrainConfig(d=8, layers=1, heads=2, max_len=10)
+    params = make_params(vocab_size=n_items + 1, d=8, layers=1, max_len=10)
+    save_checkpoint(path, Checkpoint(params=params, epoch=0, best_valid_hr5=0.0,
+                                     train_config=config))
+    return str(path)
+
+
+class TestDatasetChecks:
+    @pytest.mark.parametrize("command", ["eval", "diagnose"])
+    @pytest.mark.parametrize("n_items", [20, 40])
+    def test_vocabulary_must_match_the_checkpoint(self, dataset_dir, tmp_path, capsys,
+                                                  command, n_items):
+        ckpt = untrained_checkpoint(tmp_path / "ckpt.duo", n_items)
+        out = tmp_path / "out"
+        rc = main([command, "--checkpoint", ckpt, "--data", str(dataset_dir),
+                   "--out", str(out)])
+        assert rc == 2
+        assert f"has 30 items but the checkpoint was trained on {n_items}" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("item", [0, 31, 999, -1])
+    def test_sequence_item_outside_the_vocabulary(self, dataset_dir, tmp_path, capsys, item):
+        path = dataset_dir / "sequences.txt"
+        lines = path.read_text().splitlines()
+        lines[2] += f" {item}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rf"sequences.txt:3: item {item} outside \[1, 31\)"):
+            load_dataset_dir(dataset_dir)
+        ckpt = untrained_checkpoint(tmp_path / "ckpt.duo", 30)
+        rc = main(["eval", "--checkpoint", ckpt, "--data", str(dataset_dir),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "sequences.txt:3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, line, index", [
+        pytest.param(lambda rows: [rows[1], rows[0], *rows[2:]], 2, 2, id="swapped"),
+        pytest.param(lambda rows: rows[:4] + rows[5:], 6, 6, id="gap"),
+        pytest.param(lambda rows: [rows[0].replace("1,", "0,", 1), *rows[1:]], 2, 0,
+                     id="zero"),
+    ])
+    def test_vocab_index_must_run_one_to_v(self, dataset_dir, tmp_path, capsys,
+                                           edit, line, index):
+        path = dataset_dir / "vocab.csv"
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *edit(rows)]) + "\n")
+        with pytest.raises(ParseError, match=rf"vocab.csv:{line}: index {index},"):
+            load_dataset_dir(dataset_dir)
+        rc = main(["train", "--data", str(dataset_dir),
+                   "--config", tiny_config_file(tmp_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"vocab.csv:{line}" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -61,6 +61,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TrainConfig(positive_mode="nope")
 
+    @pytest.mark.parametrize("field, value", [
+        ("d", 0), ("heads", 0), ("layers", -1), ("lr", -0.1), ("lr", 0.0),
+        ("lr", float("nan")), ("lr", float("inf")), ("tau", 0.0), ("tau", -1.0),
+    ])
+    def test_degenerate_shapes_and_rates_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
     def test_from_json(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"d": 16, "lambda": 0.1}))
@@ -178,20 +186,21 @@ class TestTraining:
         # validation HR@5 falls after epoch 1, so the best epoch is not the last
         import duorec.trainer
         scores = iter([0.5, 0.2, 0.1])
-        monkeypatch.setattr(duorec.trainer, "evaluate",
-                            lambda *a, **k: EvalReport({5: next(scores)}, {5: 0.0}, 1))
-        data = tiny_data()
-        config = tiny_config(epochs=3)
-        res = train(config, data)
-        assert res.checkpoint.epoch == 1 and len(res.curves) == 3
-        stream = RngStream(config.seed, "run").child("data")
-        index = build_target_index(data.items[data.train])
-        counters = []
-        for _ in range(3):
-            for _ in iter_epoch(data, index, config.batch_size, stream):
-                pass
-            counters.append(stream.counter)
-        assert res.checkpoint.data_counter == counters[0] != counters[-1]
+        validated = []
+
+        def scripted(params, *args, **kwargs):
+            validated.append({name: t.data.copy() for name, t in params.named()})
+            return EvalReport({5: next(scores)}, {5: 0.0}, 1)
+
+        monkeypatch.setattr(duorec.trainer, "evaluate", scripted)
+        res = train(tiny_config(epochs=3), tiny_data())
+        assert res.checkpoint.epoch == 1 and len(validated) == len(res.curves) == 3
+        for name, t in res.checkpoint.params.named():
+            assert t.data.tobytes() == validated[0][name].astype(np.float64).tobytes(), name
+            assert res.final_params[name].data.tobytes() == (
+                validated[-1][name].astype(np.float64).tobytes()), name
+        assert not np.array_equal(res.checkpoint.params["layer0.wq"].data,
+                                  res.final_params["layer0.wq"].data)
 
 
 class TestEvaluate:
@@ -282,9 +291,6 @@ class TestDtypePolicy:
             for got in (ckpt.params[name].data, res.final_params[name].data):
                 assert got.dtype == np.float64
                 assert got.tobytes() == w.astype(np.float64).tobytes(), name
-            for moment in (ckpt.adam_m[name], ckpt.adam_v[name]):
-                assert moment.dtype == np.float64
-                assert moment.astype(np.float32).astype(np.float64).tobytes() == moment.tobytes()
 
     def test_float64_training_is_kept_as_a_reference(self):
         data = tiny_data()
@@ -346,13 +352,10 @@ class TestCheckpoint:
         save_checkpoint(path, res.checkpoint)
         loaded = load_checkpoint(path)
         assert loaded.train_config == res.checkpoint.train_config
-        assert loaded.adam_t == res.checkpoint.adam_t
         assert loaded.epoch == res.checkpoint.epoch
-        assert loaded.data_counter == res.checkpoint.data_counter
+        assert loaded.best_valid_hr5 == res.checkpoint.best_valid_hr5
         for name, t in res.checkpoint.params.named():
             np.testing.assert_array_equal(loaded.params[name].data, t.data)
-        for name, m in res.checkpoint.adam_m.items():
-            np.testing.assert_array_equal(loaded.adam_m[name], m)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.duo"
@@ -360,22 +363,27 @@ class TestCheckpoint:
         with pytest.raises(IOError):
             load_checkpoint(path)
 
+    def test_older_format_names_itself(self, tmp_path):
+        # a DUO1 file (weights plus Adam state) is refused by name, not as junk
+        path = tmp_path / "old.duo"
+        save_checkpoint(path, self._checkpoint())
+        path.write_bytes(b"DUO1" + path.read_bytes()[4:])
+        with pytest.raises(IOError, match="DUO1.*retrain"):
+            load_checkpoint(path)
+
     @staticmethod
     def _checkpoint(**config):
         cfg = tiny_config(max_len=6, **config)
         params = make_params(vocab_size=12, d=8, max_len=6)
-        opt = Adam(params, lr=0.01)
-        return Checkpoint(params=params, adam_m=opt.m, adam_v=opt.v, adam_t=3,
-                          epoch=2, best_valid_hr5=0.5, data_counter=7,
-                          train_config=cfg)
+        return Checkpoint(params=params, epoch=2, best_valid_hr5=0.5, train_config=cfg)
 
     def test_torn_or_padded_file_raises_ioerror(self, tmp_path):
         ckpt = self._checkpoint()
         path = tmp_path / "ckpt.duo"
         save_checkpoint(path, ckpt)
         blob = path.read_bytes()
-        n_floats = sum(t.data.size for _, t in ckpt.params.named()) * 3   # params, m, v
-        trailer = blob.rindex(b'{"adam_t"') - 8                # the trailer's length field
+        n_floats = sum(t.data.size for _, t in ckpt.params.named())
+        trailer = blob.rindex(b'{"best_valid_hr5"') - 8        # the trailer's length field
         buffers = trailer - 8 * n_floats
         # every offset of the header and the trailer, a stride through the buffers
         cuts = [*range(buffers + 1), *range(buffers, trailer, 97), *range(trailer, len(blob))]
@@ -398,9 +406,9 @@ class TestCheckpoint:
         with pytest.raises(IOError, match="do not match the config"):
             load_checkpoint(path)
 
-    def test_missing_adam_moment_raises_ioerror(self, tmp_path):
+    def test_missing_parameter_tensor_raises_ioerror(self, tmp_path):
         ckpt = self._checkpoint()
-        del ckpt.adam_v["pos_emb"]
+        del ckpt.params.tensors["pos_emb"]
         path = tmp_path / "ckpt.duo"
         save_checkpoint(path, ckpt)
         with pytest.raises(IOError, match="do not match the config"):
