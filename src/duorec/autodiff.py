@@ -300,45 +300,49 @@ def dropout(x: Tensor, rate: float, stream: RngStream,
     """Inverted dropout: zero with probability ``rate``, rescale survivors.
 
     The mask comes solely from ``stream``, so a fixed (seed, label, counter)
-    reproduces it bit for bit. Uniforms are drawn and compared with ``rate``
-    in float64 whatever ``x``'s dtype, so float32 and float64 inputs share
-    the keep pattern; only the scale ``1/(1-rate)`` is rounded to the dtype.
+    reproduces it bit for bit. Each element owns one 16-bit lane of raw
+    Philox output (``RngStream.lanes``) and is kept when its lane is at least
+    ``cut = round(rate * 65536)``: the rate is quantized to 1/65536, and a
+    rate that rounds to 0 returns ``x``. Survivors are scaled by
+    ``65536 / (65536 - cut)``, so each mask value's expectation is exactly
+    1; only that scale is rounded to ``x``'s dtype, and float32 and float64
+    inputs share the keep pattern.
 
     ``rows``, strictly increasing, counts rows of ``x.shape[-1]`` elements
-    over the whole activation of ``draw_shape`` (default ``x``'s shape), and
-    only those rows' draws are generated. When ``x`` holds just those rows,
-    ``x.reshape(-1, w)`` is ``full.reshape(-1, w)[rows]``; when ``x`` is the
-    whole activation, rows outside ``rows`` pass through unchanged. Either
-    way the stream advances, and every mask value of ``rows`` comes out,
-    exactly as if the whole activation had been dropped.
+    over the whole activation of ``draw_shape`` (default ``x``'s shape).
+    The whole activation's lanes are drawn and those rows' mask values
+    used. When ``x`` holds just those rows, ``x.reshape(-1, w)`` is
+    ``full.reshape(-1, w)[rows]``; when ``x`` is the whole activation, rows
+    outside ``rows`` pass through unchanged. Either way the stream advances,
+    and every mask value of ``rows`` comes out, exactly as if the whole
+    activation had been dropped.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
+    cut = round(rate * 65536)
+    if cut == 65536:
+        raise ConfigError(f"dropout rate {rate} rounds to 1 in steps of 1/65536")
+    if cut == 0:
         return x
     shape = x.data.shape if draw_shape is None else tuple(draw_shape)
     n = math.prod(shape)
-    scale = x.data.dtype.type(1.0 / (1.0 - rate))
+    scale = x.data.dtype.type(65536 / (65536 - cut))
     if rows is None:
-        u = stream.uniform(n).reshape(shape)
-        if u.shape != x.data.shape:
-            raise ShapeError(f"dropout mask {u.shape} does not fit input {x.data.shape}")
-        mask = (u >= rate) * scale
+        if shape != x.data.shape:
+            raise ShapeError(f"dropout mask {shape} does not fit input {x.data.shape}")
+        mask = (stream.lanes(n) >= cut).reshape(shape) * scale
     else:
         w = x.data.shape[-1]
         rows = np.asarray(rows, dtype=np.int64)
         whole = x.data.size == n
         if n % w or not (whole or rows.size * w == x.data.size):
             raise ShapeError(f"{rows.size} rows of {w} do not fit input {x.data.shape}")
-        cut = np.flatnonzero(np.diff(rows) != 1)                 # consecutive rows: one run
-        first = rows[np.concatenate(([0], cut + 1))]
-        last = rows[np.concatenate((cut, [-1]))]
-        u = stream.uniform(n, runs=(first * w, (last + 1) * w)).reshape(rows.size, w)
+        kept = (stream.lanes(n).reshape(-1, w)[rows] >= cut) * scale
         if whole:
             mask = np.ones(x.data.shape, dtype=x.data.dtype)
-            mask.reshape(-1, w)[rows] = (u >= rate) * scale
+            mask.reshape(-1, w)[rows] = kept
         else:
-            mask = ((u >= rate) * scale).reshape(x.data.shape)
+            mask = kept.reshape(x.data.shape)
     out_data = x.data * mask
 
     def backward(g):

@@ -79,25 +79,35 @@ def _write_dataset(out: Path, sequences: list[UserSequence], vocab: ItemVocab) -
 
 
 def load_dataset_dir(path) -> tuple[list[UserSequence], ItemVocab]:
-    """Read a directory written by prep. A ``vocab.csv`` whose index column
-    is not 1..V in file order, or a sequence item outside [1, V), raises
-    ParseError naming the file and line."""
+    """Read a directory written by prep. A token that is not an integer, a
+    ``vocab.csv`` whose index column is not 1..V in file order, or a
+    sequence item outside [1, V), raises ParseError naming the file and
+    line."""
     path = Path(path)
     id_of, item_of, freqs = {}, ["<pad>"], [0]
-    with open(path / "vocab.csv", newline="") as f:
+    vocab_csv = path / "vocab.csv"
+    with open(vocab_csv, newline="") as f:
         rows = csv.DictReader(f)
         for row in rows:
-            if int(row["index"]) != len(item_of):
-                raise ParseError(f"{path / 'vocab.csv'}:{rows.line_num}: index "
-                                 f"{row['index']}, expected {len(item_of)}")
+            try:
+                index, freq = int(row["index"]), int(row["frequency"])
+            except (TypeError, ValueError):              # TypeError: a short row's None
+                raise ParseError(f"{vocab_csv}:{rows.line_num}: index {row['index']!r} and "
+                                 f"frequency {row['frequency']!r} must be integers") from None
+            if index != len(item_of):
+                raise ParseError(f"{vocab_csv}:{rows.line_num}: index {index}, "
+                                 f"expected {len(item_of)}")
             id_of[row["item_id"]] = len(item_of)
             item_of.append(row["item_id"])
-            freqs.append(int(row["frequency"]))
+            freqs.append(freq)
     size = len(item_of)
     sequences = []
     with open(path / "sequences.txt") as f:
         for u, line in enumerate(f):
-            items = [int(x) for x in line.split()]
+            try:
+                items = [int(x) for x in line.split()]
+            except ValueError as exc:
+                raise ParseError(f"{path / 'sequences.txt'}:{u + 1}: {exc}") from None
             if items and not 1 <= min(items) <= max(items) < size:
                 bad = next(i for i in items if not 1 <= i < size)
                 raise ParseError(f"{path / 'sequences.txt'}:{u + 1}: item {bad} "

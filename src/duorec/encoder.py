@@ -20,14 +20,13 @@ layers take the packed rows only: their projections run on M rows, and
 last position leaves the stack, so the final layer's queries and
 everything after them run on B rows.
 
-Dropout masks are those of the full B*N-position activations: each stream
-advances as for the full draw and every mask value that reaches the
-output is the one the full computation would use, but only the counter
-blocks behind the computed rows are generated (``RngStream.uniform`` with
-``runs``). That includes the embedding dropout and the attention dropout
-of every layer but the last, which act on every position but draw only for
-the packed rows (and their query rows); pad rows pass through them
-unchanged, since no output reads them.
+Dropout masks are those of the full B*N-position activations: each mask
+draws its whole activation once and applies the values of the computed
+rows, so every mask value that reaches the output is the one the full
+computation would use. The embedding dropout and the attention dropout of
+every layer but the last act on every position but apply only the packed
+rows (and their query rows); pad rows pass through them unchanged, since
+no output reads them.
 
 The encoder runs in its weights' dtype: float32 weights give float32
 activations, attention mask included.
@@ -112,7 +111,7 @@ def _packed_rows(item_ids: np.ndarray) -> np.ndarray:
 def embed(item_ids: np.ndarray, params: EncoderParams, stream: RngStream) -> Tensor:
     """Item embedding + positional row per slot, then embedding dropout.
 
-    Dropout draws only the positions the stack computes (``_packed_rows``);
+    Dropout applies to the positions the stack computes (``_packed_rows``);
     the other (pad) positions pass through undropped.
     """
     cfg = params.config
@@ -161,9 +160,9 @@ def _block(h: Tensor, rows: np.ndarray, b: int, n: int, mask: np.ndarray,
     rows, [M, d], and scatter their projections into the padded attention
     layout. With ``last_only`` the queries and everything after them run on
     each sequence's last position only, and the block returns [B, d].
-    Dropout masks are those of the full B*N-position activations, drawn
-    only where rows are computed; the attention dropout draws the query rows
-    of the packed positions, and pad query rows pass through it.
+    Dropout masks are those of the full B*N-position activations, applied
+    only where rows are computed; the attention dropout applies to the query
+    rows of the packed positions, and pad query rows pass through it.
     """
     cfg = params.config
     d, nh = cfg.d, cfg.heads

@@ -5,6 +5,12 @@ batch shuffling, partner sampling) draws from an RngStream identified by
 a (seed, label) pair. Streams are backed by the Philox counter-based
 generator, so two streams with the same seed and label always produce the
 same draws, and advancing one stream never disturbs another.
+
+Floats (uniforms, gaussians) come through NumPy's Generator. Dropout
+masks read the raw output instead: ``lanes`` cuts each counter block's
+256 bits into sixteen 16-bit lanes, four times the keep tests that four
+float64 uniforms would give (Salmon et al. 2011, "Parallel Random
+Numbers: As Easy as 1, 2, 3").
 """
 
 from __future__ import annotations
@@ -50,19 +56,22 @@ class RngStream:
         self._gen.bit_generator.advance(self.counter)
         return self._gen
 
-    def uniform(self, n: int, runs=None) -> np.ndarray:
-        """n uniforms in [0, 1); one counter block covers four draws.
-
-        ``runs``, a pair ``(starts, stops)`` of half-open intervals in
-        [0, n), increasing and not overlapping, asks for those draws alone:
-        ``uniform(n)[start:stop]`` for each run, concatenated. Only the
-        counter blocks the runs touch are generated, and the counter
-        advances as for ``uniform(n)``.
-        """
-        gen = self._generator()
-        out = gen.random(n) if runs is None else _draw_runs(gen, n, *runs)
+    def uniform(self, n: int) -> np.ndarray:
+        """n uniforms in [0, 1); one counter block covers four draws."""
+        out = self._generator().random(n)
         self.counter += -(-n // 4)
         return out
+
+    def lanes(self, n: int) -> np.ndarray:
+        """n uint16 lanes of raw Philox output; one counter block covers 16.
+
+        Lane i is bits 16*(i % 4) to 16*(i % 4) + 15 of the (i // 4)-th raw
+        64-bit word. Reading the words as little-endian uint16 gives exactly
+        those shifts on any host, and copies nothing on a little-endian one.
+        """
+        words = self._generator().bit_generator.random_raw(-(-n // 4))
+        self.counter += -(-n // 16)
+        return words.astype("<u8", copy=False).view("<u2")[:n]
 
     def normal(self, n: int, std: float = 1.0) -> np.ndarray:
         """n gaussians; extra counter headroom for ziggurat rejections."""
@@ -86,52 +95,3 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, label={self.label!r}, counter={self.counter})"
-
-
-# Runs closer than this many draws share one call, which draws through the
-# gap and copies the runs out of it. A group of its own costs about 5 us
-# (advance(), a call and its loop turn), the time it takes to generate some
-# 700-800 draws (NumPy 2.4, x86-64).
-_MIN_SKIP = 768
-
-
-def _draw_runs(gen: np.random.Generator, n: int, starts, stops) -> np.ndarray:
-    """``gen.random(n)[start:stop]`` for each run, concatenated.
-
-    Philox is counter-based: draw i is lane ``i % 4`` of the ``i // 4``-th
-    block after ``gen``'s position. Runs are drawn in groups; each group
-    advances the counter to the block that holds its first draw, generates
-    its own span of draws only, and writes its runs into their place in the
-    output. A group of one run is generated there directly: the lanes before
-    its first draw land on the three values in front of it, which are put
-    back. A longer group draws through its gaps and takes its runs out.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    stops = np.asarray(stops, dtype=np.int64)
-    lengths = stops - starts
-    gaps = starts[1:] - stops[:-1]
-    if (starts.ndim != 1 or starts.shape != stops.shape or starts.size == 0
-            or starts[0] < 0 or stops[-1] > n or lengths.min() <= 0
-            or gaps.size and gaps.min() < 0):
-        raise ValueError(f"runs must be increasing, non-overlapping intervals in [0, {n})")
-    cut = (np.flatnonzero(gaps >= _MIN_SKIP) + 1).tolist()    # first run of each later group
-    dst = np.cumsum(lengths) - lengths + 3                     # run k's place in buf
-    at, s, e = dst.tolist(), starts.tolist(), stops.tolist()
-    buf = np.empty(at[-1] + e[-1] - s[-1])                     # the output, behind 3 spare slots
-    bitgen = gen.bit_generator
-    blocks = 0                                                 # generated so far
-    for r0, r1 in zip([0] + cut, cut + [len(s)]):
-        lo, hi = s[r0] & ~3, e[r1 - 1]                         # groups start on a block edge
-        bitgen.advance((lo >> 2) - blocks)
-        blocks = (hi + 3) >> 2
-        end = at[r1 - 1] + e[r1 - 1] - s[r1 - 1]
-        if r1 - r0 == 1:
-            a = at[r0] - (s[r0] - lo)
-            held = buf[a:at[r0]].tolist()
-            gen.random(out=buf[a:end])
-            buf[a:at[r0]] = held
-        else:
-            # draw i of the span is gen's draw lo + i; run k starts at buf[at[k]]
-            shift = np.repeat(starts[r0:r1] - lo - dst[r0:r1], lengths[r0:r1])
-            np.take(gen.random(hi - lo), shift + np.arange(at[r0], end), out=buf[at[r0]:end])
-    return buf[3:]

@@ -10,6 +10,26 @@ from duorec.rng import RngStream
 from conftest import assert_grad_close, finite_difference_grad
 
 
+def quantized_scale(rate):
+    """Dropout's survivor scale: 65536 / (65536 - cut), cut = round(rate * 65536)."""
+    return 65536 / (65536 - round(rate * 65536))
+
+
+def fresh_philox(label, counter, seed=5):
+    """A new Philox keyed as ``RngStream(seed, label)``, advanced to ``counter``."""
+    digest = hashlib.sha256(f"{seed}:{label}".encode("utf-8")).digest()
+    bitgen = np.random.Philox(key=np.frombuffer(digest[:16], dtype=np.uint64))
+    bitgen.advance(counter)
+    return bitgen
+
+
+def philox_lanes(label, counter, n):
+    """n 16-bit lanes by shifts of the raw words of a fresh Philox at ``counter``."""
+    words = fresh_philox(label, counter).random_raw(-(-n // 4))
+    shifts = np.arange(0, 64, 16, dtype=np.uint64)
+    return ((words[:, None] >> shifts) & np.uint64(0xFFFF)).astype(np.uint16).reshape(-1)[:n]
+
+
 class TestMatmul:
     def test_identity(self, rng):
         a = rng.standard_normal((3, 3))
@@ -97,12 +117,45 @@ class TestDropout:
         with pytest.raises(ConfigError):
             ad.dropout(Tensor(np.ones(4)), 1.0, RngStream(0, "x"))
 
+    def test_rate_that_rounds_to_one_rejected(self):
+        # cut == 65536 would drop every element and scale by 65536 / 0
+        assert round((1 - 1e-6) * 65536) == 65536
+        with pytest.raises(ConfigError):
+            ad.dropout(Tensor(np.ones(4)), 1 - 1e-6, RngStream(0, "x"))
+
+    def test_rate_that_rounds_to_zero_is_identity(self, rng):
+        assert round(1e-6 * 65536) == 0
+        x, stream = Tensor(rng.standard_normal((5, 7))), RngStream(1, "d")
+        assert ad.dropout(x, 1e-6, stream) is x
+        assert stream.counter == 0
+
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5])
+    def test_keep_rate_is_the_quantized_rate(self, rate):
+        # an element is kept when its lane is >= cut; over 10^7 lanes the kept
+        # share is within 5 binomial sigmas of 1 - cut/65536, and every
+        # survivor carries the quantized scale
+        n, cut = 10**7, round(rate * 65536)
+        out = ad.dropout(Tensor(np.ones(n, dtype=np.float32)), rate, RngStream(11, "keep")).data
+        kept = out != 0
+        np.testing.assert_array_equal(kept, RngStream(11, "keep").lanes(n) >= cut)
+        p = 1 - cut / 65536
+        assert abs(kept.mean() - p) <= 5 * np.sqrt(p * (1 - p) / n)
+        np.testing.assert_array_equal(out[kept], np.float32(quantized_scale(rate)))
+
+    def test_sibling_streams_are_uncorrelated(self):
+        # sample correlation of two independent masks is about N(0, 1/n)
+        n, s = 10**6, RngStream(12, "sib")
+        x = Tensor(np.ones(n, dtype=np.float32))
+        a = ad.dropout(x, 0.3, s.child("a")).data != 0
+        b = ad.dropout(x, 0.3, s.child("b")).data != 0
+        assert abs(np.corrcoef(a, b)[0, 1]) <= 5 / np.sqrt(n)
+
     def test_gradient_masks_identically(self, rng):
         x = Tensor(rng.standard_normal(100), requires_grad=True)
         out = ad.dropout(x, 0.4, RngStream(5, "g"))
         ad.sum_all(out).backward()
         survivors = out.data != 0
-        np.testing.assert_allclose(x.grad[survivors], 1.0 / 0.6)
+        np.testing.assert_allclose(x.grad[survivors], quantized_scale(0.4))
         np.testing.assert_array_equal(x.grad[~survivors], 0.0)
 
 
@@ -149,7 +202,8 @@ class TestDropout:
         g = rng.standard_normal((8, 6))
         ad.sum_all(ad.mul(part, g)).backward()
         np.testing.assert_array_equal(x.grad[other], g[other])
-        np.testing.assert_array_equal(x.grad[rows], g[rows] * ((ref.data[rows] != 0) * (1 / 0.7)))
+        np.testing.assert_array_equal(
+            x.grad[rows], g[rows] * ((ref.data[rows] != 0) * quantized_scale(0.3)))
 
     def test_query_rows_of_whole_attention_layout(self, rng):
         # rows of the last axis over leading axes, as the first layer's
@@ -414,81 +468,38 @@ class TestRngStream:
         assert sorted(p.tolist()) == list(range(100))
 
     @pytest.mark.parametrize("counter", [0, 3])
-    @pytest.mark.parametrize("n, runs", [
-        (37, ([0], [37])),                  # everything
-        (37, ([5], [6])),                   # one draw inside a block
-        (37, ([1, 6], [3, 7])),             # two runs in one block and the next
-        (37, ([2, 5, 13], [5, 11, 30])),    # adjacent runs, one sharing a block
-        (37, ([3, 21], [9, 37])),           # unaligned starts, a gap, the end
-        # gaps long enough to be skipped, from and to unaligned draws
-        (4001, ([1, 700, 1310, 3999], [9, 1303, 1311, 4001])),
-        (4001, ([0, 2048], [4, 2052])),     # aligned runs, a skipped gap
-        (6001, ([1, 1700, 2510, 5999], [9, 1703, 2511, 6001])),
-        # one-run groups starting at every lane, the first at draw 1
-        (9000, ([1, 2002, 4003, 6004, 8000], [2, 2010, 4100, 6005, 9000])),
-    ])
-    def test_runs_match_full_draw(self, counter, n, runs):
-        full, part = RngStream(9, "k", counter), RngStream(9, "k", counter)
-        ref = full.uniform(n)
-        got = part.uniform(n, runs=runs)
-        want = np.concatenate([ref[a:b] for a, b in zip(*runs)])
-        assert got.tobytes() == want.tobytes()
-        assert part.counter == full.counter
-        # the next draw is unaffected
-        assert part.uniform(6).tobytes() == full.uniform(6).tobytes()
-
-    def test_runs_match_full_draw_at_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            # sparse draws over a long range leave gaps that are skipped
-            n = int(rng.integers(1, 4000))
-            kept = np.flatnonzero(rng.random(n) < rng.random() ** 4)
-            if kept.size == 0:
-                continue
-            cut = np.flatnonzero(np.diff(kept) != 1) + 1
-            runs = kept[np.r_[0, cut]], kept[np.r_[cut - 1, kept.size - 1]] + 1
-            counter = int(rng.integers(0, 9))
-            full, part = RngStream(2, "z", counter), RngStream(2, "z", counter)
-            assert part.uniform(n, runs=runs).tobytes() == full.uniform(n)[kept].tobytes()
-            assert part.counter == full.counter
+    def test_lanes_are_shifts_of_the_raw_words(self, counter):
+        s = RngStream(5, "r", counter)
+        assert s.lanes(32).tobytes() == philox_lanes("r", counter, 32).tobytes()
+        assert s.counter == counter + 2
+        # a partial block: lanes past n are not returned, their block is spent
+        assert s.lanes(7).tobytes() == philox_lanes("r", counter + 2, 7).tobytes()
+        assert s.counter == counter + 3
 
     def test_reused_generator_matches_a_fresh_one_per_draw(self):
         # the reference builds a new Philox at the stream's counter for every draw
-        def fresh(label, counter):
-            digest = hashlib.sha256(f"5:{label}".encode("utf-8")).digest()
-            bitgen = np.random.Philox(key=np.frombuffer(digest[:16], dtype=np.uint64))
-            bitgen.advance(counter)
-            return np.random.Generator(bitgen)
-
-        runs = ([1, 700, 1310, 2500], [9, 1303, 1311, 4001])
         streams = {"r": RngStream(5, "r")}
         counters = {"r": 0, "r.c": 0}
         for label, kind, n in [
-                ("r", "uniform", 7), ("r", "normal", 5), ("r", "runs", 4001),
+                ("r", "uniform", 7), ("r", "normal", 5), ("r", "lanes", 4001),
                 ("r", "child", 0), ("r.c", "uniform", 3), ("r", "uniform", 1),
-                ("r.c", "normal", 9), ("r", "runs", 4001), ("r.c", "runs", 4001),
-                ("r", "normal", 1), ("r.c", "uniform", 6), ("r", "uniform", 2)]:
+                ("r.c", "normal", 9), ("r", "lanes", 17), ("r.c", "lanes", 4001),
+                ("r", "normal", 1), ("r.c", "uniform", 6), ("r", "lanes", 3),
+                ("r", "uniform", 2)]:
             if kind == "child":
                 streams["r.c"] = streams["r"].child("c")
                 continue
-            s, gen = streams[label], fresh(label, counters[label])
+            s, gen = streams[label], np.random.Generator(fresh_philox(label, counters[label]))
             if kind == "uniform":
                 got, want = s.uniform(n), gen.random(n)
-            elif kind == "runs":
-                got, full = s.uniform(n, runs=runs), gen.random(n)
-                want = np.concatenate([full[a:b] for a, b in zip(*runs)])
+            elif kind == "lanes":
+                got, want = s.lanes(n), philox_lanes(label, counters[label], n)
             else:
                 got, want = s.normal(n), gen.standard_normal(n)
-            counters[label] += n + 4 if kind == "normal" else -(-n // 4)
+            counters[label] += {"uniform": -(-n // 4), "normal": n + 4, "lanes": -(-n // 16)}[kind]
             assert got.tobytes() == want.tobytes()
             assert {k: v.counter for k, v in streams.items()} == {
                 k: counters[k] for k in streams}
-
-    @pytest.mark.parametrize("runs", [([0, 4], [5, 8]), ([3], [3]), ([0], [11]),
-                                      ([-1], [2]), ([4, 0], [6, 2]), ([], [])])
-    def test_bad_runs_rejected(self, runs):
-        with pytest.raises(ValueError):
-            RngStream(0, "b").uniform(10, runs=runs)
 
 
 # -- the dtype rule -------------------------------------------------------

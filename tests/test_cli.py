@@ -213,6 +213,30 @@ class TestDatasetChecks:
         assert rc == 2
         assert f"vocab.csv:{line}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, edit, match", [
+        pytest.param("sequences.txt", lambda lines: [*lines[:2], "1 2 x", *lines[3:]],
+                     r"sequences.txt:3: .*'x'", id="sequence-token"),
+        pytest.param("vocab.csv", lambda lines: [lines[0], "1x" + lines[1][1:], *lines[2:]],
+                     r"vocab.csv:2: index '1x' and frequency .* must be integers",
+                     id="vocab-index"),
+        pytest.param("vocab.csv", lambda lines: [*lines[:3], lines[3] + ".5", *lines[4:]],
+                     r"vocab.csv:4: index '3' and frequency '\d+\.5' must be integers",
+                     id="vocab-frequency"),
+        pytest.param("vocab.csv", lambda lines: [*lines[:3], "3,item", *lines[4:]],
+                     r"vocab.csv:4: index '3' and frequency None must be integers",
+                     id="vocab-short-row"),
+    ])
+    def test_non_integer_token_names_file_and_line(self, dataset_dir, tmp_path, capsys,
+                                                    name, edit, match):
+        path = dataset_dir / name
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ParseError, match=match):
+            load_dataset_dir(dataset_dir)
+        rc = main(["train", "--data", str(dataset_dir),
+                   "--config", tiny_config_file(tmp_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{name}:" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_grid_runs_and_summary(self, dataset_dir, tmp_path):

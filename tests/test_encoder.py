@@ -323,14 +323,14 @@ class TestLastPositionFinalLayer:
     def test_stream_counters_match_full_draw(self, layers, monkeypatch):
         params, ids = self.inputs(layers, 0.3)
         counters = {}
-        original = RngStream.uniform
+        original = RngStream.lanes
 
-        def recording_uniform(self, n, runs=None):
-            out = original(self, n, runs)
+        def recording_lanes(self, n):
+            out = original(self, n)
             counters[self.label] = self.counter
             return out
 
-        monkeypatch.setattr(RngStream, "uniform", recording_uniform)
+        monkeypatch.setattr(RngStream, "lanes", recording_lanes)
         seen = []
         for run in (encode, full_stack_encode):
             counters.clear()
@@ -340,32 +340,33 @@ class TestLastPositionFinalLayer:
         assert seen[0] == seen[1]
         b, n, d, nh = len(ids), self.MAX_LEN, 8, 2
         last = f"enc.trm.layer{layers - 1}"
-        assert seen[0][f"{last}.att"] == -(-b * nh * n * n // 4)
-        assert seen[0][f"{last}.attout"] == seen[0][f"{last}.ffn"] == -(-b * n * d // 4)
+        assert seen[0][f"{last}.att"] == -(-b * nh * n * n // 16)
+        assert seen[0][f"{last}.attout"] == seen[0][f"{last}.ffn"] == -(-b * n * d // 16)
 
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_draws_only_rows_that_reach_the_output(self, layers, monkeypatch):
-        # every layer but the last draws the packed rows (attention: their
-        # query rows); the last draws each sequence's last row
+        # every mask draws one lane per element of its whole B*N-position
+        # activation in a single call, though only the packed rows (the last
+        # layer: each sequence's last row) reach the output
         params, ids = self.inputs(layers, 0.3)
         drawn = {}
-        original = RngStream.uniform
+        original = RngStream.lanes
 
-        def recording_uniform(self, n, runs=None):
-            out = original(self, n, runs)
-            drawn[self.label] = out.size
+        def recording_lanes(self, n):
+            before = self.counter
+            out = original(self, n)
+            drawn.setdefault(self.label, []).append((out.size, self.counter - before))
             return out
 
-        monkeypatch.setattr(RngStream, "uniform", recording_uniform)
+        monkeypatch.setattr(RngStream, "lanes", recording_lanes)
         encode_sequence(ids, params, RngStream(3, "enc"))
-        b, n, d, nh, m = len(ids), self.MAX_LEN, 8, 2, len(_packed_rows(ids))
-        want = {"enc.emb": m * d}
+        b, n, d, nh = len(ids), self.MAX_LEN, 8, 2
+        want = {"enc.emb": [(b * n * d, -(-b * n * d // 16))]}
         for layer in range(layers):
-            rows = b if layer == layers - 1 else m
-            want |= {f"enc.trm.layer{layer}.att": rows * nh * n,
-                     f"enc.trm.layer{layer}.attout": rows * d,
-                     f"enc.trm.layer{layer}.ffn": rows * d}
+            want |= {f"enc.trm.layer{layer}.att": [(b * nh * n * n, -(-b * nh * n * n // 16))],
+                     f"enc.trm.layer{layer}.attout": [(b * n * d, -(-b * n * d // 16))],
+                     f"enc.trm.layer{layer}.ffn": [(b * n * d, -(-b * n * d // 16))]}
         assert drawn == want
 
 
