@@ -476,6 +476,53 @@ class TestRngStream:
         assert s.lanes(7).tobytes() == philox_lanes("r", counter + 2, 7).tobytes()
         assert s.counter == counter + 3
 
+    @staticmethod
+    def lanes_of_runs(seed, label, counter, starts, stops):
+        """Each run [start, stop) drawn alone, from a stream at its first block."""
+        return np.concatenate([
+            RngStream(seed, label, counter + a // 16).lanes(b - a // 16 * 16)[a % 16:]
+            for a, b in zip(starts, stops)])
+
+    # lane i of a draw is lane i % 16 of the stream's (i // 16)-th block: any
+    # run of a mask can be drawn on its own from the stream at its first block
+    @pytest.mark.parametrize("counter", [0, 3])
+    @pytest.mark.parametrize("n, runs", [
+        (37, ([0], [37])),                  # everything
+        (37, ([5], [6])),                   # one lane inside a block
+        (37, ([1, 6], [3, 7])),             # two runs in one block
+        (37, ([2, 5, 13], [5, 11, 30])),    # adjacent runs, one crossing a block edge
+        (37, ([3, 21], [9, 37])),           # unaligned starts, a gap, the partial last block
+        # long gaps, from and to unaligned lanes
+        (4001, ([1, 700, 1310, 3999], [9, 1303, 1311, 4001])),
+        (4001, ([0, 2048], [4, 2052])),     # block-aligned runs
+        (6001, ([1, 1700, 2510, 5999], [9, 1703, 2511, 6001])),
+        # runs starting at lanes 1, 2, 3, 4 and 0 of their blocks
+        (9000, ([1, 2002, 4003, 6004, 8000], [2, 2010, 4100, 6005, 9000])),
+    ])
+    def test_runs_match_full_draw(self, counter, n, runs):
+        full = RngStream(9, "k", counter)
+        ref = full.lanes(n)
+        got = self.lanes_of_runs(9, "k", counter, *runs)
+        want = np.concatenate([ref[a:b] for a, b in zip(*runs)])
+        assert got.tobytes() == want.tobytes()
+        assert full.counter == counter + -(-n // 16)
+        # the next draw starts on the block after the last one spent
+        assert RngStream(9, "k", full.counter).lanes(6).tobytes() == full.lanes(6).tobytes()
+
+    def test_runs_match_full_draw_at_random(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            # sparse lanes over a long range leave long gaps
+            n = int(rng.integers(1, 4000))
+            kept = np.flatnonzero(rng.random(n) < rng.random() ** 4)
+            if kept.size == 0:
+                continue
+            cut = np.flatnonzero(np.diff(kept) != 1) + 1
+            runs = kept[np.r_[0, cut]], kept[np.r_[cut - 1, kept.size - 1]] + 1
+            counter = int(rng.integers(0, 9))
+            got = self.lanes_of_runs(2, "z", counter, *runs)
+            assert got.tobytes() == RngStream(2, "z", counter).lanes(n)[kept].tobytes()
+
     def test_reused_generator_matches_a_fresh_one_per_draw(self):
         # the reference builds a new Philox at the stream's counter for every draw
         streams = {"r": RngStream(5, "r")}
