@@ -80,27 +80,6 @@ def nce_regularizer(cb: ContrastiveBatch) -> Tensor:
     return ad.mul(ad.sum_all(ad.add(lse, ad.mul(pos, -1.0))), 1.0 / b)
 
 
-def nce_regularizer_bruteforce(reps: np.ndarray, collision_mask: np.ndarray,
-                               tau: float) -> float:
-    """Loop-level reference for the regularizer (test oracle, no autodiff)."""
-    import math
-
-    two_b = reps.shape[0]
-    b = two_b // 2
-    total = 0.0
-    for a in range(two_b):
-        p = a ^ 1
-        pos = math.exp(float(np.dot(reps[a], reps[p])) / tau)
-        denom = pos
-        for j in range(two_b):
-            if j == a or j == p:
-                continue
-            if collision_mask[a, j]:
-                denom += math.exp(float(np.dot(reps[a], reps[j])) / tau)
-        total += -math.log(pos / denom)
-    return total / b
-
-
 def combined_loss(rec: Tensor, reg: Tensor, lam: float) -> LossBundle:
     """total = rec + lam * reg, gradients flowing to both terms."""
     if lam < 0:

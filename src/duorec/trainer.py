@@ -183,19 +183,18 @@ def train_step(batch, params: EncoderParams, config: TrainConfig,
                step_stream: RngStream):
     """Forward both loss terms for one batch; returns the loss bundle and views.
 
-    With lam == 0 the augmented passes are skipped entirely (plain
-    next-item training); the logged regularizer value is then zero.
+    With lam == 0 only the anchor is encoded (plain next-item training):
+    the views are None and the regularizer is a zero in the weights' dtype.
     """
     if config.lam == 0.0:
         h = encode_sequence(batch.item_ids, params, step_stream.child("anchor"))
-        logits = ad.matmul(h, ad.transpose(params["item_emb"], (1, 0)))
-        rec = ad.cross_entropy_from_logits(logits, batch.targets)
-        return combined_loss(rec, Tensor(np.zeros_like(rec.data)), 0.0), h, None, None
-    h, view_a, view_b = contrastive_views(config.positive_mode, batch, params, step_stream)
+        view_a = view_b = None
+        reg = Tensor(np.zeros((), dtype=params["item_emb"].data.dtype))
+    else:
+        h, view_a, view_b = contrastive_views(config.positive_mode, batch, params, step_stream)
+        reg = nce_regularizer(assemble(view_a, view_b, batch.collision_mask, config.tau))
     logits = ad.matmul(h, ad.transpose(params["item_emb"], (1, 0)))
     rec = ad.cross_entropy_from_logits(logits, batch.targets)
-    cb = assemble(view_a, view_b, batch.collision_mask, config.tau)
-    reg = nce_regularizer(cb)
     return combined_loss(rec, reg, config.lam), h, view_a, view_b
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,25 @@ def assert_grad_close(analytic: np.ndarray, numeric: np.ndarray, rtol: float = 1
     scale = max(np.abs(numeric).max(), np.abs(analytic).max(), 1e-8)
     err = np.abs(analytic - numeric).max() / scale
     assert err < rtol, f"gradient mismatch: max relative error {err:.3e}"
+
+
+def nce_regularizer_bruteforce(reps: np.ndarray, collision_mask: np.ndarray,
+                               tau: float) -> float:
+    """Loop-level reference for ``contrastive.nce_regularizer`` (no autodiff)."""
+    two_b = reps.shape[0]
+    b = two_b // 2
+    total = 0.0
+    for a in range(two_b):
+        p = a ^ 1
+        pos = math.exp(float(np.dot(reps[a], reps[p])) / tau)
+        denom = pos
+        for j in range(two_b):
+            if j == a or j == p:
+                continue
+            if collision_mask[a, j]:
+                denom += math.exp(float(np.dot(reps[a], reps[j])) / tau)
+        total += -math.log(pos / denom)
+    return total / b
 
 
 @pytest.fixture

@@ -17,8 +17,7 @@ import pytest
 
 from duorec import autodiff as ad
 from duorec.autodiff import Tensor, no_grad
-from duorec.contrastive import (assemble, nce_regularizer,
-                                nce_regularizer_bruteforce)
+from duorec.contrastive import assemble, nce_regularizer
 from duorec.data import PAD_INDEX, make_collision_mask, split_leave_one_out
 from duorec.encoder import EncoderParams, encode_sequence
 from duorec.metrics import (gradient_degeneration_probe, hr_at_k, ndcg_at_k,
@@ -29,7 +28,7 @@ from duorec.synthetic import make_clustered_corpus
 from duorec.trainer import (TrainConfig, evaluate, load_checkpoint,
                             save_checkpoint, train, write_curves_csv)
 
-from conftest import finite_difference_grad
+from conftest import finite_difference_grad, nce_regularizer_bruteforce
 from test_encoder import make_batch, make_params
 
 

@@ -6,11 +6,12 @@ import pytest
 from duorec import autodiff as ad
 from duorec.autodiff import ConfigError, Tensor
 from duorec.contrastive import (assemble, combined_loss, contrastive_views,
-                                nce_regularizer, nce_regularizer_bruteforce)
+                                nce_regularizer)
 from duorec.data import make_collision_mask
 from duorec.encoder import encode_sequence
 from duorec.rng import RngStream
 
+from conftest import nce_regularizer_bruteforce
 from test_encoder import make_batch, make_params
 
 
