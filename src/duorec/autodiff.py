@@ -308,14 +308,13 @@ def dropout(x: Tensor, rate: float, stream: RngStream,
     1; only that scale is rounded to ``x``'s dtype, and float32 and float64
     inputs share the keep pattern.
 
-    ``rows``, strictly increasing, counts rows of ``x.shape[-1]`` elements
-    over the whole activation of ``draw_shape`` (default ``x``'s shape).
-    The whole activation's lanes are drawn and those rows' mask values
-    used. When ``x`` holds just those rows, ``x.reshape(-1, w)`` is
-    ``full.reshape(-1, w)[rows]``; when ``x`` is the whole activation, rows
-    outside ``rows`` pass through unchanged. Either way the stream advances,
-    and every mask value of ``rows`` comes out, exactly as if the whole
-    activation had been dropped.
+    With ``rows`` (strictly increasing), ``x`` holds those rows of
+    ``x.shape[-1]`` elements of the whole activation of ``draw_shape``:
+    ``x.reshape(-1, w)`` is ``full.reshape(-1, w)[rows]``. The whole
+    activation's lanes are drawn and those rows' mask values used, so the
+    stream advances, and every mask value of ``rows`` comes out, exactly as
+    if the whole activation had been dropped. Without ``rows``, ``x`` is the
+    whole activation (``draw_shape``, if given, must be its shape).
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
@@ -334,15 +333,9 @@ def dropout(x: Tensor, rate: float, stream: RngStream,
     else:
         w = x.data.shape[-1]
         rows = np.asarray(rows, dtype=np.int64)
-        whole = x.data.size == n
-        if n % w or not (whole or rows.size * w == x.data.size):
+        if n % w or rows.size * w != x.data.size:
             raise ShapeError(f"{rows.size} rows of {w} do not fit input {x.data.shape}")
-        kept = (stream.lanes(n).reshape(-1, w)[rows] >= cut) * scale
-        if whole:
-            mask = np.ones(x.data.shape, dtype=x.data.dtype)
-            mask.reshape(-1, w)[rows] = kept
-        else:
-            mask = kept.reshape(x.data.shape)
+        mask = ((stream.lanes(n).reshape(-1, w)[rows] >= cut) * scale).reshape(x.data.shape)
     out_data = x.data * mask
 
     def backward(g):

@@ -10,23 +10,19 @@ contrastive regularizer.
 Inputs are left-padded windows, mostly padding, and no real position ever
 reads a pad position's result, so ``encode`` packs the rows it computes:
 the M real positions of the [B*N, d] layout plus each sequence's last
-position (an all-pad row still yields one vector). The first layer
-projects queries, keys and values from the embedding at every position;
-after attention, its output projection, residuals, both layer norms, the
-feed-forward network and the row dropouts run on the M packed rows. Later
-layers take the packed rows only: their projections run on M rows, and
+position (an all-pad row still yields one vector). It gathers those rows
+of the embedding once, and every layer runs on them alone: projections,
+residuals, layer norms and the feed-forward network take [M, d], and
 ``autodiff.scatter_rows`` places keys, values and queries into the padded
 [B, nh, N, N] attention layout, with zeros at the rows left out. Only the
 last position leaves the stack, so the final layer's queries and
 everything after them run on B rows.
 
 Dropout masks are those of the full B*N-position activations: each mask
-draws its whole activation once and applies the values of the computed
-rows, so every mask value that reaches the output is the one the full
-computation would use. The embedding dropout and the attention dropout of
-every layer but the last act on every position but apply only the packed
-rows (and their query rows); pad rows pass through them unchanged, since
-no output reads them.
+draws its whole activation once. The embedding and the attention of every
+layer but the last are dropped whole, pad rows included, which no output
+reads; the other masks apply the values of the rows computed. Every mask
+value that reaches the output is the one the full computation would use.
 
 The encoder runs in its weights' dtype: float32 weights give float32
 activations, attention mask included.
@@ -111,15 +107,15 @@ def _packed_rows(item_ids: np.ndarray) -> np.ndarray:
 def embed(item_ids: np.ndarray, params: EncoderParams, stream: RngStream) -> Tensor:
     """Item embedding + positional row per slot, then embedding dropout.
 
-    Dropout applies to the positions the stack computes (``_packed_rows``);
-    the other (pad) positions pass through undropped.
+    Returns [B, N, d], every position dropped; ``encode`` reads only the
+    positions the stack computes (``_packed_rows``).
     """
     cfg = params.config
     b, n = item_ids.shape
     v = ad.gather_rows(params["item_emb"], item_ids)          # [B, N, d]
     pos = ad.gather_rows(params["pos_emb"], np.arange(n))     # [N, d]
     h0 = ad.add(v, ad.reshape(pos, (1, n, cfg.d)))
-    return ad.dropout(h0, cfg.emb_dropout, stream.child("emb"), rows=_packed_rows(item_ids))
+    return ad.dropout(h0, cfg.emb_dropout, stream.child("emb"))
 
 
 def _attention_mask(item_ids: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -135,14 +131,13 @@ def _attention_mask(item_ids: np.ndarray, dtype=np.float64) -> np.ndarray:
 
 def encode(h0: Tensor, item_ids: np.ndarray, params: EncoderParams,
            stream: RngStream) -> Tensor:
-    """Run the attention stack; return last-position vectors [B, d]."""
+    """Run the attention stack on the packed rows; return last-position vectors [B, d]."""
     cfg = params.config
     b, n, d = h0.shape
-    h = ad.reshape(h0, (b * n, d))
-    last = np.arange(n - 1, b * n, n)
-    if cfg.layers == 0:
-        return ad.gather_rows(h, last)
     rows = _packed_rows(item_ids)
+    h = ad.gather_rows(ad.reshape(h0, (b * n, d)), rows)
+    if cfg.layers == 0:
+        return ad.gather_rows(h, np.searchsorted(rows, np.arange(n - 1, b * n, n)))
     mask = _attention_mask(item_ids, h0.data.dtype)
     for layer in range(cfg.layers):
         h = _block(h, rows, b, n, mask, params, layer, stream.child(f"layer{layer}"),
@@ -153,22 +148,21 @@ def encode(h0: Tensor, item_ids: np.ndarray, params: EncoderParams,
 def _block(h: Tensor, rows: np.ndarray, b: int, n: int, mask: np.ndarray,
            params: EncoderParams, layer: int, stream: RngStream,
            last_only: bool) -> Tensor:
-    """One post-norm attention + feed-forward block; returns packed rows.
+    """One post-norm attention + feed-forward block on packed rows.
 
-    ``rows`` holds the flat [B*N] position of each packed row. Layer 0 gets
-    the embedding at every position, [B*N, d]; later layers get the packed
-    rows, [M, d], and scatter their projections into the padded attention
-    layout. With ``last_only`` the queries and everything after them run on
-    each sequence's last position only, and the block returns [B, d].
-    Dropout masks are those of the full B*N-position activations, applied
-    only where rows are computed; the attention dropout applies to the query
-    rows of the packed positions, and pad query rows pass through it.
+    ``h`` [M, d] holds the packed rows and ``rows`` the flat [B*N] position
+    of each; projections run on those rows and are scattered into the
+    padded attention layout. Returns the packed rows, or with ``last_only``
+    each sequence's last position, [B, d]: then the queries and everything
+    after them run on those B rows only. Dropout masks are those of the full
+    B*N-position activations: the attention dropout drops the whole
+    [B, nh, N, N] layout (its last query row of each sequence and head with
+    ``last_only``), and the row dropouts apply the computed rows' values.
     """
     cfg = params.config
     d, nh = cfg.d, cfg.heads
     dh = d // nh
     rate = cfg.hidden_dropout
-    full = layer == 0
 
     def w(name: str) -> Tensor:
         return params[f"layer{layer}.{name}"]
@@ -177,22 +171,17 @@ def _block(h: Tensor, rows: np.ndarray, b: int, n: int, mask: np.ndarray,
         return ad.transpose(ad.reshape(x, (b, m, nh, dh)), (0, 2, 1, 3))
 
     def projected(name: str) -> Tensor:                        # [B, nh, N, dh]
-        x = ad.matmul(h, w(name))
-        return split_heads(x if full else ad.scatter_rows(x, rows, b * n), n)
+        return split_heads(ad.scatter_rows(ad.matmul(h, w(name)), rows, b * n), n)
 
     if last_only:
         out_rows = np.arange(n - 1, b * n, n)
-        hq = ad.gather_rows(h, out_rows if full else np.searchsorted(rows, out_rows))
+        hq = ad.gather_rows(h, np.searchsorted(rows, out_rows))
         q = split_heads(ad.matmul(hq, w("wq")), 1)
         # a copy, so the graph holds the last query row and not the whole mask
         mask, att_rows = mask[:, :, n - 1:].copy(), np.arange(b * nh) * n + n - 1
     else:
-        out_rows = rows
-        hq = ad.gather_rows(h, rows) if full else h
+        out_rows, hq, att_rows = rows, h, None
         q = projected("wq")
-        query = np.zeros((b, 1, n), dtype=bool)
-        query.reshape(-1)[rows] = True
-        att_rows = np.flatnonzero(np.broadcast_to(query, (b, nh, n)))
     k = projected("wk")
     v = projected("wv")
     scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))

@@ -200,17 +200,22 @@ def spectrum_tail_mass(normalized_sv: np.ndarray) -> float:
 
 
 def project_2d(item_emb: np.ndarray, vocab: ItemVocab, center: bool = True) -> np.ndarray:
-    """Per-item (x, y, frequency) on the top-2 right singular directions."""
+    """Per-item (x, y, frequency) on the top-2 right singular directions.
+
+    A d=1 embedding has one direction: y is 0, and (x, 0) is the embedding.
+    """
     x = _centered_embeddings(item_emb, center)
     gram = x.T @ x
     eigvals, eigvecs = jacobi_eigh(gram)
     order = np.argsort(eigvals)[::-1]
-    basis = eigvecs[:, order[:2]]                              # [d, 2]
+    k = min(2, x.shape[1])
+    basis = eigvecs[:, order[:k]]                              # [d, k]
     # an eigenvector's sign is arbitrary: make each column's largest-magnitude
     # component (the lowest index on a tie) positive
-    lead = basis[np.abs(basis).argmax(axis=0), [0, 1]]
+    lead = basis[np.abs(basis).argmax(axis=0), np.arange(k)]
     basis = basis * np.sign(lead)
-    coords = x @ basis                                         # carries the singular-value scale
+    coords = np.zeros((len(x), 2))
+    coords[:, :k] = x @ basis                                  # carries the singular-value scale
     freq = vocab.frequency[PAD_INDEX + 1:].astype(np.float64)
     return np.column_stack([coords, freq])
 

@@ -68,7 +68,8 @@ class TrainConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 0.5:
                 raise ConfigError(f"{name} must be in [0, 0.5], got {v}")
-        for name, low in (("d", 1), ("heads", 1), ("layers", 0), ("epochs", 1)):
+        for name, low in (("d", 1), ("heads", 1), ("layers", 0), ("epochs", 1),
+                          ("batch_size", 1), ("max_len", 1), ("early_stop_patience", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not (math.isfinite(self.lr) and self.lr > 0):

@@ -186,38 +186,6 @@ class TestDropout:
                           (3, 2, 5, 5), np.arange(6) * 5 + 4)
         assert part.data.tobytes() == ref.data[:, :, 4:].tobytes()
 
-    @pytest.mark.parametrize("rows", [[1, 3], [0, 1, 2, 5, 6, 7]])
-    def test_rows_of_whole_input_drop_only_those_rows(self, rng, rows):
-        # x is the whole activation: the rows get the full draw's mask values,
-        # the other rows pass through, forward and backward
-        full = rng.standard_normal((8, 6))
-        ref_stream, part_stream = RngStream(6, "w", 3), RngStream(6, "w", 3)
-        ref = ad.dropout(Tensor(full), 0.3, ref_stream)
-        x = Tensor(full.copy(), requires_grad=True)
-        part = ad.dropout(x, 0.3, part_stream, rows=rows)
-        other = np.setdiff1d(np.arange(8), rows)
-        assert part.data[rows].tobytes() == ref.data[rows].tobytes()
-        assert part.data[other].tobytes() == full[other].tobytes()
-        assert part_stream.counter == ref_stream.counter
-        g = rng.standard_normal((8, 6))
-        ad.sum_all(ad.mul(part, g)).backward()
-        np.testing.assert_array_equal(x.grad[other], g[other])
-        np.testing.assert_array_equal(
-            x.grad[rows], g[rows] * ((ref.data[rows] != 0) * quantized_scale(0.3)))
-
-    def test_query_rows_of_whole_attention_layout(self, rng):
-        # rows of the last axis over leading axes, as the first layer's
-        # attention dropout draws them: some query rows of every (sequence, head)
-        full = rng.standard_normal((3, 2, 5, 5))
-        ref = ad.dropout(Tensor(full), 0.3, RngStream(1, "a"))
-        query = np.zeros((3, 1, 5), dtype=bool)
-        query[0, 0, 2:] = query[1, 0, 4:] = query[2, 0, :] = True
-        rows = np.flatnonzero(np.broadcast_to(query, (3, 2, 5)))
-        part = ad.dropout(Tensor(full), 0.3, RngStream(1, "a"), rows=rows)
-        keep = np.broadcast_to(query[..., None], full.shape)
-        assert part.data[keep].tobytes() == ref.data[keep].tobytes()
-        assert part.data[~keep].tobytes() == full[~keep].tobytes()
-
     def test_rows_must_fit_input(self):
         with pytest.raises(ShapeError):
             ad.dropout(Tensor(np.ones((2, 6))), 0.3, RngStream(0, "x"), (4, 6), [0, 1, 2])
@@ -575,8 +543,6 @@ def _op_cases(rng):
         ("dropout", [r(3, 4)], lambda a: ad.dropout(a, 0.3, RngStream(0, "d"))),
         ("dropout_packed", [r(3, 4)],
          lambda a: ad.dropout(a, 0.3, RngStream(0, "d"), (5, 4), rows)),
-        ("dropout_whole", [r(5, 4)],
-         lambda a: ad.dropout(a, 0.3, RngStream(0, "d"), rows=rows)),
         ("gather_rows", [r(3, 4)], lambda a: ad.gather_rows(a, idx)),
         ("scatter_rows", [r(3, 4)], lambda a: ad.scatter_rows(a, rows, 5)),
         ("take_pairs", [r(3, 4)], lambda a: ad.take_pairs(a, [0, 2, 2], [3, 1, 1])),
@@ -614,16 +580,16 @@ class TestDtypeRule:
 
     @pytest.mark.parametrize("rows", [None, [1, 2, 5, 9]])
     def test_float32_dropout_keeps_the_float64_pattern(self, rng, rows):
-        x = rng.standard_normal((12, 7))
+        # x is the whole (12, 7) activation, or holds just ``rows`` of it
+        x = rng.standard_normal((12 if rows is None else len(rows), 7))
         out = {}
         for dtype in (np.float32, np.float64):
             stream = RngStream(8, "k", 2)
-            out[dtype] = ad.dropout(Tensor(x.astype(dtype)), 0.25, stream, rows=rows).data
+            out[dtype] = ad.dropout(Tensor(x.astype(dtype)), 0.25, stream, (12, 7), rows).data
             out[dtype, "counter"] = stream.counter
         kept32, kept64 = out[np.float32] != 0, out[np.float64] != 0
         np.testing.assert_array_equal(kept32, kept64)
-        assert out[np.float32, "counter"] == out[np.float64, "counter"]
-        dropped = slice(None) if rows is None else rows
+        assert out[np.float32, "counter"] == out[np.float64, "counter"] == 2 + -(-12 * 7 // 16)
         scale = np.float32(1.0 / 0.75)
-        assert out[np.float32][dropped][kept32[dropped]].tobytes() == (
-            x.astype(np.float32)[dropped][kept32[dropped]] * scale).tobytes()
+        assert out[np.float32][kept32].tobytes() == (
+            x.astype(np.float32)[kept32] * scale).tobytes()

@@ -150,6 +150,25 @@ class TestTrainEvalDiagnose:
         assert "finite" in capsys.readouterr().err
         assert not (diag_dir / "spectrum.csv").exists()
 
+    def test_diagnose_one_dimensional_embedding(self, dataset_dir, tmp_path):
+        # d=1 has one singular direction: the projection is (x, 0), and x is
+        # the centered embedding up to sign
+        run_dir = tmp_path / "run"
+        assert main(["train", "--data", str(dataset_dir), "--config",
+                     tiny_config_file(tmp_path, d=1, heads=1), "--out", str(run_dir)]) == 0
+        diag_dir = tmp_path / "diag"
+        rc = main(["diagnose", "--checkpoint", str(run_dir / "checkpoint.duo"),
+                   "--data", str(dataset_dir), "--out", str(diag_dir)])
+        assert rc == 0
+        with open(diag_dir / "spectrum.csv", newline="") as f:
+            assert list(csv.DictReader(f)) == [{"rank": "1", "normalized_singular_value": "1"}]
+        with open(diag_dir / "diagnostics.csv", newline="") as f:
+            proj = list(csv.DictReader(f))
+        emb = load_checkpoint(run_dir / "checkpoint.duo").params["item_emb"].data[1:, 0]
+        x = np.array([float(r["x"]) for r in proj])
+        np.testing.assert_allclose(np.abs(x), np.abs(emb - emb.mean()), rtol=1e-11)
+        assert [r["y"] for r in proj] == ["0"] * 30
+
     def test_bad_config_key_is_runtime_error(self, dataset_dir, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"learning_rate": 0.1}))

@@ -115,25 +115,31 @@ class TestEmbed:
         np.testing.assert_array_equal(a.data, a2.data)
 
 
-    def test_dropout_draws_only_the_packed_rows(self):
-        # the positions the stack computes get the full draw's mask values;
-        # the other pad positions pass through undropped
+    def test_dropout_draws_only_the_packed_rows(self, monkeypatch):
+        # embed drops every position with the full draw's mask, one draw per
+        # call; the stack then reads only the packed rows (``_packed_rows``),
+        # so only their mask values reach the output
         params = make_params(vocab_size=12, max_len=6, emb_dropout=0.4)
         ids = np.array([[0, 0, 0, 4, 5, 6], [0] * 6, [1, 2, 3, 4, 5, 6], [0, 0, 0, 0, 0, 7]])
-        stream = RngStream(2, "s")
-        out = embed(ids, params, stream)
+        counters = []
+        original = RngStream.lanes
+
+        def recording_lanes(self, n):
+            out = original(self, n)
+            counters.append((self.label, self.counter))
+            return out
+
+        monkeypatch.setattr(RngStream, "lanes", recording_lanes)
+        out = embed(ids, params, RngStream(2, "s"))
         v = params["item_emb"].data[ids] + params["pos_emb"].data
         full_stream = RngStream(2, "s").child("emb")
         ref = ad.dropout(ad.Tensor(v), 0.4, full_stream).data
+        assert out.data.tobytes() == ref.tobytes()
+        assert counters == [("s.emb", full_stream.counter)] * 2
         computed = np.zeros(ids.size, dtype=bool)
         computed[_packed_rows(ids)] = True
-        computed = computed.reshape(ids.shape)
-        np.testing.assert_array_equal(computed, (ids != PAD_INDEX) | (np.arange(6) == 5))
-        assert out.data[computed].tobytes() == ref[computed].tobytes()
-        assert out.data[~computed].tobytes() == v[~computed].tobytes()
-        drawn = RngStream(2, "s").child("emb")
-        ad.dropout(ad.Tensor(v), 0.4, drawn, rows=_packed_rows(ids))
-        assert drawn.counter == full_stream.counter
+        np.testing.assert_array_equal(computed.reshape(ids.shape),
+                                      (ids != PAD_INDEX) | (np.arange(6) == 5))
 
 
 class TestAttentionMask:
@@ -378,3 +384,25 @@ class TestPackedRows(TestLastPositionFinalLayer):
     ROWS = [[], [3], [5, 9, 2, 7, 11, 3, 8], [1, 2, 3, 4, 5, 6, 7], [4], [],
             [12, 6, 1], [8]]
 
+
+    def test_no_projection_runs_on_every_position(self, monkeypatch):
+        # every layer projects the packed rows (the last layer's queries,
+        # output projection and feed-forward network: the last rows only);
+        # none projects the B*N-position layout
+        params, ids = self.inputs(2, 0.3)
+        names = {id(t): name for name, t in params.named()}
+        seen = []
+        original = ad.matmul
+
+        def recording_matmul(a, b):
+            if id(b) in names:
+                seen.append((names[id(b)], a.shape[0]))
+            return original(a, b)
+
+        monkeypatch.setattr(ad, "matmul", recording_matmul)
+        encode_sequence(ids, params, RngStream(3, "enc"))
+        b, m = len(ids), len(_packed_rows(ids))
+        assert m < b * self.MAX_LEN
+        packed = {f"layer0.{w}": m for w in ("wq", "wk", "wv", "wo", "ffn_w1", "ffn_w2")}
+        last = {f"layer1.{w}": b for w in ("wq", "wo", "ffn_w1", "ffn_w2")}
+        assert sorted(seen) == sorted((packed | last | {"layer1.wk": m, "layer1.wv": m}).items())
