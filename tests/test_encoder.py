@@ -384,7 +384,6 @@ class TestPackedRows(TestLastPositionFinalLayer):
     ROWS = [[], [3], [5, 9, 2, 7, 11, 3, 8], [1, 2, 3, 4, 5, 6, 7], [4], [],
             [12, 6, 1], [8]]
 
-
     def test_no_projection_runs_on_every_position(self, monkeypatch):
         # every layer projects the packed rows (the last layer's queries,
         # output projection and feed-forward network: the last rows only);
