@@ -314,7 +314,9 @@ def dropout(x: Tensor, rate: float, stream: RngStream,
     activation's lanes are drawn and those rows' mask values used, so the
     stream advances, and every mask value of ``rows`` comes out, exactly as
     if the whole activation had been dropped. Without ``rows``, ``x`` is the
-    whole activation (``draw_shape``, if given, must be its shape).
+    whole activation (``draw_shape``, if given, must be its shape). The
+    encoder's embedding and every layer but the last drop packed rows this
+    way; the last layer's masks cover only the last rows it computes.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")

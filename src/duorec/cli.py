@@ -205,6 +205,8 @@ def _cmd_sweep(args) -> None:
         key, _, values = axis.partition("=")
         if key not in _GRID_TYPES or not values:
             raise _UsageError(f"bad grid axis {axis!r}")
+        if key in dict(axes):
+            raise _UsageError(f"grid key {key!r} given twice")
         cast = _GRID_TYPES[key]
         axes.append((key, [cast(v) for v in values.split(",")]))
     out = Path(args.out)

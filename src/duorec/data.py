@@ -147,6 +147,8 @@ def build_sequences(events: list[RawEvent], min_count: int = 5, max_len: int = 5
     """k-core filter users and items to a fixpoint, then build truncated sequences."""
     if min_count < 1:
         raise ConfigError("min_count must be >= 1")
+    if max_len < 1:
+        raise ConfigError("max_len must be >= 1")
     kept = list(range(len(events)))
     while True:
         user_count = Counter(events[i].user_id for i in kept)

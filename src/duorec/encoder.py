@@ -8,21 +8,22 @@ independent dropout streams to produce the augmented views used by the
 contrastive regularizer.
 
 Inputs are left-padded windows, mostly padding, and no real position ever
-reads a pad position's result, so ``encode`` packs the rows it computes:
-the M real positions of the [B*N, d] layout plus each sequence's last
-position (an all-pad row still yields one vector). It gathers those rows
-of the embedding once, and every layer runs on them alone: projections,
-residuals, layer norms and the feed-forward network take [M, d], and
-``autodiff.scatter_rows`` places keys, values and queries into the padded
-[B, nh, N, N] attention layout, with zeros at the rows left out. Only the
-last position leaves the stack, so the final layer's queries and
-everything after them run on B rows.
+reads a pad position's result, so the pass computes only the packed rows
+(``_packed_rows``): the M real positions of the [B*N, d] layout plus each
+sequence's last position (an all-pad row still yields one vector).
+``embed`` gathers item and positional rows at those positions alone, and
+every layer runs on them: projections, residuals, layer norms and the
+feed-forward network take [M, d], and ``autodiff.scatter_rows`` places
+keys, values and queries into the padded [B, nh, N, N] attention layout,
+with zeros at the rows left out. Only the last position leaves the stack,
+so the final layer's queries and everything after them run on B rows.
 
-Dropout masks are those of the full B*N-position activations: each mask
-draws its whole activation once. The embedding and the attention of every
-layer but the last are dropped whole, pad rows included, which no output
-reads; the other masks apply the values of the rows computed. Every mask
-value that reaches the output is the one the full computation would use.
+The embedding and every layer but the last draw the masks of their full
+B*N-position activations (the attention's pad rows included) and apply
+the values of the rows computed, so those are the values the full
+computation would use. The final layer draws its masks over the layouts
+it computes: [B, nh, 1, N] for the attention and [B, d] for the two row
+dropouts.
 
 The encoder runs in its weights' dtype: float32 weights give float32
 activations, attention mask included.
@@ -53,6 +54,8 @@ class EncoderConfig:
     hidden_dropout: float = 0.1
 
     def __post_init__(self):
+        if self.d < 1 or self.heads < 1:
+            raise ConfigError(f"d={self.d} and heads={self.heads} must be >= 1")
         if self.d % self.heads != 0:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
 
@@ -104,18 +107,19 @@ def _packed_rows(item_ids: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def embed(item_ids: np.ndarray, params: EncoderParams, stream: RngStream) -> Tensor:
-    """Item embedding + positional row per slot, then embedding dropout.
+def embed(item_ids: np.ndarray, rows: np.ndarray, params: EncoderParams,
+          stream: RngStream) -> Tensor:
+    """Item embedding + positional row at the packed ``rows``, then embedding dropout.
 
-    Returns [B, N, d], every position dropped; ``encode`` reads only the
-    positions the stack computes (``_packed_rows``).
+    Returns [M, d], one row per flat [B*N] position in ``rows``; no other
+    position is gathered. The dropout mask is that of the full [B*N, d]
+    embedding, so each row keeps the value it would have there.
     """
     cfg = params.config
     b, n = item_ids.shape
-    v = ad.gather_rows(params["item_emb"], item_ids)          # [B, N, d]
-    pos = ad.gather_rows(params["pos_emb"], np.arange(n))     # [N, d]
-    h0 = ad.add(v, ad.reshape(pos, (1, n, cfg.d)))
-    return ad.dropout(h0, cfg.emb_dropout, stream.child("emb"))
+    v = ad.gather_rows(params["item_emb"], item_ids.reshape(b * n)[rows])   # [M, d]
+    pos = ad.gather_rows(params["pos_emb"], rows % n)                         # [M, d]
+    return ad.dropout(ad.add(v, pos), cfg.emb_dropout, stream.child("emb"), (b * n, cfg.d), rows)
 
 
 def _attention_mask(item_ids: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -129,16 +133,15 @@ def _attention_mask(item_ids: np.ndarray, dtype=np.float64) -> np.ndarray:
     return mask
 
 
-def encode(h0: Tensor, item_ids: np.ndarray, params: EncoderParams,
+def encode(h: Tensor, item_ids: np.ndarray, rows: np.ndarray, params: EncoderParams,
            stream: RngStream) -> Tensor:
-    """Run the attention stack on the packed rows; return last-position vectors [B, d]."""
+    """Run the attention stack on the packed rows ``h`` [M, d] at the flat
+    positions ``rows``; return last-position vectors [B, d]."""
     cfg = params.config
-    b, n, d = h0.shape
-    rows = _packed_rows(item_ids)
-    h = ad.gather_rows(ad.reshape(h0, (b * n, d)), rows)
+    b, n = item_ids.shape
     if cfg.layers == 0:
         return ad.gather_rows(h, np.searchsorted(rows, np.arange(n - 1, b * n, n)))
-    mask = _attention_mask(item_ids, h0.data.dtype)
+    mask = _attention_mask(item_ids, h.data.dtype)
     for layer in range(cfg.layers):
         h = _block(h, rows, b, n, mask, params, layer, stream.child(f"layer{layer}"),
                    last_only=layer == cfg.layers - 1)
@@ -155,9 +158,9 @@ def _block(h: Tensor, rows: np.ndarray, b: int, n: int, mask: np.ndarray,
     padded attention layout. Returns the packed rows, or with ``last_only``
     each sequence's last position, [B, d]: then the queries and everything
     after them run on those B rows only. Dropout masks are those of the full
-    B*N-position activations: the attention dropout drops the whole
-    [B, nh, N, N] layout (its last query row of each sequence and head with
-    ``last_only``), and the row dropouts apply the computed rows' values.
+    B*N-position activations (the attention's whole [B, nh, N, N] layout,
+    the computed rows' values of the row dropouts); with ``last_only`` they
+    are drawn over the layouts computed, [B, nh, 1, N] and [B, d].
     """
     cfg = params.config
     d, nh = cfg.d, cfg.heads
@@ -174,36 +177,37 @@ def _block(h: Tensor, rows: np.ndarray, b: int, n: int, mask: np.ndarray,
         return split_heads(ad.scatter_rows(ad.matmul(h, w(name)), rows, b * n), n)
 
     if last_only:
-        out_rows = np.arange(n - 1, b * n, n)
-        hq = ad.gather_rows(h, np.searchsorted(rows, out_rows))
+        hq = ad.gather_rows(h, np.searchsorted(rows, np.arange(n - 1, b * n, n)))
         q = split_heads(ad.matmul(hq, w("wq")), 1)
         # a copy, so the graph holds the last query row and not the whole mask
-        mask, att_rows = mask[:, :, n - 1:].copy(), np.arange(b * nh) * n + n - 1
+        mask = mask[:, :, n - 1:].copy()
+        out_draw = out_rows = None
     else:
-        out_rows, hq, att_rows = rows, h, None
+        hq, out_draw, out_rows = h, (b * n, d), rows
         q = projected("wq")
     k = projected("wk")
     v = projected("wv")
     scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     att = ad.softmax_rows(ad.add(scores, mask))               # [B, nh, 1 or N, N]
-    att = ad.dropout(att, rate, stream.child("att"), (b, nh, n, n), att_rows)
+    att = ad.dropout(att, rate, stream.child("att"))
     ctx = ad.transpose(ad.matmul(att, v), (0, 2, 1, 3))       # [B, 1 or N, nh, dh]
     ctx = ad.reshape(ctx, (b * ctx.shape[1], d))
     if not last_only:
         ctx = ad.gather_rows(ctx, rows)
-    out = ad.dropout(ad.matmul(ctx, w("wo")), rate, stream.child("attout"), (b * n, d), out_rows)
+    out = ad.dropout(ad.matmul(ctx, w("wo")), rate, stream.child("attout"), out_draw, out_rows)
     x = ad.layer_norm(ad.add(hq, out), w("ln1_gain"), w("ln1_bias"))
     f1 = ad.gelu(ad.add(ad.matmul(x, w("ffn_w1")), w("ffn_b1")))
     f2 = ad.add(ad.matmul(f1, w("ffn_w2")), w("ffn_b2"))
-    f2 = ad.dropout(f2, rate, stream.child("ffn"), (b * n, d), out_rows)
+    f2 = ad.dropout(f2, rate, stream.child("ffn"), out_draw, out_rows)
     return ad.layer_norm(ad.add(x, f2), w("ln2_gain"), w("ln2_bias"))
 
 
 def encode_sequence(item_ids: np.ndarray, params: EncoderParams,
                     stream: RngStream) -> Tensor:
     """Full embed + encode pass under one dropout stream; returns [B, d]."""
-    h0 = embed(item_ids, params, stream)
-    return encode(h0, item_ids, params, stream.child("trm"))
+    rows = _packed_rows(item_ids)
+    h0 = embed(item_ids, rows, params, stream)
+    return encode(h0, item_ids, rows, params, stream.child("trm"))
 
 
 def encode_twins(batch: Batch, params: EncoderParams, base_stream: RngStream):

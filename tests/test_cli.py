@@ -65,6 +65,15 @@ class TestPrep:
                    str(tmp_path / "absent.tsv"), "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("max_len", ["0", "-2"])
+    def test_nonpositive_max_len_is_runtime_error(self, raw_tsv, tmp_path, capsys, max_len):
+        out = tmp_path / "o"
+        rc = main(["prep", "--format", "tsv-uit", "--in", str(raw_tsv),
+                   "--out", str(out), "--min-count", "2", "--max-len", max_len])
+        assert rc == 2
+        assert "max_len" in capsys.readouterr().err
+        assert not (out / "sequences.txt").exists()
+
     def test_bad_format_is_usage_error(self, raw_tsv, tmp_path):
         rc = main(["prep", "--format", "csv", "--in", str(raw_tsv),
                    "--out", str(tmp_path / "o")])
@@ -276,6 +285,17 @@ class TestSweep:
         rc = main(["sweep", "--data", str(dataset_dir),
                    "--grid", "nonsense=1", "--out", str(tmp_path / "o")])
         assert rc == 1
+
+    def test_repeated_grid_key_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        # the later axis used to replace the earlier one's values, so every
+        # run trained at lambda=0.5 and summary.csv named lambda twice
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--data", str(dataset_dir),
+                   "--config", tiny_config_file(tmp_path),
+                   "--grid", "lambda=0.0,0.2", "--grid", "lambda=0.5", "--out", str(out)])
+        assert rc == 1
+        assert "lambda" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_required_flag_is_usage_error(self):
         assert main(["train", "--out", "x"]) == 1

@@ -81,6 +81,13 @@ class TestBuildSequences:
         assert vocab.item_of[seq.items[-1]] == "i59"
         assert vocab.item_of[seq.items[0]] == "i10"
 
+    @pytest.mark.parametrize("max_len", [0, -2])
+    def test_nonpositive_max_len_rejected(self, max_len):
+        # max_len 0 used to keep whole sequences, and a negative one to drop
+        # each user's oldest items while the vocabulary still counted them
+        with pytest.raises(ConfigError):
+            build_sequences(_corpus(), min_count=5, max_len=max_len)
+
     def test_timestamp_ties_broken_by_file_order(self):
         events = []
         for u in range(5):

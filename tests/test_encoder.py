@@ -41,11 +41,36 @@ def reference_attention_mask(item_ids):
     return mask
 
 
+def reference_embed(item_ids, params, stream):
+    """Item plus positional row at every one of the B*N positions, then the
+    embedding dropout of that whole [B, N, d] activation (test oracle for
+    ``embed``, which gathers and drops only the packed rows)."""
+    cfg = params.config
+    n = item_ids.shape[1]
+    v = ad.gather_rows(params["item_emb"], item_ids)          # [B, N, d]
+    pos = ad.gather_rows(params["pos_emb"], np.arange(n))     # [N, d]
+    h0 = ad.add(v, ad.reshape(pos, (1, n, cfg.d)))
+    return ad.dropout(h0, cfg.emb_dropout, stream.child("emb"))
+
+
+def last_row_dropout(x, rate, stream):
+    """Drop only the last row (axis -2) of ``x`` [..., N, w], with the mask
+    of a [..., 1, w] draw; every other row passes unchanged."""
+    keep = ad.dropout(ad.Tensor(np.ones(x.shape[:-2] + (1, x.shape[-1]), x.data.dtype)),
+                      rate, stream).data
+    mask = np.ones(x.shape, x.data.dtype)
+    mask[..., -1:, :] = keep
+    return ad.mul(x, mask)
+
+
 def full_stack_encode(h0, item_ids, params, stream):
     """Reference stack: every layer over all B*N positions, then the last row.
 
     This is the straightforward layer loop, kept here as the oracle for
-    ``encode``, whose final layer computes only the last position.
+    ``encode``, which computes only the packed rows and, in the final layer,
+    only the last position. Every layer but the last drops its whole
+    activations; the last drops each sequence's last row alone, with masks
+    drawn over [B, nh, 1, N] and [B, d], since only that row leaves it.
     """
     cfg = params.config
     b, n, d = h0.shape
@@ -54,6 +79,7 @@ def full_stack_encode(h0, item_ids, params, stream):
     h = h0
     for layer in range(cfg.layers):
         ls = stream.child(f"layer{layer}")
+        drop = last_row_dropout if layer == cfg.layers - 1 else ad.dropout
         flat = ad.reshape(h, (b * n, d))
         heads = []
         for w in ("wq", "wk", "wv"):
@@ -62,29 +88,45 @@ def full_stack_encode(h0, item_ids, params, stream):
         q, k, vv = heads                                       # [B, nh, N, dh]
         scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
         att = ad.softmax_rows(ad.add(scores, mask))
-        att = ad.dropout(att, cfg.hidden_dropout, ls.child("att"))
+        att = drop(att, cfg.hidden_dropout, ls.child("att"))
         ctx = ad.matmul(att, vv)                               # [B, nh, N, dh]
         ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * n, d))
-        out = ad.matmul(ctx, params[f"layer{layer}.wo"])
-        out = ad.dropout(out, cfg.hidden_dropout, ls.child("attout"))
-        h = ad.layer_norm(ad.add(h, ad.reshape(out, (b, n, d))),
+        out = ad.reshape(ad.matmul(ctx, params[f"layer{layer}.wo"]), (b, n, d))
+        out = drop(out, cfg.hidden_dropout, ls.child("attout"))
+        h = ad.layer_norm(ad.add(h, out),
                           params[f"layer{layer}.ln1_gain"], params[f"layer{layer}.ln1_bias"])
         flat = ad.reshape(h, (b * n, d))
         f1 = ad.gelu(ad.add(ad.matmul(flat, params[f"layer{layer}.ffn_w1"]),
                             params[f"layer{layer}.ffn_b1"]))
         f2 = ad.add(ad.matmul(f1, params[f"layer{layer}.ffn_w2"]),
                     params[f"layer{layer}.ffn_b2"])
-        f2 = ad.dropout(f2, cfg.hidden_dropout, ls.child("ffn"))
-        h = ad.layer_norm(ad.add(h, ad.reshape(f2, (b, n, d))),
+        f2 = drop(ad.reshape(f2, (b, n, d)), cfg.hidden_dropout, ls.child("ffn"))
+        h = ad.layer_norm(ad.add(h, f2),
                           params[f"layer{layer}.ln2_gain"], params[f"layer{layer}.ln2_bias"])
     last = ad.reshape(h, (b * n, d))
     return ad.gather_rows(last, np.arange(n - 1, b * n, n))    # [B, d]
+
+
+def full_stack_sequence(item_ids, params, stream):
+    """``encode_sequence`` through the oracles: the whole embedding, every
+    position through the stack."""
+    h0 = reference_embed(item_ids, params, stream)
+    return full_stack_encode(h0, item_ids, params, stream.child("trm"))
+
+
+def embed_packed(item_ids, params, stream):
+    return embed(item_ids, _packed_rows(item_ids), params, stream)
 
 
 class TestConfig:
     def test_head_divisibility(self):
         with pytest.raises(ConfigError):
             EncoderConfig(vocab_size=5, d=10, heads=3)
+
+    @pytest.mark.parametrize("d, heads", [(8, 0), (8, -2), (0, 1), (-4, 2)])
+    def test_nonpositive_width_or_heads_rejected(self, d, heads):
+        with pytest.raises(ConfigError):
+            EncoderConfig(vocab_size=5, d=d, heads=heads)
 
     def test_pad_row_zero_after_init(self):
         params = make_params()
@@ -95,32 +137,34 @@ class TestEmbed:
     def test_last_slot_is_item_plus_position(self):
         params = make_params(emb_dropout=0.0)
         ids = np.array([[0, 0, 0, 0, 0, 3]])
-        out = embed(ids, params, RngStream(1, "s"))
+        out = embed_packed(ids, params, RngStream(1, "s"))
         expected = params["item_emb"].data[3] + params["pos_emb"].data[5]
-        np.testing.assert_allclose(out.data[0, 5], expected)
+        assert out.shape == (1, 8)
+        np.testing.assert_allclose(out.data[0], expected)
 
     def test_pad_positions_carry_positional_rows_only(self):
+        # pad slots are never gathered; an all-pad sequence's last slot
+        # (always computed) carries its positional row alone
         params = make_params(emb_dropout=0.0)
-        ids = np.array([[0, 0, 0, 0, 2, 3]])
-        out = embed(ids, params, RngStream(1, "s"))
-        np.testing.assert_allclose(out.data[0, :4], params["pos_emb"].data[:4])
+        ids = np.array([[0, 0, 0, 0, 2, 3], [0, 0, 0, 0, 0, 0]])
+        out = embed_packed(ids, params, RngStream(1, "s"))
+        item, pos = params["item_emb"].data, params["pos_emb"].data
+        np.testing.assert_allclose(out.data, [item[2] + pos[4], item[3] + pos[5], pos[5]])
 
     def test_stream_label_controls_dropout_mask(self):
         params = make_params(emb_dropout=0.2)
         ids = np.array([[1, 2, 3, 4, 5, 6]])
-        a = embed(ids, params, RngStream(1, "a"))
-        b = embed(ids, params, RngStream(1, "b"))
-        a2 = embed(ids, params, RngStream(1, "a"))
+        a = embed_packed(ids, params, RngStream(1, "a"))
+        b = embed_packed(ids, params, RngStream(1, "b"))
+        a2 = embed_packed(ids, params, RngStream(1, "a"))
         assert not np.array_equal(a.data, b.data)
         np.testing.assert_array_equal(a.data, a2.data)
 
-
     def test_dropout_draws_only_the_packed_rows(self, monkeypatch):
-        # embed drops every position with the full draw's mask, one draw per
-        # call; the stack then reads only the packed rows (``_packed_rows``),
-        # so only their mask values reach the output
-        params = make_params(vocab_size=12, max_len=6, emb_dropout=0.4)
+        # embed gathers only the packed rows, yet their mask values are those
+        # of the whole [B, N, d] embedding, from one draw at the same counter
         ids = np.array([[0, 0, 0, 4, 5, 6], [0] * 6, [1, 2, 3, 4, 5, 6], [0, 0, 0, 0, 0, 7]])
+        rows = _packed_rows(ids)
         counters = []
         original = RngStream.lanes
 
@@ -130,16 +174,46 @@ class TestEmbed:
             return out
 
         monkeypatch.setattr(RngStream, "lanes", recording_lanes)
-        out = embed(ids, params, RngStream(2, "s"))
-        v = params["item_emb"].data[ids] + params["pos_emb"].data
-        full_stream = RngStream(2, "s").child("emb")
-        ref = ad.dropout(ad.Tensor(v), 0.4, full_stream).data
-        assert out.data.tobytes() == ref.tobytes()
-        assert counters == [("s.emb", full_stream.counter)] * 2
+        for dtype in (np.float32, np.float64):
+            params = make_params(vocab_size=12, max_len=6, emb_dropout=0.4)
+            for t in params.tensors.values():
+                t.data = t.data.astype(dtype)
+            counters.clear()
+            out = embed(ids, rows, params, RngStream(2, "s"))
+            ref = reference_embed(ids, params, RngStream(2, "s"))
+            assert out.data.dtype == ref.data.dtype == dtype
+            assert out.data.tobytes() == ref.data.reshape(ids.size, 8)[rows].tobytes()
+            assert counters == [("s.emb", -(-ids.size * 8 // 16))] * 2
         computed = np.zeros(ids.size, dtype=bool)
-        computed[_packed_rows(ids)] = True
+        computed[rows] = True
         np.testing.assert_array_equal(computed.reshape(ids.shape),
                                       (ids != PAD_INDEX) | (np.arange(6) == 5))
+
+    def test_item_gradient_comes_from_the_packed_rows(self, monkeypatch):
+        # the item table's gather, and so its backward scatter, covers the M
+        # packed rows, not the B*N positions
+        params = make_params(vocab_size=12, max_len=6, emb_dropout=0.3, hidden_dropout=0.3)
+        ids = np.array([[0, 0, 0, 4, 5, 6], [0] * 6, [0, 0, 0, 0, 0, 7]])
+        grads = []
+        original = ad.gather_rows
+
+        def recording_gather(table, indices):
+            out = original(table, indices)
+            if table is params["item_emb"]:
+                closure = out._backward
+
+                def backward(g):
+                    grads.append(g.shape)
+                    closure(g)
+                out._backward = backward
+            return out
+
+        monkeypatch.setattr(ad, "gather_rows", recording_gather)
+        h = encode_sequence(ids, params, RngStream(2, "s"))
+        ad.sum_all(h).backward()
+        m = len(_packed_rows(ids))
+        assert m == 5 < ids.size
+        assert grads == [(m, 8)]
 
 
 class TestAttentionMask:
@@ -175,9 +249,8 @@ class TestEncode:
             ids = base_ids.copy()
             if j is not None:
                 ids[0, j] = alt
-            h0 = embed(ids, params, RngStream(0, "e"))
-            # keep all positions: encode only returns the last, so probe by
-            # re-running with truncated suffixes
+            # encode returns only the last position, so probe by re-running
+            # with truncated suffixes
             for i in range(6):
                 sub = ids[:, :i + 1]
                 h_all[(j, i)] = encode_sequence(
@@ -190,8 +263,8 @@ class TestEncode:
         params = make_params(layers=0)
         ids = np.array([[1, 2, 3, 4, 5, 6]])
         h = encode_sequence(ids, params, RngStream(0, "s"))
-        h0 = embed(ids, params, RngStream(0, "s"))
-        np.testing.assert_array_equal(h.data, h0.data[:, -1, :])
+        h0 = embed_packed(ids, params, RngStream(0, "s"))
+        np.testing.assert_array_equal(h.data, h0.data[-1:])
 
     def test_deterministic_without_dropout(self):
         params = make_params()
@@ -201,20 +274,21 @@ class TestEncode:
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_pad_content_neutrality(self):
-        # junk written into pad slots never reaches the real positions
-        params = make_params(vocab_size=20)
+        # junk written into pad slots is never read: the packed embedding and
+        # the last-position output are those of the padded input
+        params = make_params(vocab_size=20, emb_dropout=0.3, hidden_dropout=0.3)
         ids = np.array([[0, 0, 0, 4, 5, 6]])
         junk = np.array([[9, 17, 2, 4, 5, 6]])
-        h = encode_sequence(ids, params, RngStream(0, "s"))
-        h0_junk = embed(junk, params, RngStream(0, "s"))
-        # re-encode junk embeddings but with the original pad mask
-        from duorec.encoder import encode as enc
-        h_junk = enc(h0_junk, ids, params, RngStream(0, "s").child("trm"))
-        h0 = embed(ids, params, RngStream(0, "s"))
-        delta = np.abs(h.data - h_junk.data).max()
-        # pad slots differ at input yet the last-position output is identical
-        assert np.abs(h0.data[0, :3] - h0_junk.data[0, :3]).max() > 0
-        assert delta < 1e-12
+        rows = _packed_rows(ids)
+        outs = []
+        for x in (ids, junk):
+            stream = RngStream(0, "s")
+            h0 = embed(x, rows, params, stream)
+            outs.append((h0.data, encode(h0, ids, rows, params, stream.child("trm")).data))
+        assert outs[0][0].tobytes() == outs[1][0].tobytes()
+        assert outs[0][1].tobytes() == outs[1][1].tobytes()
+        ref = full_stack_sequence(ids, params, RngStream(0, "s")).data
+        assert np.abs(outs[0][1] - ref).max() <= 1e-12
 
 
 class TestEncodeTwins:
@@ -289,10 +363,7 @@ class TestLastPositionFinalLayer:
 
     @staticmethod
     def both(params, ids, stream):
-        h0 = embed(ids, params, stream)
-        new = encode(h0, ids, params, stream.child("trm"))
-        ref = full_stack_encode(h0, ids, params, stream.child("trm"))
-        return new, ref
+        return encode_sequence(ids, params, stream), full_stack_sequence(ids, params, stream)
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("rate", [0.0, 0.3])
@@ -338,23 +409,24 @@ class TestLastPositionFinalLayer:
 
         monkeypatch.setattr(RngStream, "lanes", recording_lanes)
         seen = []
-        for run in (encode, full_stack_encode):
+        for run in (encode_sequence, full_stack_sequence):
             counters.clear()
-            stream = RngStream(3, "enc")
-            run(embed(ids, params, stream), ids, params, stream.child("trm"))
+            run(ids, params, RngStream(3, "enc"))
             seen.append(dict(counters))
         assert seen[0] == seen[1]
         b, n, d, nh = len(ids), self.MAX_LEN, 8, 2
+        assert seen[0]["enc.emb"] == -(-b * n * d // 16)
         last = f"enc.trm.layer{layers - 1}"
-        assert seen[0][f"{last}.att"] == -(-b * nh * n * n // 16)
-        assert seen[0][f"{last}.attout"] == seen[0][f"{last}.ffn"] == -(-b * n * d // 16)
+        assert seen[0][f"{last}.att"] == -(-b * nh * n // 16)
+        assert seen[0][f"{last}.attout"] == seen[0][f"{last}.ffn"] == -(-b * d // 16)
 
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_draws_only_rows_that_reach_the_output(self, layers, monkeypatch):
-        # every mask draws one lane per element of its whole B*N-position
-        # activation in a single call, though only the packed rows (the last
-        # layer: each sequence's last row) reach the output
+        # the embedding and every layer but the last draw one lane per
+        # element of their whole B*N-position activations in a single call,
+        # though only the packed rows reach the output; the last layer draws
+        # over the last rows alone
         params, ids = self.inputs(layers, 0.3)
         drawn = {}
         original = RngStream.lanes
@@ -369,10 +441,14 @@ class TestLastPositionFinalLayer:
         encode_sequence(ids, params, RngStream(3, "enc"))
         b, n, d, nh = len(ids), self.MAX_LEN, 8, 2
         want = {"enc.emb": [(b * n * d, -(-b * n * d // 16))]}
-        for layer in range(layers):
+        for layer in range(layers - 1):
             want |= {f"enc.trm.layer{layer}.att": [(b * nh * n * n, -(-b * nh * n * n // 16))],
                      f"enc.trm.layer{layer}.attout": [(b * n * d, -(-b * n * d // 16))],
                      f"enc.trm.layer{layer}.ffn": [(b * n * d, -(-b * n * d // 16))]}
+        last = f"enc.trm.layer{layers - 1}"
+        want |= {f"{last}.att": [(b * nh * n, -(-b * nh * n // 16))],
+                 f"{last}.attout": [(b * d, -(-b * d // 16))],
+                 f"{last}.ffn": [(b * d, -(-b * d // 16))]}
         assert drawn == want
 
 
