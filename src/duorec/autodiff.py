@@ -183,11 +183,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape))
+            a._accumulate(_unbroadcast(_product(g, b.data.swapaxes(-1, -2)), a.data.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape))
+            b._accumulate(_unbroadcast(_product(a.data.swapaxes(-1, -2), g), b.data.shape))
 
     return _make(out_data, (a, b), backward)
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.matmul`` of two arrays of two or more dims, with ``np.matmul``'s bytes.
+
+    An inner dimension of 1 is an outer product, which ``np.matmul`` runs as
+    one gemm per batch; it is done as a broadcast multiply. ``np.matmul``
+    sums from +0.0, so adding 0.0 turns the multiply's -0.0 into its +0.0
+    and leaves every other value as it is.
+    """
+    if x.shape[-1] != 1:
+        return np.matmul(x, y)
+    out = x * y
+    out += 0.0
+    return out
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -73,16 +73,15 @@ def _build_parser() -> _Parser:
 def _write_dataset(out: Path, sequences: list[UserSequence], vocab: ItemVocab) -> None:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "sequences.txt", "w") as f:
-        for seq in sequences:
-            f.write(" ".join(str(i) for i in seq.items) + "\n")
+        f.writelines(" ".join(map(str, seq.items)) + "\n" for seq in sequences)
     vocab.export_csv(out / "vocab.csv")
 
 
 def load_dataset_dir(path) -> tuple[list[UserSequence], ItemVocab]:
     """Read a directory written by prep. A token that is not an integer, a
-    ``vocab.csv`` whose index column is not 1..V in file order, or a
-    sequence item outside [1, V), raises ParseError naming the file and
-    line."""
+    ``vocab.csv`` whose index column is not 1..V in file order or that
+    repeats an ``item_id``, or a sequence item outside [1, V), raises
+    ParseError naming the file and line."""
     path = Path(path)
     id_of, item_of, freqs = {}, ["<pad>"], [0]
     vocab_csv = path / "vocab.csv"
@@ -97,6 +96,9 @@ def load_dataset_dir(path) -> tuple[list[UserSequence], ItemVocab]:
             if index != len(item_of):
                 raise ParseError(f"{vocab_csv}:{rows.line_num}: index {index}, "
                                  f"expected {len(item_of)}")
+            if row["item_id"] in id_of:
+                raise ParseError(f"{vocab_csv}:{rows.line_num}: item_id {row['item_id']!r} "
+                                 f"repeats index {id_of[row['item_id']]}")
             id_of[row["item_id"]] = len(item_of)
             item_of.append(row["item_id"])
             freqs.append(freq)
@@ -208,13 +210,18 @@ def _cmd_sweep(args) -> None:
         if key in dict(axes):
             raise _UsageError(f"grid key {key!r} given twice")
         cast = _GRID_TYPES[key]
-        axes.append((key, [cast(v) for v in values.split(",")]))
+        try:
+            axes.append((key, [cast(v) for v in values.split(",")]))
+        except ValueError:
+            raise _UsageError(f"grid axis {axis!r}: values must be {cast.__name__}s") from None
+    # every combination's config is built, and so checked, before any run
+    grid = [dict(zip((k for k, _ in axes), combo))
+            for combo in itertools.product(*(vals for _, vals in axes))]
+    configs = [TrainConfig.from_dict(base.to_dict() | overrides) for overrides in grid]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for i, combo in enumerate(itertools.product(*(vals for _, vals in axes))):
-        overrides = dict(zip((k for k, _ in axes), combo))
-        cfg = TrainConfig.from_dict(base.to_dict() | overrides)
+    for i, (overrides, cfg) in enumerate(zip(grid, configs)):
         metrics = _run_training(cfg, args.data, out / f"run_{i}")
         rows.append({**overrides, **metrics})
     keys = [k for k, _ in axes] + sorted(k for k in rows[0] if k not in dict(axes))

@@ -1,8 +1,12 @@
 """Interaction-log ingestion, filtering, splitting, and batch assembly.
 
-Pipeline: raw (user, item, timestamp) events -> iterative 5-core filtering
-of users and items -> per-user time-ordered sequences truncated to the
-most recent ``max_len`` items -> leave-one-out split -> shuffled batches.
+Pipeline: an event log parsed into (user, item, timestamp) columns ->
+iterative 5-core filtering of users and items -> per-user time-ordered
+sequences truncated to the most recent ``max_len`` items -> leave-one-out
+split -> shuffled batches. Prep works on whole columns: ``ingest`` splits
+the file with string methods over the whole text, and ``build_sequences``
+factorizes the ids, filters with ``np.bincount`` and orders the events with
+one ``np.lexsort``.
 
 The split stores every example as one integer: the position of its target
 in a flat int64 item array, where each user's sequence is preceded by
@@ -21,8 +25,9 @@ pool.
 from __future__ import annotations
 
 import csv
-from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,11 +45,11 @@ class EmptyDatasetError(ValueError):
     """Filtering removed every interaction, or no user is left to evaluate."""
 
 
-@dataclass
-class RawEvent:
-    user_id: str
-    item_id: str
-    timestamp: int
+class EventLog(NamedTuple):
+    """An event log as parallel columns in file order."""
+    users: list[str]
+    items: list[str]
+    timestamps: np.ndarray      # [n] int64
 
 
 @dataclass
@@ -115,78 +120,110 @@ class Batch:
         return len(self.targets)
 
 
-def ingest(path, fmt: str) -> list[RawEvent]:
-    """Parse an event log; ``tsv-uit`` is user\\titem\\tts, ``ml-1m`` is ::-separated."""
-    if fmt not in ("tsv-uit", "ml-1m"):
+# format -> (separator, fields per line, separator's name in errors)
+_FORMATS = {"tsv-uit": ("\t", 3, "tab"), "ml-1m": ("::", 4, "::")}
+
+
+def ingest(path, fmt: str) -> EventLog:
+    """Parse an event log into columns in file order.
+
+    ``tsv-uit`` lines are ``user\\titem\\tts``; ``ml-1m`` lines are
+    ``user::item::rating::ts`` and the rating is dropped. Lines may end in
+    ``\\n``, ``\\r\\n`` or ``\\r``; empty lines are skipped but counted.
+    The file is split with whole-string operations, not line by line. A line
+    whose ``split(sep)`` gives the wrong number of fields, or whose timestamp
+    ``int()`` rejects or int64 cannot hold, raises ParseError naming the
+    first such line.
+    """
+    if fmt not in _FORMATS:
         raise ConfigError(f"unknown event-log format {fmt!r}")
-    events: list[RawEvent] = []
+    sep, n_fields, _ = _FORMATS[fmt]
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if fmt == "tsv-uit":
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ParseError(f"line {lineno}: expected 3 tab-separated fields, got {len(parts)}")
-                user, item, ts = parts
-            else:
-                parts = line.split("::")
-                if len(parts) != 4:
-                    raise ParseError(f"line {lineno}: expected 4 ::-separated fields, got {len(parts)}")
-                user, item, _rating, ts = parts
-            try:
-                timestamp = int(ts)
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad timestamp {ts!r}") from exc
-            events.append(RawEvent(user, item, timestamp))
-    return events
+        raw = f.read().split("\n")
+    lines = list(filter(None, raw))
+    stamps = None
+    if list(map(str.count, lines, repeat(sep))).count(n_fields - 1) == len(lines):
+        # every line holds n_fields - 1 separators and no newline, so the
+        # separators and line ends together cut the text into n_fields per line
+        fields = "\n".join(lines).replace(sep, "\n").split("\n") if lines else []
+        try:
+            stamps = np.array(list(map(int, fields[n_fields - 1::n_fields])), dtype=np.int64)
+        except (ValueError, OverflowError):
+            pass
+    if stamps is None:
+        raise _first_bad_line(raw, fmt)
+    return EventLog(users=fields[0::n_fields], items=fields[1::n_fields], timestamps=stamps)
 
 
-def build_sequences(events: list[RawEvent], min_count: int = 5, max_len: int = 50):
-    """k-core filter users and items to a fixpoint, then build truncated sequences."""
+def _first_bad_line(raw: list[str], fmt: str) -> ParseError:
+    """The error for the first line ``ingest`` rejects, found line by line."""
+    sep, n_fields, sep_name = _FORMATS[fmt]
+    int64 = np.iinfo(np.int64)
+    for lineno, line in enumerate(raw, start=1):
+        if not line:
+            continue
+        parts = line.split(sep)
+        if len(parts) != n_fields:
+            return ParseError(f"line {lineno}: expected {n_fields} {sep_name}-separated "
+                              f"fields, got {len(parts)}")
+        try:
+            stamp = int(parts[-1])
+        except ValueError:
+            return ParseError(f"line {lineno}: bad timestamp {parts[-1]!r}")
+        if not int64.min <= stamp <= int64.max:
+            return ParseError(f"line {lineno}: timestamp {parts[-1]!r} outside int64")
+    raise AssertionError("ingest rejected a log in which every line parses")
+
+
+def _factorize(ids: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct ids in Python string order, and each id's index among them."""
+    names = sorted(dict.fromkeys(ids))
+    index = dict(zip(names, range(len(names))))
+    return names, np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+
+
+def build_sequences(log: EventLog, min_count: int = 5, max_len: int = 50):
+    """k-core filter users and items to a fixpoint, then build truncated sequences.
+
+    Users are numbered in Python string order of their ids, and each user's
+    events ordered by timestamp, ties by file order. Items are numbered from
+    1 in order of first appearance over that traversal. A sequence keeps its
+    user's last ``max_len`` items; ``frequency`` counts every kept event.
+    """
     if min_count < 1:
         raise ConfigError("min_count must be >= 1")
     if max_len < 1:
         raise ConfigError("max_len must be >= 1")
-    kept = list(range(len(events)))
+    user_names, users = _factorize(log.users)
+    item_names, items = _factorize(log.items)
+    kept = np.arange(len(users))
     while True:
-        user_count = Counter(events[i].user_id for i in kept)
-        item_count = Counter(events[i].item_id for i in kept)
-        new_kept = [
-            i for i in kept
-            if user_count[events[i].user_id] >= min_count and item_count[events[i].item_id] >= min_count
-        ]
-        if len(new_kept) == len(kept):
+        u, i = users[kept], items[kept]
+        ok = ((np.bincount(u, minlength=len(user_names)) >= min_count)[u]
+              & (np.bincount(i, minlength=len(item_names)) >= min_count)[i])
+        if ok.all():
             break
-        kept = new_kept
-    if not kept:
+        kept = kept[ok]
+    if not len(kept):
         raise EmptyDatasetError("k-core filtering removed all interactions")
 
-    # stable sort: timestamp ascending, ties by file order
-    per_user: dict[str, list[int]] = defaultdict(list)
-    for i in kept:
-        per_user[events[i].user_id].append(i)
+    # lexsort is stable and ``kept`` ascends, so timestamp ties keep file order
+    kept = kept[np.lexsort((log.timestamps[kept], users[kept]))]
+    users, items = users[kept], items[kept]
+    distinct, first = np.unique(items, return_index=True)
+    by_first = distinct[np.argsort(first)]
+    index_of = np.zeros(len(item_names), dtype=np.int64)
+    index_of[by_first] = np.arange(1, len(by_first) + 1)
+    mapped = index_of[items]
 
-    id_of: dict[str, int] = {}
-    item_of: list[str] = ["<pad>"]
-    freq = Counter()
-    sequences: list[UserSequence] = []
-    for u, (user_id, idxs) in enumerate(sorted(per_user.items())):
-        idxs.sort(key=lambda i: (events[i].timestamp, i))
-        items = []
-        for i in idxs:
-            ext = events[i].item_id
-            if ext not in id_of:
-                id_of[ext] = len(item_of)
-                item_of.append(ext)
-            items.append(id_of[ext])
-            freq[id_of[ext]] += 1
-        sequences.append(UserSequence(user=u, items=items[-max_len:]))
-
-    frequency = np.zeros(len(item_of), dtype=np.int64)
-    for idx, c in freq.items():
-        frequency[idx] = c
+    item_of = ["<pad>", *map(item_names.__getitem__, by_first.tolist())]
+    id_of = dict(zip(item_of[1:], range(1, len(item_of))))
+    frequency = np.bincount(mapped, minlength=len(item_of)).astype(np.int64)
+    ends = np.append(np.flatnonzero(np.diff(users)) + 1, len(users))
+    starts = np.maximum(np.append(0, ends[:-1]), ends - max_len)
+    flat = mapped.tolist()
+    sequences = [UserSequence(user=u, items=flat[s:e])
+                 for u, (s, e) in enumerate(zip(starts.tolist(), ends.tolist()))]
     return sequences, ItemVocab(id_of=id_of, item_of=item_of, frequency=frequency)
 
 

@@ -72,6 +72,8 @@ class TrainConfig:
                           ("batch_size", 1), ("max_len", 1), ("early_stop_patience", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.d % self.heads:
+            raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if not self.tau > 0:

@@ -1,9 +1,11 @@
 import math
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
 from duorec import autodiff as ad
+from duorec.data import ParseError
 
 
 def finite_difference_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -45,6 +47,60 @@ def nce_regularizer_bruteforce(reps: np.ndarray, collision_mask: np.ndarray,
                 denom += math.exp(float(np.dot(reps[a], reps[j])) / tau)
         total += -math.log(pos / denom)
     return total / b
+
+
+def ingest_reference(path, fmt: str) -> list[tuple[str, str, int]]:
+    """Line-by-line reference for ``data.ingest``: (user, item, timestamp)
+    per event, in file order. Timestamps are Python ints of any size."""
+    sep, n_fields, sep_name = {"tsv-uit": ("\t", 3, "tab"), "ml-1m": ("::", 4, "::")}[fmt]
+    events = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split(sep)
+            if len(parts) != n_fields:
+                raise ParseError(f"line {lineno}: expected {n_fields} {sep_name}-separated "
+                                 f"fields, got {len(parts)}")
+            try:
+                timestamp = int(parts[-1])
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: bad timestamp {parts[-1]!r}") from exc
+            events.append((parts[0], parts[1], timestamp))
+    return events
+
+
+def build_sequences_reference(events, min_count: int, max_len: int):
+    """Counter-based reference for ``data.build_sequences`` over
+    ``ingest_reference``'s events: (sequences as lists, item_of, id_of,
+    frequency list)."""
+    kept = list(range(len(events)))
+    while True:
+        user_count = Counter(events[i][0] for i in kept)
+        item_count = Counter(events[i][1] for i in kept)
+        new_kept = [i for i in kept if user_count[events[i][0]] >= min_count
+                    and item_count[events[i][1]] >= min_count]
+        if len(new_kept) == len(kept):
+            break
+        kept = new_kept
+    per_user = defaultdict(list)
+    for i in kept:
+        per_user[events[i][0]].append(i)
+    id_of, item_of, freq = {}, ["<pad>"], Counter()
+    sequences = []
+    for _, idxs in sorted(per_user.items()):
+        idxs.sort(key=lambda i: (events[i][2], i))
+        items = []
+        for i in idxs:
+            ext = events[i][1]
+            if ext not in id_of:
+                id_of[ext] = len(item_of)
+                item_of.append(ext)
+            items.append(id_of[ext])
+            freq[id_of[ext]] += 1
+        sequences.append(items[-max_len:])
+    return sequences, item_of, id_of, [freq[i] for i in range(len(item_of))]
 
 
 @pytest.fixture

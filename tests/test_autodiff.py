@@ -62,6 +62,31 @@ class TestMatmul:
         assert_grad_close(ta.grad, finite_difference_grad(lambda x: (x @ b).sum(), a.copy()))
         assert_grad_close(tb.grad, finite_difference_grad(lambda x: (a @ x).sum(), b.copy()))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((2, 3, 1, 4), (2, 3, 4, 5)),      # one query row: dB is an outer product
+        ((2, 3, 6, 4), (2, 3, 4, 1)),      # one output column: dA is
+        ((3, 1, 4), (4, 1)),               # both, with b broadcast over the batch
+    ])
+    def test_inner_dimension_one_gradients_match_np_matmul_bytes(self, rng, dtype,
+                                                                 a_shape, b_shape):
+        a = rng.standard_normal(a_shape).astype(dtype)
+        b = rng.standard_normal(b_shape).astype(dtype)
+        g = rng.standard_normal(np.matmul(a, b).shape).astype(dtype)
+        for x in (a, b, g):                # signed zeros in every operand
+            x.flat[::3] = 0.0
+            x.flat[1::3] *= -1
+            x.flat[::6] = -0.0
+        ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        ad.matmul(ta, tb)._backward(g)
+        want_a = np.matmul(g, b.swapaxes(-1, -2))
+        want_b = np.matmul(a.swapaxes(-1, -2), g)
+        if want_b.ndim > b.ndim:
+            want_b = want_b.sum(axis=0)
+        assert ta.grad.dtype == tb.grad.dtype == dtype
+        assert ta.grad.tobytes() == want_a.tobytes()
+        assert tb.grad.tobytes() == want_b.tobytes()
+
 
 class TestSoftmaxRows:
     def test_equal_logits(self):

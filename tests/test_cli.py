@@ -265,6 +265,23 @@ class TestDatasetChecks:
         assert rc == 2
         assert f"{name}:" in capsys.readouterr().err
 
+    def test_repeated_item_id_names_its_line(self, dataset_dir, tmp_path, capsys):
+        # rows 1,a,3 and 2,a,4 used to load as item_of [..., 'a', 'a'] with
+        # id_of {'a': 2}
+        path = dataset_dir / "vocab.csv"
+        header, *rows = path.read_text().splitlines()
+        first = rows[0].split(",")[1]
+        rows[3] = ",".join([rows[3].split(",")[0], first, rows[3].split(",")[2]])
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ParseError, match=rf"vocab.csv:5: item_id '{first}' repeats index 1"):
+            load_dataset_dir(dataset_dir)
+        out = tmp_path / "out"
+        rc = main(["eval", "--checkpoint", untrained_checkpoint(tmp_path / "ckpt.duo", 30),
+                   "--data", str(dataset_dir), "--out", str(out)])
+        assert rc == 2
+        assert "vocab.csv:5" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_grid_runs_and_summary(self, dataset_dir, tmp_path):
@@ -295,6 +312,30 @@ class TestSweep:
                    "--grid", "lambda=0.0,0.2", "--grid", "lambda=0.5", "--out", str(out)])
         assert rc == 1
         assert "lambda" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis", ["lambda=abc", "batch_size=1.5", "seed=1,x"])
+    def test_unparsable_grid_value_is_usage_error(self, dataset_dir, tmp_path, capsys, axis):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--data", str(dataset_dir), "--config", tiny_config_file(tmp_path),
+                   "--grid", axis, "--out", str(out)])
+        assert rc == 1
+        assert f"grid axis {axis!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis, message", [
+        ("lambda=0.2,1.5", "lambda must be in [0, 1], got 1.5"),
+        ("positive_mode=duo,foo", "positive_mode must be one of"),
+        ("heads=2,3", "d=8 not divisible by heads=3"),
+    ])
+    def test_invalid_grid_point_trains_nothing(self, dataset_dir, tmp_path, capsys,
+                                               axis, message):
+        # a bad later point used to exit 2 after training and writing run_0
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--data", str(dataset_dir), "--config", tiny_config_file(tmp_path),
+                   "--grid", axis, "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_required_flag_is_usage_error(self):

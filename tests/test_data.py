@@ -4,38 +4,40 @@ import numpy as np
 import pytest
 
 from duorec.autodiff import ConfigError
-from duorec.data import (PAD_INDEX, Batch, EmptyDatasetError, ParseError,
-                         RawEvent, build_sequences, build_target_index, ingest,
+from duorec.data import (PAD_INDEX, Batch, EmptyDatasetError, EventLog, ParseError,
+                         build_sequences, build_target_index, ingest,
                          iter_epoch, make_collision_mask, split_leave_one_out,
                          UserSequence, ItemVocab)
 from duorec.rng import RngStream
 from duorec.synthetic import make_clustered_corpus
 
+from conftest import build_sequences_reference, ingest_reference
 
-def _events(triples):
-    return [RawEvent(u, i, t) for u, i, t in triples]
+
+def _log(triples):
+    users, items, stamps = zip(*triples) if triples else ((), (), ())
+    return EventLog(list(users), list(items), np.array(stamps, dtype=np.int64))
 
 
 def _corpus(n_users=10, seq_len=6):
     """Every user interacts with every item, so nothing is filtered."""
-    events = []
-    for u in range(n_users):
-        for t in range(seq_len):
-            events.append(RawEvent(f"u{u}", f"i{t}", t))
-    return events
+    return _log([(f"u{u}", f"i{t}", t) for u in range(n_users) for t in range(seq_len)])
 
 
 class TestIngest:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.tsv"
         p.write_text("")
-        assert ingest(p, "tsv-uit") == []
+        log = ingest(p, "tsv-uit")
+        assert log.users == [] and log.items == []
+        assert log.timestamps.dtype == np.int64 and log.timestamps.shape == (0,)
 
     def test_order_preserved(self, tmp_path):
         p = tmp_path / "d.tsv"
         p.write_text("u1\ta\t3\nu2\tb\t1\nu1\tc\t2\n")
-        events = ingest(p, "tsv-uit")
-        assert [e.item_id for e in events] == ["a", "b", "c"]
+        log = ingest(p, "tsv-uit")
+        assert log.users == ["u1", "u2", "u1"] and log.items == ["a", "b", "c"]
+        assert log.timestamps.tolist() == [3, 1, 2]
 
     def test_missing_field_names_line(self, tmp_path):
         p = tmp_path / "bad.tsv"
@@ -46,21 +48,56 @@ class TestIngest:
     def test_ml1m_format_discards_rating(self, tmp_path):
         p = tmp_path / "r.dat"
         p.write_text("1::1193::5::978300760\n")
-        events = ingest(p, "ml-1m")
-        assert events[0].item_id == "1193" and events[0].timestamp == 978300760
+        log = ingest(p, "ml-1m")
+        assert log.items == ["1193"] and log.timestamps.tolist() == [978300760]
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):
             ingest(tmp_path / "x", "csv")
 
+    @pytest.mark.parametrize("fmt, text, message", [
+        ("tsv-uit", "u\ta\t1\n\nu\tb\t2\tx\n",
+         "line 3: expected 3 tab-separated fields, got 4"),
+        ("ml-1m", "u::a::5::1\r\nu::b::5\r\n", "line 2: expected 4 ::-separated fields, got 3"),
+        ("ml-1m", "u::a::5::1\nu:::::b::5::2\n", "line 2: expected 4 ::-separated fields, got 5"),
+        ("tsv-uit", "\n\nu\ta\t1.5\n", "line 3: bad timestamp '1.5'"),
+        # joined to the next line by '::', '1:' would read as 1 and shift a colon on
+        ("ml-1m", "u::a::5::1:\nv::b::5::2\n", "line 1: bad timestamp '1:'"),
+        ("tsv-uit", "u\ta\t1\nu\tb\t\n", "line 2: bad timestamp ''"),
+        ("tsv-uit", f"u\ta\t1\nu\tb\t{2**63}\n",
+         f"line 2: timestamp '{2**63}' outside int64"),
+        ("ml-1m", f"u::a::5::{-2**63 - 1}\n", f"line 1: timestamp '{-2**63 - 1}' outside int64"),
+        # the first bad line is named, whatever is wrong with later ones
+        ("tsv-uit", "u\ta\tx\nu\tb\n", "line 1: bad timestamp 'x'"),
+        ("tsv-uit", "u\ta\n" f"u\tb\t{2**64}\n", "line 1: expected 3 tab-separated"),
+        ("tsv-uit", f"u\ta\t{2**64}\nu\tb\tx\n", "line 1: timestamp"),
+    ])
+    def test_bad_line_is_named(self, tmp_path, fmt, text, message):
+        p = tmp_path / "bad.log"
+        p.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ParseError) as err:
+            ingest(p, fmt)
+        assert str(err.value).startswith(message)
+
+    def test_int64_bounds_are_accepted(self, tmp_path):
+        p = tmp_path / "edge.tsv"
+        p.write_text(f"u\ta\t{2**63 - 1}\nu\tb\t{-2**63}\n")
+        assert ingest(p, "tsv-uit").timestamps.tolist() == [2**63 - 1, -2**63]
+
+    def test_crlf_and_empty_lines(self, tmp_path):
+        p = tmp_path / "crlf.dat"
+        p.write_bytes("\r\n1::a::5::7\r\n\r\n2::b::4::3\r".encode("utf-8"))
+        log = ingest(p, "ml-1m")
+        assert log == EventLog(["1", "2"], ["a", "b"], log.timestamps)
+        assert log.timestamps.tolist() == [7, 3]
+
 
 class TestBuildSequences:
     def test_kcore_fixpoint_removes_cascades(self):
         # u0 has 5 events but one of its items only appears 4 times overall
-        events = _corpus(n_users=6, seq_len=6)
-        events = [e for e in events if not (e.user_id == "u5" and e.item_id != "i0")]
-        sequences, vocab = build_sequences(events, min_count=5)
-        users = {f"u{u}" for u in range(5)}
+        log = _log([(u, i, t) for u, i, t in zip(*_corpus(n_users=6, seq_len=6))
+                    if not (u == "u5" and i != "i0")])
+        sequences, vocab = build_sequences(log, min_count=5)
         assert len(sequences) == 5  # u5 dropped (1 event after item filtering)
         for seq in sequences:
             counts = np.bincount([i for s in sequences for i in s.items])
@@ -68,14 +105,11 @@ class TestBuildSequences:
 
     def test_all_filtered_raises(self):
         with pytest.raises(EmptyDatasetError):
-            build_sequences(_events([("u", "i", 0)]), min_count=5)
+            build_sequences(_log([("u", "i", 0)]), min_count=5)
 
     def test_truncation_keeps_most_recent(self):
-        events = []
-        for u in range(5):
-            for t in range(60):
-                events.append(RawEvent(f"u{u}", f"i{t}", t))
-        sequences, vocab = build_sequences(events, min_count=5, max_len=50)
+        log = _log([(f"u{u}", f"i{t}", t) for u in range(5) for t in range(60)])
+        sequences, vocab = build_sequences(log, min_count=5, max_len=50)
         seq = sequences[0]
         assert len(seq.items) == 50
         assert vocab.item_of[seq.items[-1]] == "i59"
@@ -89,12 +123,9 @@ class TestBuildSequences:
             build_sequences(_corpus(), min_count=5, max_len=max_len)
 
     def test_timestamp_ties_broken_by_file_order(self):
-        events = []
-        for u in range(5):
-            events += [RawEvent(f"u{u}", "a", 1), RawEvent(f"u{u}", "b", 1),
-                       RawEvent(f"u{u}", "c", 0), RawEvent(f"u{u}", "a", 2),
-                       RawEvent(f"u{u}", "b", 2)]
-        sequences, vocab = build_sequences(events, min_count=5)
+        log = _log([(f"u{u}", i, t) for u in range(5)
+                    for i, t in (("a", 1), ("b", 1), ("c", 0), ("a", 2), ("b", 2))])
+        sequences, vocab = build_sequences(log, min_count=5)
         names = [vocab.item_of[i] for i in sequences[0].items]
         assert names == ["c", "a", "b", "a", "b"]
 
@@ -106,6 +137,100 @@ class TestBuildSequences:
     def test_frequency_sums_to_actions(self):
         sequences, vocab = build_sequences(_corpus(), min_count=5)
         assert vocab.frequency.sum() == sum(len(s.items) for s in sequences)
+
+    def test_users_in_string_order(self):
+        log = _log([(u, "i", t) for t, u in enumerate(["b", "a", "B", "é", "a", "b", "é", "B"])])
+        sequences, _ = build_sequences(log, min_count=2)
+        assert [s.user for s in sequences] == [0, 1, 2, 3]
+        assert [len(s.items) for s in sequences] == [2, 2, 2, 2]   # B, a, b, é
+
+
+def _write_random_log(path, fmt, rng, n_events, users, items, stamp_range):
+    """A log of random events drawn with replacement, so pairs, ties and
+    whole duplicate events recur; CRLF endings and empty lines mixed in."""
+    sep = "\t" if fmt == "tsv-uit" else "::"
+    lines = []
+    for _ in range(n_events):
+        fields = [users[rng.integers(len(users))], items[rng.integers(len(items))],
+                  str(int(rng.integers(stamp_range)))]
+        if fmt == "ml-1m":
+            fields.insert(2, str(int(rng.integers(1, 6))))
+        lines.append(sep.join(fields))
+        if rng.random() < 0.05:
+            lines.append("")
+    ending = "\r\n" if rng.random() < 0.5 else "\n"
+    path.write_bytes("".join(line + ending for line in lines).encode("utf-8"))
+
+
+class TestPrepAgainstReference:
+    """``ingest`` + ``build_sequences`` against the line-by-line, Counter-based
+    reference in conftest: identical sequences, ``item_of``, ``id_of`` and
+    ``frequency``, or the same ParseError."""
+
+    def _check(self, path, fmt, min_count, max_len):
+        try:
+            events = ingest_reference(path, fmt)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                ingest(path, fmt)
+            assert str(err.value) == str(exc)
+            return False
+        log = ingest(path, fmt)
+        assert list(zip(log.users, log.items, log.timestamps.tolist())) == events
+        seqs, item_of, id_of, freq = build_sequences_reference(events, min_count, max_len)
+        if not seqs:
+            with pytest.raises(EmptyDatasetError):
+                build_sequences(log, min_count=min_count, max_len=max_len)
+            return True
+        sequences, vocab = build_sequences(log, min_count=min_count, max_len=max_len)
+        assert [s.items for s in sequences] == seqs
+        assert [s.user for s in sequences] == list(range(len(seqs)))
+        assert vocab.item_of == item_of and vocab.id_of == id_of
+        assert vocab.frequency.dtype == np.int64 and vocab.frequency.tolist() == freq
+        return True
+
+    @pytest.mark.parametrize("fmt", ["tsv-uit", "ml-1m"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_logs(self, tmp_path, fmt, seed):
+        rng = np.random.default_rng([seed, fmt == "ml-1m"])
+        users = [f"u{k}" for k in range(int(rng.integers(3, 30)))] + ["ü", "日本", "Zed", "a b"]
+        items = [str(k) for k in range(int(rng.integers(3, 40)))] + ["é", "☃", "x y"]
+        for min_count in range(1, 7):
+            path = tmp_path / f"log{min_count}"
+            _write_random_log(path, fmt, rng, int(rng.integers(0, 400)), users, items,
+                              int(rng.integers(1, 50)))
+            for max_len in (1, 3, 10_000):
+                assert self._check(path, fmt, min_count, max_len)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_colons_at_id_edges(self, tmp_path, seed):
+        # ml-1m ids that start or end with ':' shift a colon into the next
+        # field, or make a line of five fields
+        rng = np.random.default_rng(seed)
+        ids = ["a", ":b", "c:", ":d:", "e", "f"]
+        parsed = 0
+        for trial in range(20):
+            path = tmp_path / f"log{trial}"
+            _write_random_log(path, "ml-1m", rng, int(rng.integers(1, 60)), ids, ids, 5)
+            parsed += self._check(path, "ml-1m", int(rng.integers(1, 4)), 5)
+        assert 0 < parsed < 20
+
+    @pytest.mark.parametrize("min_count", range(1, 7))
+    def test_kcore_cascade(self, tmp_path, min_count):
+        # x has min_count - 1 events, so (for min_count >= 2) the rounds drop
+        # x; then A; y; B; z; C; and only D's events of w stay
+        m = min_count
+        pairs = ([("A", "x")] * (m - 1) + [("A", "y")] + [("B", "y")] * (m - 1) + [("B", "z")]
+                 + [("C", "z")] * (m - 1) + [("C", "w")] + [("D", "w")] * m)
+        path = tmp_path / "cascade.tsv"
+        path.write_text("".join(f"{u}\t{i}\t{t}\n" for t, (u, i) in enumerate(pairs)))
+        assert self._check(path, "tsv-uit", min_count, 50)
+        sequences, vocab = build_sequences(ingest(path, "tsv-uit"), min_count=min_count)
+        if min_count == 1:
+            assert len(sequences) == 4
+        else:
+            assert [s.items for s in sequences] == [[1] * m]
+            assert vocab.item_of == ["<pad>", "w"] and vocab.frequency.tolist() == [0, m]
 
 
 class TestSplitLeaveOneOut:

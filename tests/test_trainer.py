@@ -65,6 +65,7 @@ class TestConfig:
         ("d", 0), ("heads", 0), ("layers", -1), ("lr", -0.1), ("lr", 0.0),
         ("lr", float("nan")), ("lr", float("inf")), ("tau", 0.0), ("tau", -1.0),
         ("epochs", 0), ("batch_size", 0), ("max_len", 0), ("early_stop_patience", 0),
+        ("heads", 3),                  # 64 is not divisible by 3
     ])
     def test_degenerate_shapes_and_rates_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
