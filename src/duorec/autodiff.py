@@ -15,8 +15,24 @@ gradient on, its closure, its parent links and its own gradient are
 dropped, so the activations it held are freed while backward still runs.
 Call it once per forward pass; only leaf tensors (parameters and inputs
 created with ``requires_grad=True``) keep their ``grad`` afterwards.
-Gradient buffers are never written in place, so a leaf may own an array
-that another op also received.
+
+Allocation rule: an op writes each intermediate into an array it already
+holds (``out=``, in place) wherever its arithmetic allows, so a forward
+allocates its output, the arrays its backward keeps, and as few other
+arrays of its input's size as its arithmetic needs. Under ``no_grad`` that
+is two arrays in all for ``gelu`` and ``layer_norm`` and one for
+``softmax_rows``. Each expression keeps its floating-point operations and
+their order, so the bytes are those of the plain expression. Two fused
+forms save the arrays between a product and the next op:
+``matmul(a, b, bias)`` adds the bias into the product, and
+``softmax_rows(x, scale, mask)`` takes the softmax of ``x*scale + mask``
+in one array.
+
+Backward rule: a backward writes only into arrays it allocated itself, or
+into temporaries its forward kept for it alone. It never writes into the
+incoming gradient or into any tensor's ``.data``, which callers may read
+after ``backward``. Gradient buffers are never written in place, so a leaf
+may own an array that another op also received.
 """
 
 from __future__ import annotations
@@ -126,10 +142,15 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
+def _records(*parents) -> bool:
+    """Whether an op on ``parents`` records its backward (``_make``'s test)."""
+    return _grad_enabled and any(isinstance(p, Tensor) and p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:
     out = Tensor(data)
     parents = tuple(p for p in parents if isinstance(p, Tensor))
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _records(*parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -175,19 +196,34 @@ def mul(a: Tensor, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; batched when both operands share leading dims."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product; batched when both operands share leading dims.
+
+    With ``bias``, returns ``add(matmul(a, b), bias)``'s values and
+    gradients, the bias added into the product in place.
+    """
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}")
     out_data = np.matmul(a.data, b.data)
+    if bias is not None:
+        _check_fits(bias.data, out_data.shape, "bias")
+        out_data += bias.data
 
     def backward(g):
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.data.shape))
         if a.requires_grad:
             a._accumulate(_unbroadcast(_product(g, b.data.swapaxes(-1, -2)), a.data.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(_product(a.data.swapaxes(-1, -2), g), b.data.shape))
 
-    return _make(out_data, (a, b), backward)
+    return _make(out_data, (a, b, bias), backward)
+
+
+def _check_fits(x: np.ndarray, shape: tuple[int, ...], name: str) -> None:
+    """Raise unless ``x`` broadcasts to ``shape`` itself, so it can be added in place."""
+    if x.ndim > len(shape) or any(m not in (1, n) for m, n in zip(x.shape[::-1], shape[::-1])):
+        raise ShapeError(f"{name} {x.shape} does not broadcast to {shape}")
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -225,22 +261,46 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation)."""
-    c = x.data.dtype.type(np.sqrt(2.0 / np.pi))
-    x2 = np.square(x.data)
-    # the arithmetic of tanh(c*x*(1 + 0.044715*x2)) and 0.5*x*(1 + t), in
-    # the same order, reusing temporaries: every temporary is as large as x
-    t = 0.044715 * x2
+    """Gaussian error linear unit (tanh approximation).
+
+    The forward computes t = tanh(c*x*(1 + 0.044715*x**2)) and the output
+    0.5*x*(1 + t) in two arrays, t and the output. When a gradient is
+    recorded it also computes the derivative
+    0.5*(1 + t) + 0.5*x*(1 - t**2)*c*(1 + 0.134145*x**2) and keeps that
+    alone; every expression runs its operations in the order written.
+    """
+    xd = x.data
+    c = xd.dtype.type(np.sqrt(2.0 / np.pi))
+    recorded = _records(x)
+    t = np.square(xd)
+    if recorded:
+        du = t                                  # c*(1 + 0.134145*x**2)
+        t = du * 0.044715
+        du *= 0.134145
+        du += 1.0
+        du *= c
+    else:
+        t *= 0.044715
     t += 1.0
-    t *= c * x.data
+    out_data = np.multiply(c, xd)
+    t *= out_data
     np.tanh(t, out=t)
-    out_data = 0.5 * x.data
-    out_data *= 1.0 + t
+    np.multiply(xd, 0.5, out=out_data)
+    if not recorded:
+        t += 1.0
+        out_data *= t
+        return Tensor(out_data)
+    deriv = np.square(t)                        # 0.5*x*(1 - t**2)*du
+    np.subtract(1.0, deriv, out=deriv)
+    deriv *= out_data
+    deriv *= du
+    t += 1.0
+    out_data *= t
+    t *= 0.5
+    deriv += t                                  # + 0.5*(1 + t)
 
     def backward(g):
-        du = c * (1.0 + 0.134145 * x2)
-        d = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - np.square(t)) * du
-        x._accumulate(g * d)
+        x._accumulate(g * deriv)
 
     return _make(out_data, (x,), backward)
 
@@ -261,15 +321,34 @@ def mean_all(x: Tensor) -> Tensor:
 # -- row-wise ops -------------------------------------------------------
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis, max-subtracted for stability."""
-    y = x.data - x.data.max(axis=-1, keepdims=True)
+def softmax_rows(x: Tensor, scale: float | None = None, mask=None) -> Tensor:
+    """Softmax over the last axis of ``x*scale + mask``, max-subtracted for stability.
+
+    ``scale`` is rounded to ``x``'s dtype and ``mask`` (an array, no
+    gradient) cast to it and broadcast to ``x``'s shape, as ``mul`` and
+    ``add`` would; the values and gradients are those of
+    ``softmax_rows(add(mul(x, scale), mask))``, made in one array.
+    """
+    y = x.data                                  # each step below allocates once at most
+    if scale is not None:
+        scale = y.dtype.type(scale)
+        y = y * scale
+    if mask is not None:
+        mask = np.asarray(mask, dtype=y.dtype)
+        _check_fits(mask, y.shape, "mask")
+        y = np.add(y, mask, out=None if y is x.data else y)
+    y = np.subtract(y, y.max(axis=-1, keepdims=True), out=None if y is x.data else y)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        x._accumulate((g - dot) * y)
+        gx = g * y
+        dot = gx.sum(axis=-1, keepdims=True)
+        np.subtract(g, dot, out=gx)
+        gx *= y
+        if scale is not None:
+            gx *= scale
+        x._accumulate(gx)
 
     return _make(y, (x,), backward)
 
@@ -277,25 +356,34 @@ def softmax_rows(x: Tensor) -> Tensor:
 def logsumexp_rows(x: Tensor) -> Tensor:
     """log(sum(exp(x))) over the last axis, stabilized."""
     m = x.data.max(axis=-1, keepdims=True)
-    e = np.exp(x.data - m)
+    e = x.data - m
+    np.exp(e, out=e)
     s = e.sum(axis=-1, keepdims=True)
     out_data = (m + np.log(s)).squeeze(-1)
 
     def backward(g):
-        x._accumulate(g[..., None] * (e / s))
+        p = e                                   # e is this op's own: g * (e / s)
+        p /= s
+        p *= g[..., None]
+        x._accumulate(p)
 
     return _make(out_data, (x,), backward)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
-    """Zero-mean unit-variance normalization of the last axis, then affine."""
+    """Zero-mean unit-variance normalization of the last axis, then affine.
+
+    The forward makes two arrays of ``x``'s shape: ``x - mean``, scaled in
+    place into ``xhat``, and one that holds its square, then the output.
+    """
     mu = x.data.mean(axis=-1, keepdims=True)
-    xm = x.data - mu
-    var = (xm ** 2).mean(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    out_data = np.square(xhat)
+    var = out_data.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xm * inv
-    out_data = xhat * gain.data + bias.data
-    d = x.data.shape[-1]
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out_data)
+    out_data += bias.data
 
     def backward(g):
         if gain.requires_grad:
@@ -303,9 +391,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.data.shape))
         if x.requires_grad:
+            # (gx - mean(gx) - xhat*mean(gx*xhat)) * inv in two arrays
             gx = g * gain.data
-            term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(term * inv)
+            gx_mean = gx.mean(axis=-1, keepdims=True)
+            tmp = gx * xhat
+            tmp_mean = tmp.mean(axis=-1, keepdims=True)
+            gx -= gx_mean
+            np.multiply(xhat, tmp_mean, out=tmp)
+            gx -= tmp
+            gx *= inv
+            x._accumulate(gx)
 
     return _make(out_data, (x, gain, bias), backward)
 
@@ -399,6 +494,26 @@ def scatter_rows(x: Tensor, rows, n_rows: int) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
+def interleave_rows(a: Tensor, b: Tensor) -> Tensor:
+    """Rows of ``a`` and ``b`` alternated: row 2i is ``a[i]``, row 2i+1 is ``b[i]``."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"cannot interleave rows of {a.data.shape} and {b.data.shape}")
+    out_data = np.empty((2 * a.data.shape[0],) + a.data.shape[1:],
+                        dtype=np.result_type(a.data, b.data))
+    out_data[0::2] = a.data
+    out_data[1::2] = b.data
+
+    def backward(g):
+        # contiguous, as a block of rows would be, so what consumes these
+        # gradients (products, sums over rows) sees the usual layout
+        if a.requires_grad:
+            a._accumulate(np.ascontiguousarray(g[0::2]))
+        if b.requires_grad:
+            b._accumulate(np.ascontiguousarray(g[1::2]))
+
+    return _make(out_data, (a, b), backward)
+
+
 def take_pairs(x: Tensor, rows, cols) -> Tensor:
     """Elements x[rows[i], cols[i]] as a vector; backward scatter-adds."""
     r = np.asarray(rows, dtype=np.int64)
@@ -421,15 +536,18 @@ def cross_entropy_from_logits(logits: Tensor, targets) -> Tensor:
         bad = t[(t < 0) | (t >= v)][0]
         raise IndexError(f"target {bad} out of range [0, {v})")
     mx = logits.data.max(axis=-1, keepdims=True)
-    e = np.exp(logits.data - mx)
+    e = logits.data - mx
+    np.exp(e, out=e)
     s = e.sum(axis=-1, keepdims=True)
     lse = (mx + np.log(s)).squeeze(-1)
     rows = np.arange(m)
     out_data = np.asarray((lse - logits.data[rows, t]).mean())
 
     def backward(g):
-        p = e / s
+        p = e                                   # e is this op's own: p = e / s
+        p /= s
         p[rows, t] -= 1.0
-        logits._accumulate(float(g) / m * p)
+        p *= float(g) / m
+        logits._accumulate(p)
 
     return _make(out_data, (logits,), backward)

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (ItemVocab, ParseError, UserSequence, build_sequences, ingest,
-                   split_leave_one_out)
+from .data import (ItemVocab, ParseError, SplitDataset, UserSequence, build_sequences,
+                   ingest, split_leave_one_out)
 from .metrics import (export_projection_csv, export_spectrum_csv, project_2d,
                       singular_spectrum)
 from .trainer import (TrainConfig, evaluate, load_checkpoint, save_checkpoint,
@@ -134,9 +134,12 @@ def _write_eval(out: Path, rep) -> dict:
     return metrics
 
 
-def _run_training(config: TrainConfig, data_dir, out: Path) -> dict:
+def _load_split(data_dir, max_len: int) -> SplitDataset:
     sequences, vocab = load_dataset_dir(data_dir)
-    split = split_leave_one_out(sequences, vocab, max_len=config.max_len)
+    return split_leave_one_out(sequences, vocab, max_len=max_len)
+
+
+def _run_training(config: TrainConfig, split: SplitDataset, out: Path) -> dict:
     result = train(config, split)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(out / "checkpoint.duo", result.checkpoint)
@@ -158,7 +161,8 @@ def _cmd_prep(args) -> None:
 
 
 def _cmd_train(args) -> None:
-    metrics = _run_training(_load_config(args), args.data, Path(args.out))
+    config = _load_config(args)
+    metrics = _run_training(config, _load_split(args.data, config.max_len), Path(args.out))
     print(json.dumps(metrics, sort_keys=True))
 
 
@@ -218,11 +222,13 @@ def _cmd_sweep(args) -> None:
     grid = [dict(zip((k for k, _ in axes), combo))
             for combo in itertools.product(*(vals for _, vals in axes))]
     configs = [TrainConfig.from_dict(base.to_dict() | overrides) for overrides in grid]
+    # no grid axis changes the data or max_len, so every run shares one split
+    split = _load_split(args.data, base.max_len)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, (overrides, cfg) in enumerate(zip(grid, configs)):
-        metrics = _run_training(cfg, args.data, out / f"run_{i}")
+        metrics = _run_training(cfg, split, out / f"run_{i}")
         rows.append({**overrides, **metrics})
     keys = [k for k, _ in axes] + sorted(k for k in rows[0] if k not in dict(axes))
     with open(out / "summary.csv", "w", newline="") as f:

@@ -40,24 +40,8 @@ def assemble(h_prime: Tensor, h_prime_s: Tensor, collision_mask: np.ndarray,
     """Interleave the two views into [h'_1, h'_1s, h'_2, h'_2s, ...]."""
     if tau <= 0:
         raise ConfigError(f"temperature must be positive, got {tau}")
-    b, d = h_prime.shape
-    stacked = ad.reshape(
-        ad.transpose(ad.reshape(_concat_rows(h_prime, h_prime_s), (2, b, d)), (1, 0, 2)),
-        (2 * b, d))
-    return ContrastiveBatch(reps=stacked, collision_mask=collision_mask, tau=tau)
-
-
-def _concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    out_data = np.concatenate([a.data, b.data], axis=0)
-
-    def backward(g):
-        n = a.data.shape[0]
-        if a.requires_grad:
-            a._accumulate(g[:n])
-        if b.requires_grad:
-            b._accumulate(g[n:])
-
-    return ad._make(out_data, (a, b), backward)
+    return ContrastiveBatch(reps=ad.interleave_rows(h_prime, h_prime_s),
+                            collision_mask=collision_mask, tau=tau)
 
 
 def nce_regularizer(cb: ContrastiveBatch) -> Tensor:

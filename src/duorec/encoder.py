@@ -25,6 +25,12 @@ computation would use. The final layer draws its masks over the layouts
 it computes: [B, nh, 1, N] for the attention and [B, d] for the two row
 dropouts.
 
+The attention of a block (``_attention``) returns only its output rows,
+so under ``no_grad`` its scattered key, value and query tables, scores,
+weights and context are freed before the feed-forward network runs. The
+feed-forward products add their biases in place (``matmul``'s ``bias``),
+and the scores are scaled and masked inside ``softmax_rows``.
+
 The encoder runs in its weights' dtype: float32 weights give float32
 activations, attention mask included.
 """
@@ -154,21 +160,45 @@ def _block(h: Tensor, rows: np.ndarray, b: int, n: int, mask: np.ndarray,
     """One post-norm attention + feed-forward block on packed rows.
 
     ``h`` [M, d] holds the packed rows and ``rows`` the flat [B*N] position
-    of each; projections run on those rows and are scattered into the
-    padded attention layout. Returns the packed rows, or with ``last_only``
-    each sequence's last position, [B, d]: then the queries and everything
-    after them run on those B rows only. Dropout masks are those of the full
-    B*N-position activations (the attention's whole [B, nh, N, N] layout,
-    the computed rows' values of the row dropouts); with ``last_only`` they
-    are drawn over the layouts computed, [B, nh, 1, N] and [B, d].
+    of each. Returns the packed rows, or with ``last_only`` each sequence's
+    last position, [B, d]: then the queries and everything after them run
+    on those B rows only. Dropout masks are those of the full B*N-position
+    activations (the computed rows' values of the row dropouts); with
+    ``last_only`` they are drawn over the [B, d] rows computed.
     """
     cfg = params.config
-    d, nh = cfg.d, cfg.heads
-    dh = d // nh
     rate = cfg.hidden_dropout
 
     def w(name: str) -> Tensor:
         return params[f"layer{layer}.{name}"]
+
+    if last_only:
+        hq = ad.gather_rows(h, np.searchsorted(rows, np.arange(n - 1, b * n, n)))
+        out_draw = out_rows = None
+    else:
+        hq, out_draw, out_rows = h, (b * n, cfg.d), rows
+    # the attention's tables, scores and weights are the helper's locals,
+    # so under no_grad they are freed before the feed-forward network runs
+    att = _attention(h, hq, rows, b, n, mask, cfg, w, stream, last_only)
+    att = ad.dropout(att, rate, stream.child("attout"), out_draw, out_rows)
+    x = ad.layer_norm(ad.add(hq, att), w("ln1_gain"), w("ln1_bias"))
+    f2 = ad.matmul(ad.gelu(ad.matmul(x, w("ffn_w1"), w("ffn_b1"))), w("ffn_w2"), w("ffn_b2"))
+    f2 = ad.dropout(f2, rate, stream.child("ffn"), out_draw, out_rows)
+    return ad.layer_norm(ad.add(x, f2), w("ln2_gain"), w("ln2_bias"))
+
+
+def _attention(h: Tensor, hq: Tensor, rows: np.ndarray, b: int, n: int, mask: np.ndarray,
+               cfg: EncoderConfig, w, stream: RngStream, last_only: bool) -> Tensor:
+    """Multi-head self-attention of ``_block``, through the output projection.
+
+    Keys and values come from the packed rows ``h``, scattered into the
+    padded [B, nh, N, dh] layout; queries from ``hq``, which is ``h`` or,
+    with ``last_only``, each sequence's last row. Returns one row per row
+    of ``hq``. The attention dropout's mask is that of the whole
+    [B, nh, N, N] layout, or with ``last_only`` of the [B, nh, 1, N] one.
+    """
+    d, nh = cfg.d, cfg.heads
+    dh = d // nh
 
     def split_heads(x: Tensor, m: int) -> Tensor:             # [B*m, d] -> [B, nh, m, dh]
         return ad.transpose(ad.reshape(x, (b, m, nh, dh)), (0, 2, 1, 3))
@@ -177,29 +207,18 @@ def _block(h: Tensor, rows: np.ndarray, b: int, n: int, mask: np.ndarray,
         return split_heads(ad.scatter_rows(ad.matmul(h, w(name)), rows, b * n), n)
 
     if last_only:
-        hq = ad.gather_rows(h, np.searchsorted(rows, np.arange(n - 1, b * n, n)))
         q = split_heads(ad.matmul(hq, w("wq")), 1)
-        # a copy, so the graph holds the last query row and not the whole mask
-        mask = mask[:, :, n - 1:].copy()
-        out_draw = out_rows = None
+        mask = mask[:, :, n - 1:]
     else:
-        hq, out_draw, out_rows = h, (b * n, d), rows
         q = projected("wq")
-    k = projected("wk")
-    v = projected("wv")
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    att = ad.softmax_rows(ad.add(scores, mask))               # [B, nh, 1 or N, N]
-    att = ad.dropout(att, rate, stream.child("att"))
-    ctx = ad.transpose(ad.matmul(att, v), (0, 2, 1, 3))       # [B, 1 or N, nh, dh]
+    scores = ad.matmul(q, ad.transpose(projected("wk"), (0, 1, 3, 2)))
+    att = ad.softmax_rows(scores, 1.0 / np.sqrt(dh), mask)    # [B, nh, 1 or N, N]
+    att = ad.dropout(att, cfg.hidden_dropout, stream.child("att"))
+    ctx = ad.transpose(ad.matmul(att, projected("wv")), (0, 2, 1, 3))   # [B, 1 or N, nh, dh]
     ctx = ad.reshape(ctx, (b * ctx.shape[1], d))
     if not last_only:
         ctx = ad.gather_rows(ctx, rows)
-    out = ad.dropout(ad.matmul(ctx, w("wo")), rate, stream.child("attout"), out_draw, out_rows)
-    x = ad.layer_norm(ad.add(hq, out), w("ln1_gain"), w("ln1_bias"))
-    f1 = ad.gelu(ad.add(ad.matmul(x, w("ffn_w1")), w("ffn_b1")))
-    f2 = ad.add(ad.matmul(f1, w("ffn_w2")), w("ffn_b2"))
-    f2 = ad.dropout(f2, rate, stream.child("ffn"), out_draw, out_rows)
-    return ad.layer_norm(ad.add(x, f2), w("ln2_gain"), w("ln2_bias"))
+    return ad.matmul(ctx, w("wo"))
 
 
 def encode_sequence(item_ids: np.ndarray, params: EncoderParams,

@@ -49,6 +49,116 @@ def nce_regularizer_bruteforce(reps: np.ndarray, collision_mask: np.ndarray,
     return total / b
 
 
+# -- the encoder's ops as plain expressions: oracles for ``autodiff`` ----
+#
+# Each is the op as it stood before its forward and backward were rewritten
+# to reuse their temporaries, or the composition of ops that a fused form
+# replaced. They compute the same floating-point operations in the same
+# order, so the rewritten ops must match them byte for byte.
+
+
+def gelu_reference(x):
+    c = x.data.dtype.type(np.sqrt(2.0 / np.pi))
+    x2 = np.square(x.data)
+    t = np.tanh(c * x.data * (1.0 + 0.044715 * x2))
+    out_data = 0.5 * x.data * (1.0 + t)
+
+    def backward(g):
+        du = c * (1.0 + 0.134145 * x2)
+        d = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - np.square(t)) * du
+        x._accumulate(g * d)
+
+    return ad._make(out_data, (x,), backward)
+
+
+def logsumexp_rows_reference(x):
+    m = x.data.max(axis=-1, keepdims=True)
+    e = np.exp(x.data - m)
+    s = e.sum(axis=-1, keepdims=True)
+    out_data = (m + np.log(s)).squeeze(-1)
+
+    def backward(g):
+        x._accumulate(g[..., None] * (e / s))
+
+    return ad._make(out_data, (x,), backward)
+
+
+def layer_norm_reference(x, gain, bias, eps=1e-8):
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xm = x.data - mu
+    var = (xm ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xm * inv
+    out_data = xhat * gain.data + bias.data
+
+    def backward(g):
+        if gain.requires_grad:
+            gain._accumulate(ad._unbroadcast(g * xhat, gain.data.shape))
+        if bias.requires_grad:
+            bias._accumulate(ad._unbroadcast(g, bias.data.shape))
+        if x.requires_grad:
+            gx = g * gain.data
+            term = (gx - gx.mean(axis=-1, keepdims=True)
+                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
+            x._accumulate(term * inv)
+
+    return ad._make(out_data, (x, gain, bias), backward)
+
+
+def softmax_rows_reference(x):
+    y = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    y = y / y.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        x._accumulate((g - dot) * y)
+
+    return ad._make(y, (x,), backward)
+
+
+def scaled_masked_softmax_reference(x, scale, mask):
+    """``mul`` -> ``add`` -> softmax, the attention's three ops before
+    ``softmax_rows`` took ``scale`` and ``mask``."""
+    return softmax_rows_reference(ad.add(ad.mul(x, scale), mask))
+
+
+def matmul_bias_reference(a, b, bias):
+    return ad.add(ad.matmul(a, b), bias)
+
+
+def cross_entropy_reference(logits, targets):
+    t = np.asarray(targets, dtype=np.int64)
+    m = logits.data.shape[0]
+    mx = logits.data.max(axis=-1, keepdims=True)
+    e = np.exp(logits.data - mx)
+    s = e.sum(axis=-1, keepdims=True)
+    lse = (mx + np.log(s)).squeeze(-1)
+    rows = np.arange(m)
+    out_data = np.asarray((lse - logits.data[rows, t]).mean())
+
+    def backward(g):
+        p = e / s
+        p[rows, t] -= 1.0
+        logits._accumulate(float(g) / m * p)
+
+    return ad._make(out_data, (logits,), backward)
+
+
+def interleave_rows_reference(a, b):
+    """Rows concatenated, then reshape, transpose and reshape: ``assemble``'s
+    four graph nodes before ``interleave_rows``."""
+    n, d = a.data.shape
+
+    def concat_backward(g):
+        if a.requires_grad:
+            a._accumulate(g[:n])
+        if b.requires_grad:
+            b._accumulate(g[n:])
+
+    stacked = ad._make(np.concatenate([a.data, b.data], axis=0), (a, b), concat_backward)
+    return ad.reshape(ad.transpose(ad.reshape(stacked, (2, n, d)), (1, 0, 2)), (2 * n, d))
+
+
 def ingest_reference(path, fmt: str) -> list[tuple[str, str, int]]:
     """Line-by-line reference for ``data.ingest``: (user, item, timestamp)
     per event, in file order. Timestamps are Python ints of any size."""

@@ -7,7 +7,10 @@ from duorec import autodiff as ad
 from duorec.autodiff import ConfigError, ShapeError, Tensor
 from duorec.rng import RngStream
 
-from conftest import assert_grad_close, finite_difference_grad
+from conftest import (assert_grad_close, cross_entropy_reference, finite_difference_grad,
+                      gelu_reference, interleave_rows_reference, layer_norm_reference,
+                      logsumexp_rows_reference, matmul_bias_reference,
+                      scaled_masked_softmax_reference, softmax_rows_reference)
 
 
 def quantized_scale(rate):
@@ -542,6 +545,138 @@ class TestRngStream:
                 k: counters[k] for k in streams}
 
 
+# -- rewritten ops against the plain expressions they replaced -----------
+
+
+def special_values(rng, shape, dtype):
+    """Normal draws (times 3) in ``dtype``: the first entries are +0.0, -0.0,
+    subnormals, the smallest normal and +-50, and the last row is all zero."""
+    x = rng.standard_normal(shape) * 3.0
+    fi = np.finfo(dtype)
+    specials = [0.0, -0.0, fi.smallest_subnormal, -fi.smallest_subnormal,
+                7 * fi.smallest_subnormal, fi.tiny, 50.0, -50.0]
+    flat = x.reshape(-1)
+    n = min(len(specials), flat.size)
+    flat[:n] = specials[:n]
+    if x.ndim > 1:
+        x.reshape(-1, shape[-1])[-1] = 0.0
+    return x.astype(dtype)
+
+
+def _rewrite_cases(rng, dtype):
+    """name -> (inputs, rewritten op, plain-expression oracle from conftest)."""
+    def s(*shape):
+        return special_values(rng, shape, dtype)
+    scale = 1.0 / np.sqrt(3.0)
+    # float64 masks: both sides cast them to the input's dtype
+    mask = np.triu(np.full((5, 5), -1e30), k=1) + np.where(
+        rng.random((2, 1, 1, 5)) < 0.3, -1e30, 0.0)           # [2, 1, 5, 5]
+    last = mask[:, :, 4:]                                      # a strided [2, 1, 1, 5] view
+    targets = [0, 8, 3, 3, 5, 1]
+    return {
+        "gelu": ([s(6, 16)], ad.gelu, gelu_reference),
+        "layer_norm": ([s(6, 8), s(8), s(8)], ad.layer_norm, layer_norm_reference),
+        "layer_norm_full_gain": ([s(6, 8), s(6, 8), s(1, 8)], ad.layer_norm,
+                                 layer_norm_reference),
+        "softmax_rows": ([s(4, 7)], ad.softmax_rows, softmax_rows_reference),
+        "softmax_rows_scaled": ([s(4, 7)], lambda x: ad.softmax_rows(x, scale),
+                                lambda x: softmax_rows_reference(ad.mul(x, scale))),
+        "softmax_rows_masked": ([s(2, 3, 5, 5)], lambda x: ad.softmax_rows(x, mask=mask),
+                                lambda x: softmax_rows_reference(ad.add(x, mask))),
+        "softmax_rows_scaled_masked": (
+            [s(2, 3, 5, 5)], lambda x: ad.softmax_rows(x, scale, mask),
+            lambda x: scaled_masked_softmax_reference(x, scale, mask)),
+        "softmax_rows_last_row": (
+            [s(2, 3, 1, 5)], lambda x: ad.softmax_rows(x, scale, last),
+            lambda x: scaled_masked_softmax_reference(x, scale, last)),
+        "matmul_bias": ([s(6, 4), s(4, 5), s(5)], ad.matmul, matmul_bias_reference),
+        "matmul_bias_column": ([s(2, 3, 4), s(2, 4, 5), s(3, 1)], ad.matmul,
+                               matmul_bias_reference),
+        "matmul_bias_batched": ([s(2, 3, 4), s(4, 5), s(2, 1, 5)], ad.matmul,
+                                matmul_bias_reference),
+        "logsumexp_rows": ([s(2, 4, 7)], ad.logsumexp_rows, logsumexp_rows_reference),
+        "cross_entropy": ([s(6, 9)], lambda x: ad.cross_entropy_from_logits(x, targets),
+                          lambda x: cross_entropy_reference(x, targets)),
+        "interleave_rows": ([s(4, 3), s(4, 3)], ad.interleave_rows,
+                            interleave_rows_reference),
+    }
+
+
+REWRITE_CASES = sorted(_rewrite_cases(np.random.default_rng(0), np.float64))
+
+
+def feed(out: Tensor, g: np.ndarray) -> Tensor:
+    """A scalar whose backward hands the array ``g`` itself to ``out`` as its gradient."""
+    def backward(_):
+        out._accumulate(g)
+
+    return ad._make(np.asarray(0.0, dtype=out.data.dtype), (out,), backward)
+
+
+class TestRewrittenOps:
+    """Each op that reuses its temporaries, or fuses ops, against the plain
+    expressions in conftest: same operations in the same order, same bytes."""
+
+    @staticmethod
+    def run(case, dtype, which):
+        """The eval-mode output, the recorded output and every input's
+        gradient; checks that backward writes into no input, no output and
+        not the gradient it receives."""
+        inputs, *ops = _rewrite_cases(np.random.default_rng(3), dtype)[case]
+        op = ops[which]
+        with ad.no_grad():
+            eval_out = op(*[Tensor(x) for x in inputs])
+        assert not eval_out.requires_grad
+        leaves = [Tensor(x, requires_grad=True) for x in inputs]
+        out = op(*leaves)
+        g = np.random.default_rng(4).standard_normal(out.shape).astype(dtype)
+        before = [g.copy(), out.data.copy()] + [x.copy() for x in inputs]
+        feed(out, g).backward()
+        after = [g, out.data] + [leaf.data for leaf in leaves]
+        for b, a in zip(before, after):
+            assert a.tobytes() == b.tobytes(), case
+        return [eval_out.data, out.data] + [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", REWRITE_CASES)
+    def test_outputs_and_gradients_are_byte_equal(self, case, dtype):
+        new, ref = self.run(case, dtype, 0), self.run(case, dtype, 1)
+        assert new[0].tobytes() == new[1].tobytes()             # no_grad changes nothing
+        for a, b in zip(new, ref):
+            assert a.dtype == b.dtype == dtype
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_interleave_rows_gradient_vs_finite_differences(self, rng):
+        a, b = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+        w = rng.standard_normal((8, 3))
+        ta, tb = Tensor(a.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
+        out = ad.interleave_rows(ta, tb)
+        ad.sum_all(ad.mul(ad.gelu(out), w)).backward()
+
+        def f(av, bv):
+            return (ad.gelu(ad.interleave_rows(Tensor(av), Tensor(bv))).data * w).sum()
+
+        assert_grad_close(ta.grad, finite_difference_grad(lambda x: f(x, b), a.copy()))
+        assert_grad_close(tb.grad, finite_difference_grad(lambda x: f(a, x), b.copy()))
+        assert ta.grad.flags.c_contiguous and tb.grad.flags.c_contiguous
+
+    def test_interleave_rows_shapes_must_agree(self):
+        with pytest.raises(ShapeError):
+            ad.interleave_rows(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2))))
+
+    @pytest.mark.parametrize("bias_shape", [(4,), (3, 5), (1, 1, 5)])
+    def test_bias_that_widens_the_product_is_rejected(self, bias_shape):
+        with pytest.raises(ShapeError, match="bias"):
+            ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))),
+                      Tensor(np.ones(bias_shape)))
+
+    @pytest.mark.parametrize("mask_shape", [(4,), (2, 1, 3, 4)])
+    def test_mask_that_widens_the_scores_is_rejected(self, mask_shape):
+        with pytest.raises(ShapeError, match="mask"):
+            ad.softmax_rows(Tensor(np.ones((3, 5))), 0.5, np.zeros(mask_shape))
+
+
 # -- the dtype rule -------------------------------------------------------
 
 
@@ -557,12 +692,15 @@ def _op_cases(rng):
         ("mul", [r(3, 4), r(3, 4)], lambda a, b: ad.mul(a, b)),
         ("mul_scalar", [r(3, 4)], lambda a: ad.mul(a, 1.0 / np.sqrt(3.0))),
         ("matmul", [r(2, 3, 4), r(2, 4, 5)], lambda a, b: ad.matmul(a, b)),
+        ("matmul_bias", [r(2, 3, 4), r(2, 4, 5), r(5)], lambda a, b, c: ad.matmul(a, b, c)),
         ("reshape", [r(3, 4)], lambda a: ad.reshape(a, (2, 6))),
         ("transpose", [r(2, 3, 4)], lambda a: ad.transpose(a, (2, 0, 1))),
         ("gelu", [r(3, 4)], lambda a: ad.gelu(a)),
         ("sum_all", [r(3, 4)], lambda a: ad.sum_all(a)),
         ("mean_all", [r(3, 4)], lambda a: ad.mean_all(a)),
         ("softmax_rows", [r(3, 4)], lambda a: ad.softmax_rows(a)),
+        ("softmax_rows_scaled_masked", [r(2, 3, 4)],
+         lambda a: ad.softmax_rows(a, 0.5, np.triu(np.full((3, 4), -1e30), k=1))),
         ("logsumexp_rows", [r(3, 4)], lambda a: ad.logsumexp_rows(a)),
         ("layer_norm", [r(3, 4), r(4), r(4)], lambda a, g, b: ad.layer_norm(a, g, b)),
         ("dropout", [r(3, 4)], lambda a: ad.dropout(a, 0.3, RngStream(0, "d"))),
@@ -570,6 +708,7 @@ def _op_cases(rng):
          lambda a: ad.dropout(a, 0.3, RngStream(0, "d"), (5, 4), rows)),
         ("gather_rows", [r(3, 4)], lambda a: ad.gather_rows(a, idx)),
         ("scatter_rows", [r(3, 4)], lambda a: ad.scatter_rows(a, rows, 5)),
+        ("interleave_rows", [r(3, 4), r(3, 4)], lambda a, b: ad.interleave_rows(a, b)),
         ("take_pairs", [r(3, 4)], lambda a: ad.take_pairs(a, [0, 2, 2], [3, 1, 1])),
         ("cross_entropy", [r(3, 4)], lambda a: ad.cross_entropy_from_logits(a, [1, 0, 3])),
     ]

@@ -1,9 +1,11 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import duorec.cli
 from duorec.cli import load_dataset_dir, main
 from duorec.data import ParseError
 from duorec.synthetic import make_clustered_corpus
@@ -297,6 +299,36 @@ class TestSweep:
         for i, row in enumerate(rows):
             assert (out / f"run_{i}" / "checkpoint.duo").exists()
             assert 0.0 <= float(row["hr@10"]) <= 1.0
+
+    def test_data_is_loaded_once_and_runs_match_train(self, dataset_dir, tmp_path,
+                                                      monkeypatch):
+        # every run shares one loaded split; each writes the files that
+        # ``duorec train`` writes for its config, byte for byte
+        calls = []
+        original = duorec.cli.load_dataset_dir
+
+        def counting_load(path):
+            calls.append(path)
+            return original(path)
+
+        monkeypatch.setattr(duorec.cli, "load_dataset_dir", counting_load)
+        cfg = tiny_config_file(tmp_path)
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--data", str(dataset_dir), "--config", cfg,
+                   "--grid", "lambda=0.0,0.1,0.2", "--out", str(out)])
+        assert rc == 0
+        assert len(calls) == 1
+        files = ("checkpoint.duo", "curves.csv", "eval.json")
+        for i, lam in enumerate(("0.0", "0.1", "0.2")):
+            cfg_i = tmp_path / f"config_{i}.json"
+            cfg_i.write_text(json.dumps(json.loads(Path(cfg).read_text()) | {"lambda": float(lam)}))
+            single = tmp_path / f"train_{i}"
+            assert main(["train", "--data", str(dataset_dir), "--config", str(cfg_i),
+                         "--out", str(single)]) == 0
+            for name in files:
+                assert (out / f"run_{i}" / name).read_bytes() == (single / name).read_bytes()
+        with open(out / "summary.csv", newline="") as f:
+            assert [r["lambda"] for r in csv.DictReader(f)] == ["0.0", "0.1", "0.2"]
 
     def test_bad_grid_axis_is_usage_error(self, dataset_dir, tmp_path):
         rc = main(["sweep", "--data", str(dataset_dir),

@@ -463,21 +463,26 @@ class TestPackedRows(TestLastPositionFinalLayer):
     def test_no_projection_runs_on_every_position(self, monkeypatch):
         # every layer projects the packed rows (the last layer's queries,
         # output projection and feed-forward network: the last rows only);
-        # none projects the B*N-position layout
+        # none projects the B*N-position layout. The feed-forward products
+        # add their biases through matmul's ``bias``, the others add none.
         params, ids = self.inputs(2, 0.3)
         names = {id(t): name for name, t in params.named()}
         seen = []
         original = ad.matmul
 
-        def recording_matmul(a, b):
+        def recording_matmul(a, b, bias=None):
             if id(b) in names:
-                seen.append((names[id(b)], a.shape[0]))
-            return original(a, b)
+                seen.append((names[id(b)], a.shape[0],
+                             None if bias is None else names[id(bias)]))
+            return original(a, b, bias)
 
         monkeypatch.setattr(ad, "matmul", recording_matmul)
         encode_sequence(ids, params, RngStream(3, "enc"))
         b, m = len(ids), len(_packed_rows(ids))
         assert m < b * self.MAX_LEN
-        packed = {f"layer0.{w}": m for w in ("wq", "wk", "wv", "wo", "ffn_w1", "ffn_w2")}
-        last = {f"layer1.{w}": b for w in ("wq", "wo", "ffn_w1", "ffn_w2")}
-        assert sorted(seen) == sorted((packed | last | {"layer1.wk": m, "layer1.wv": m}).items())
+        rows = {f"layer0.{w}": m for w in ("wq", "wk", "wv", "wo", "ffn_w1", "ffn_w2")}
+        rows |= {f"layer1.{w}": b for w in ("wq", "wo", "ffn_w1", "ffn_w2")}
+        rows |= {"layer1.wk": m, "layer1.wv": m}
+        biases = {f"layer{i}.ffn_w{j}": f"layer{i}.ffn_b{j}" for i in (0, 1) for j in (1, 2)}
+        want = [(name, n, biases.get(name)) for name, n in rows.items()]
+        assert sorted(seen) == sorted(want)
