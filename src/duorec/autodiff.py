@@ -314,10 +314,6 @@ def sum_all(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
-def mean_all(x: Tensor) -> Tensor:
-    return mul(sum_all(x), 1.0 / x.data.size)
-
-
 # -- row-wise ops -------------------------------------------------------
 
 
@@ -405,28 +401,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     return _make(out_data, (x, gain, bias), backward)
 
 
-def dropout(x: Tensor, rate: float, stream: RngStream,
-            draw_shape: tuple[int, ...] | None = None, rows=None) -> Tensor:
+def dropout(x: Tensor, rate: float, stream: RngStream) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, rescale survivors.
 
     The mask comes solely from ``stream``, so a fixed (seed, label, counter)
-    reproduces it bit for bit. Each element owns one 16-bit lane of raw
-    Philox output (``RngStream.lanes``) and is kept when its lane is at least
-    ``cut = round(rate * 65536)``: the rate is quantized to 1/65536, and a
-    rate that rounds to 0 returns ``x``. Survivors are scaled by
+    reproduces it bit for bit. Each element of ``x`` owns one 16-bit lane of
+    raw Philox output (``RngStream.lanes``) and is kept when its lane is at
+    least ``cut = round(rate * 65536)``: the rate is quantized to 1/65536,
+    and a rate that rounds to 0 returns ``x``. Survivors are scaled by
     ``65536 / (65536 - cut)``, so each mask value's expectation is exactly
     1; only that scale is rounded to ``x``'s dtype, and float32 and float64
     inputs share the keep pattern.
-
-    With ``rows`` (strictly increasing), ``x`` holds those rows of
-    ``x.shape[-1]`` elements of the whole activation of ``draw_shape``:
-    ``x.reshape(-1, w)`` is ``full.reshape(-1, w)[rows]``. The whole
-    activation's lanes are drawn and those rows' mask values used, so the
-    stream advances, and every mask value of ``rows`` comes out, exactly as
-    if the whole activation had been dropped. Without ``rows``, ``x`` is the
-    whole activation (``draw_shape``, if given, must be its shape). The
-    encoder's embedding and every layer but the last drop packed rows this
-    way; the last layer's masks cover only the last rows it computes.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
@@ -435,19 +420,8 @@ def dropout(x: Tensor, rate: float, stream: RngStream,
         raise ConfigError(f"dropout rate {rate} rounds to 1 in steps of 1/65536")
     if cut == 0:
         return x
-    shape = x.data.shape if draw_shape is None else tuple(draw_shape)
-    n = math.prod(shape)
     scale = x.data.dtype.type(65536 / (65536 - cut))
-    if rows is None:
-        if shape != x.data.shape:
-            raise ShapeError(f"dropout mask {shape} does not fit input {x.data.shape}")
-        mask = (stream.lanes(n) >= cut).reshape(shape) * scale
-    else:
-        w = x.data.shape[-1]
-        rows = np.asarray(rows, dtype=np.int64)
-        if n % w or rows.size * w != x.data.size:
-            raise ShapeError(f"{rows.size} rows of {w} do not fit input {x.data.shape}")
-        mask = ((stream.lanes(n).reshape(-1, w)[rows] >= cut) * scale).reshape(x.data.shape)
+    mask = (stream.lanes(x.data.size) >= cut).reshape(x.data.shape) * scale
     out_data = x.data * mask
 
     def backward(g):

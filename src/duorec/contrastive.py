@@ -32,7 +32,6 @@ class LossBundle:
     rec_loss: Tensor
     reg_loss: Tensor
     total: Tensor
-    lam: float
 
 
 def assemble(h_prime: Tensor, h_prime_s: Tensor, collision_mask: np.ndarray,
@@ -69,7 +68,7 @@ def combined_loss(rec: Tensor, reg: Tensor, lam: float) -> LossBundle:
     if lam < 0:
         raise ConfigError(f"regularizer weight must be >= 0, got {lam}")
     total = ad.add(rec, ad.mul(reg, lam))
-    return LossBundle(rec_loss=rec, reg_loss=reg, total=total, lam=lam)
+    return LossBundle(rec_loss=rec, reg_loss=reg, total=total)
 
 
 POSITIVE_MODES = ("unsupervised", "supervised", "duo")

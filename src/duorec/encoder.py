@@ -18,12 +18,7 @@ keys, values and queries into the padded [B, nh, N, N] attention layout,
 with zeros at the rows left out. Only the last position leaves the stack,
 so the final layer's queries and everything after them run on B rows.
 
-The embedding and every layer but the last draw the masks of their full
-B*N-position activations (the attention's pad rows included) and apply
-the values of the rows computed, so those are the values the full
-computation would use. The final layer draws its masks over the layouts
-it computes: [B, nh, 1, N] for the attention and [B, d] for the two row
-dropouts.
+Every dropout draws its mask over the array it drops.
 
 The attention of a block (``_attention``) returns only its output rows,
 so under ``no_grad`` its scattered key, value and query tables, scores,
@@ -118,14 +113,13 @@ def embed(item_ids: np.ndarray, rows: np.ndarray, params: EncoderParams,
     """Item embedding + positional row at the packed ``rows``, then embedding dropout.
 
     Returns [M, d], one row per flat [B*N] position in ``rows``; no other
-    position is gathered. The dropout mask is that of the full [B*N, d]
-    embedding, so each row keeps the value it would have there.
+    position is gathered.
     """
     cfg = params.config
     b, n = item_ids.shape
     v = ad.gather_rows(params["item_emb"], item_ids.reshape(b * n)[rows])   # [M, d]
     pos = ad.gather_rows(params["pos_emb"], rows % n)                         # [M, d]
-    return ad.dropout(ad.add(v, pos), cfg.emb_dropout, stream.child("emb"), (b * n, cfg.d), rows)
+    return ad.dropout(ad.add(v, pos), cfg.emb_dropout, stream.child("emb"))
 
 
 def _attention_mask(item_ids: np.ndarray, dtype=np.float64) -> np.ndarray:
@@ -145,26 +139,25 @@ def encode(h: Tensor, item_ids: np.ndarray, rows: np.ndarray, params: EncoderPar
     positions ``rows``; return last-position vectors [B, d]."""
     cfg = params.config
     b, n = item_ids.shape
+    last = np.searchsorted(rows, np.arange(n - 1, b * n, n))   # each window's last row of h
     if cfg.layers == 0:
-        return ad.gather_rows(h, np.searchsorted(rows, np.arange(n - 1, b * n, n)))
+        return ad.gather_rows(h, last)
     mask = _attention_mask(item_ids, h.data.dtype)
     for layer in range(cfg.layers):
         h = _block(h, rows, b, n, mask, params, layer, stream.child(f"layer{layer}"),
-                   last_only=layer == cfg.layers - 1)
+                   last if layer == cfg.layers - 1 else None)
     return h
 
 
 def _block(h: Tensor, rows: np.ndarray, b: int, n: int, mask: np.ndarray,
            params: EncoderParams, layer: int, stream: RngStream,
-           last_only: bool) -> Tensor:
+           last: np.ndarray | None) -> Tensor:
     """One post-norm attention + feed-forward block on packed rows.
 
     ``h`` [M, d] holds the packed rows and ``rows`` the flat [B*N] position
-    of each. Returns the packed rows, or with ``last_only`` each sequence's
-    last position, [B, d]: then the queries and everything after them run
-    on those B rows only. Dropout masks are those of the full B*N-position
-    activations (the computed rows' values of the row dropouts); with
-    ``last_only`` they are drawn over the [B, d] rows computed.
+    of each. Returns the packed rows, or, given ``last`` (the index in ``h``
+    of each sequence's last position), those positions' rows, [B, d]: then
+    the queries and everything after them run on those B rows only.
     """
     cfg = params.config
     rate = cfg.hidden_dropout
@@ -172,18 +165,14 @@ def _block(h: Tensor, rows: np.ndarray, b: int, n: int, mask: np.ndarray,
     def w(name: str) -> Tensor:
         return params[f"layer{layer}.{name}"]
 
-    if last_only:
-        hq = ad.gather_rows(h, np.searchsorted(rows, np.arange(n - 1, b * n, n)))
-        out_draw = out_rows = None
-    else:
-        hq, out_draw, out_rows = h, (b * n, cfg.d), rows
+    hq = h if last is None else ad.gather_rows(h, last)
     # the attention's tables, scores and weights are the helper's locals,
     # so under no_grad they are freed before the feed-forward network runs
-    att = _attention(h, hq, rows, b, n, mask, cfg, w, stream, last_only)
-    att = ad.dropout(att, rate, stream.child("attout"), out_draw, out_rows)
+    att = _attention(h, hq, rows, b, n, mask, cfg, w, stream, last is not None)
+    att = ad.dropout(att, rate, stream.child("attout"))
     x = ad.layer_norm(ad.add(hq, att), w("ln1_gain"), w("ln1_bias"))
     f2 = ad.matmul(ad.gelu(ad.matmul(x, w("ffn_w1"), w("ffn_b1"))), w("ffn_w2"), w("ffn_b2"))
-    f2 = ad.dropout(f2, rate, stream.child("ffn"), out_draw, out_rows)
+    f2 = ad.dropout(f2, rate, stream.child("ffn"))
     return ad.layer_norm(ad.add(x, f2), w("ln2_gain"), w("ln2_bias"))
 
 
@@ -194,8 +183,8 @@ def _attention(h: Tensor, hq: Tensor, rows: np.ndarray, b: int, n: int, mask: np
     Keys and values come from the packed rows ``h``, scattered into the
     padded [B, nh, N, dh] layout; queries from ``hq``, which is ``h`` or,
     with ``last_only``, each sequence's last row. Returns one row per row
-    of ``hq``. The attention dropout's mask is that of the whole
-    [B, nh, N, N] layout, or with ``last_only`` of the [B, nh, 1, N] one.
+    of ``hq``. The attention dropout draws over the [B, nh, N, N] weights,
+    or with ``last_only`` over the [B, nh, 1, N] ones.
     """
     d, nh = cfg.d, cfg.heads
     dh = d // nh

@@ -187,42 +187,6 @@ class TestDropout:
         np.testing.assert_array_equal(x.grad[~survivors], 0.0)
 
 
-    def test_sliced_draw_matches_full_draw(self, rng):
-        full = Tensor(rng.standard_normal((4, 6)))
-        rows = np.array([1, 3])
-        ref_stream, part_stream = RngStream(2, "m"), RngStream(2, "m")
-        ref = ad.dropout(full, 0.3, ref_stream)
-        part = ad.dropout(Tensor(full.data[rows]), 0.3, part_stream, (4, 6), rows)
-        np.testing.assert_array_equal(part.data, ref.data[rows])
-        assert part_stream.counter == ref_stream.counter
-
-    @pytest.mark.parametrize("rows", [[0], [2, 3, 4, 9], [1, 5, 6, 10, 11]])
-    def test_row_runs_match_full_draw(self, rng, rows):
-        # rows of 3 start inside counter blocks; consecutive rows merge into one run
-        full = Tensor(rng.standard_normal((12, 3)))
-        ref_stream, part_stream = RngStream(4, "r", 5), RngStream(4, "r", 5)
-        ref = ad.dropout(full, 0.3, ref_stream)
-        part = ad.dropout(Tensor(full.data[rows]), 0.3, part_stream, (12, 3), rows)
-        assert part.data.tobytes() == ref.data[rows].tobytes()
-        assert part_stream.counter == ref_stream.counter
-
-    def test_row_runs_over_leading_axes(self, rng):
-        # the attention layout: the last query row of every (sequence, head)
-        full = Tensor(rng.standard_normal((3, 2, 5, 5)))
-        ref = ad.dropout(full, 0.3, RngStream(1, "a"))
-        part = ad.dropout(Tensor(full.data[:, :, 4:]), 0.3, RngStream(1, "a"),
-                          (3, 2, 5, 5), np.arange(6) * 5 + 4)
-        assert part.data.tobytes() == ref.data[:, :, 4:].tobytes()
-
-    def test_rows_must_fit_input(self):
-        with pytest.raises(ShapeError):
-            ad.dropout(Tensor(np.ones((2, 6))), 0.3, RngStream(0, "x"), (4, 6), [0, 1, 2])
-
-    def test_draw_shape_must_fit_input(self):
-        with pytest.raises(ShapeError):
-            ad.dropout(Tensor(np.ones((2, 6))), 0.3, RngStream(0, "x"), (4, 6))
-
-
 class TestLayerNorm:
     def test_constant_row_collapses_to_bias(self):
         x = Tensor(np.full((2, 4), 3.7))
@@ -697,15 +661,13 @@ def _op_cases(rng):
         ("transpose", [r(2, 3, 4)], lambda a: ad.transpose(a, (2, 0, 1))),
         ("gelu", [r(3, 4)], lambda a: ad.gelu(a)),
         ("sum_all", [r(3, 4)], lambda a: ad.sum_all(a)),
-        ("mean_all", [r(3, 4)], lambda a: ad.mean_all(a)),
+        ("sum_all_scaled", [r(3, 4)], lambda a: ad.mul(ad.sum_all(a), 1.0 / a.data.size)),
         ("softmax_rows", [r(3, 4)], lambda a: ad.softmax_rows(a)),
         ("softmax_rows_scaled_masked", [r(2, 3, 4)],
          lambda a: ad.softmax_rows(a, 0.5, np.triu(np.full((3, 4), -1e30), k=1))),
         ("logsumexp_rows", [r(3, 4)], lambda a: ad.logsumexp_rows(a)),
         ("layer_norm", [r(3, 4), r(4), r(4)], lambda a, g, b: ad.layer_norm(a, g, b)),
         ("dropout", [r(3, 4)], lambda a: ad.dropout(a, 0.3, RngStream(0, "d"))),
-        ("dropout_packed", [r(3, 4)],
-         lambda a: ad.dropout(a, 0.3, RngStream(0, "d"), (5, 4), rows)),
         ("gather_rows", [r(3, 4)], lambda a: ad.gather_rows(a, idx)),
         ("scatter_rows", [r(3, 4)], lambda a: ad.scatter_rows(a, rows, 5)),
         ("interleave_rows", [r(3, 4), r(3, 4)], lambda a, b: ad.interleave_rows(a, b)),
@@ -742,14 +704,12 @@ class TestDtypeRule:
         for a, b in zip(g32, g64):
             np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
 
-    @pytest.mark.parametrize("rows", [None, [1, 2, 5, 9]])
-    def test_float32_dropout_keeps_the_float64_pattern(self, rng, rows):
-        # x is the whole (12, 7) activation, or holds just ``rows`` of it
-        x = rng.standard_normal((12 if rows is None else len(rows), 7))
+    def test_float32_dropout_keeps_the_float64_pattern(self, rng):
+        x = rng.standard_normal((12, 7))
         out = {}
         for dtype in (np.float32, np.float64):
             stream = RngStream(8, "k", 2)
-            out[dtype] = ad.dropout(Tensor(x.astype(dtype)), 0.25, stream, (12, 7), rows).data
+            out[dtype] = ad.dropout(Tensor(x.astype(dtype)), 0.25, stream).data
             out[dtype, "counter"] = stream.counter
         kept32, kept64 = out[np.float32] != 0, out[np.float64] != 0
         np.testing.assert_array_equal(kept32, kept64)

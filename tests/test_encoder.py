@@ -41,26 +41,33 @@ def reference_attention_mask(item_ids):
     return mask
 
 
+def reference_packed_rows(item_ids):
+    """Flat [B*N] positions that reach the output: every real position and
+    each sequence's last one (test oracle for ``_packed_rows``)."""
+    n = item_ids.shape[1]
+    return np.flatnonzero(((item_ids != PAD_INDEX) | (np.arange(n) == n - 1)).ravel())
+
+
+def rows_dropout(x, rate, stream, rows):
+    """Drop only ``rows`` of ``x.reshape(-1, w)`` (w = ``x.shape[-1]``), with
+    the mask of one [len(rows), w] draw; every other row passes unchanged."""
+    w = x.shape[-1]
+    keep = ad.dropout(ad.Tensor(np.ones((len(rows), w), x.data.dtype)), rate, stream).data
+    mask = np.ones((x.data.size // w, w), x.data.dtype)
+    mask[rows] = keep
+    return ad.mul(x, mask.reshape(x.shape))
+
+
 def reference_embed(item_ids, params, stream):
     """Item plus positional row at every one of the B*N positions, then the
-    embedding dropout of that whole [B, N, d] activation (test oracle for
-    ``embed``, which gathers and drops only the packed rows)."""
+    embedding dropout of the packed rows alone (test oracle for ``embed``,
+    which gathers and drops only the packed rows)."""
     cfg = params.config
     n = item_ids.shape[1]
     v = ad.gather_rows(params["item_emb"], item_ids)          # [B, N, d]
     pos = ad.gather_rows(params["pos_emb"], np.arange(n))     # [N, d]
     h0 = ad.add(v, ad.reshape(pos, (1, n, cfg.d)))
-    return ad.dropout(h0, cfg.emb_dropout, stream.child("emb"))
-
-
-def last_row_dropout(x, rate, stream):
-    """Drop only the last row (axis -2) of ``x`` [..., N, w], with the mask
-    of a [..., 1, w] draw; every other row passes unchanged."""
-    keep = ad.dropout(ad.Tensor(np.ones(x.shape[:-2] + (1, x.shape[-1]), x.data.dtype)),
-                      rate, stream).data
-    mask = np.ones(x.shape, x.data.dtype)
-    mask[..., -1:, :] = keep
-    return ad.mul(x, mask)
+    return rows_dropout(h0, cfg.emb_dropout, stream.child("emb"), reference_packed_rows(item_ids))
 
 
 def full_stack_encode(h0, item_ids, params, stream):
@@ -68,18 +75,21 @@ def full_stack_encode(h0, item_ids, params, stream):
 
     This is the straightforward layer loop, kept here as the oracle for
     ``encode``, which computes only the packed rows and, in the final layer,
-    only the last position. Every layer but the last drops its whole
-    activations; the last drops each sequence's last row alone, with masks
-    drawn over [B, nh, 1, N] and [B, d], since only that row leaves it.
+    only the last position. Each dropout draws over the rows ``encode``
+    computes: every layer but the last drops its whole attention weights and
+    the packed rows of its outputs; the last drops each sequence's last row
+    alone, the last query row of each head in the attention.
     """
     cfg = params.config
     b, n, d = h0.shape
     nh, dh = cfg.heads, cfg.d // cfg.heads
     mask = reference_attention_mask(item_ids)
+    packed, last_rows = reference_packed_rows(item_ids), np.arange(n - 1, b * n, n)
     h = h0
     for layer in range(cfg.layers):
         ls = stream.child(f"layer{layer}")
-        drop = last_row_dropout if layer == cfg.layers - 1 else ad.dropout
+        final = layer == cfg.layers - 1
+        out_rows = last_rows if final else packed
         flat = ad.reshape(h, (b * n, d))
         heads = []
         for w in ("wq", "wk", "wv"):
@@ -88,11 +98,15 @@ def full_stack_encode(h0, item_ids, params, stream):
         q, k, vv = heads                                       # [B, nh, N, dh]
         scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
         att = ad.softmax_rows(ad.add(scores, mask))
-        att = drop(att, cfg.hidden_dropout, ls.child("att"))
+        if final:
+            att = rows_dropout(att, cfg.hidden_dropout, ls.child("att"),
+                               np.arange(n - 1, b * nh * n, n))
+        else:
+            att = ad.dropout(att, cfg.hidden_dropout, ls.child("att"))
         ctx = ad.matmul(att, vv)                               # [B, nh, N, dh]
         ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * n, d))
         out = ad.reshape(ad.matmul(ctx, params[f"layer{layer}.wo"]), (b, n, d))
-        out = drop(out, cfg.hidden_dropout, ls.child("attout"))
+        out = rows_dropout(out, cfg.hidden_dropout, ls.child("attout"), out_rows)
         h = ad.layer_norm(ad.add(h, out),
                           params[f"layer{layer}.ln1_gain"], params[f"layer{layer}.ln1_bias"])
         flat = ad.reshape(h, (b * n, d))
@@ -100,11 +114,11 @@ def full_stack_encode(h0, item_ids, params, stream):
                             params[f"layer{layer}.ffn_b1"]))
         f2 = ad.add(ad.matmul(f1, params[f"layer{layer}.ffn_w2"]),
                     params[f"layer{layer}.ffn_b2"])
-        f2 = drop(ad.reshape(f2, (b, n, d)), cfg.hidden_dropout, ls.child("ffn"))
+        f2 = rows_dropout(ad.reshape(f2, (b, n, d)), cfg.hidden_dropout, ls.child("ffn"),
+                          out_rows)
         h = ad.layer_norm(ad.add(h, f2),
                           params[f"layer{layer}.ln2_gain"], params[f"layer{layer}.ln2_bias"])
-    last = ad.reshape(h, (b * n, d))
-    return ad.gather_rows(last, np.arange(n - 1, b * n, n))    # [B, d]
+    return ad.gather_rows(ad.reshape(h, (b * n, d)), last_rows)    # [B, d]
 
 
 def full_stack_sequence(item_ids, params, stream):
@@ -161,8 +175,7 @@ class TestEmbed:
         np.testing.assert_array_equal(a.data, a2.data)
 
     def test_dropout_draws_only_the_packed_rows(self, monkeypatch):
-        # embed gathers only the packed rows, yet their mask values are those
-        # of the whole [B, N, d] embedding, from one draw at the same counter
+        # embed gathers and drops only the packed rows: one [M, d] draw
         ids = np.array([[0, 0, 0, 4, 5, 6], [0] * 6, [1, 2, 3, 4, 5, 6], [0, 0, 0, 0, 0, 7]])
         rows = _packed_rows(ids)
         counters = []
@@ -183,11 +196,8 @@ class TestEmbed:
             ref = reference_embed(ids, params, RngStream(2, "s"))
             assert out.data.dtype == ref.data.dtype == dtype
             assert out.data.tobytes() == ref.data.reshape(ids.size, 8)[rows].tobytes()
-            assert counters == [("s.emb", -(-ids.size * 8 // 16))] * 2
-        computed = np.zeros(ids.size, dtype=bool)
-        computed[rows] = True
-        np.testing.assert_array_equal(computed.reshape(ids.shape),
-                                      (ids != PAD_INDEX) | (np.arange(6) == 5))
+            assert counters == [("s.emb", -(-rows.size * 8 // 16))] * 2
+        np.testing.assert_array_equal(rows, reference_packed_rows(ids))
 
     def test_item_gradient_comes_from_the_packed_rows(self, monkeypatch):
         # the item table's gather, and so its backward scatter, covers the M
@@ -396,8 +406,22 @@ class TestLastPositionFinalLayer:
         for name, g in grads[1].items():
             assert np.abs(grads[0][name] - g).max() <= 1e-12, name
 
+    def drop_sizes(self, ids, layers):
+        """Size of each array the encoder drops, by stream label: [M, d] rows
+        and [B, nh, N, N] weights, then [B, d] and [B, nh, 1, N] in the last
+        layer."""
+        b, m, n, d, nh = len(ids), len(_packed_rows(ids)), self.MAX_LEN, 8, 2
+        sizes = {"enc.emb": m * d}
+        for layer in range(layers):
+            rows = b if layer == layers - 1 else m
+            att = b * nh * n if layer == layers - 1 else b * nh * n * n
+            sizes |= {f"enc.trm.layer{layer}.att": att,
+                      f"enc.trm.layer{layer}.attout": rows * d,
+                      f"enc.trm.layer{layer}.ffn": rows * d}
+        return sizes
+
     @pytest.mark.parametrize("layers", [1, 2])
-    def test_stream_counters_match_full_draw(self, layers, monkeypatch):
+    def test_stream_counters_match_full_stack(self, layers, monkeypatch):
         params, ids = self.inputs(layers, 0.3)
         counters = {}
         original = RngStream.lanes
@@ -414,42 +438,36 @@ class TestLastPositionFinalLayer:
             run(ids, params, RngStream(3, "enc"))
             seen.append(dict(counters))
         assert seen[0] == seen[1]
-        b, n, d, nh = len(ids), self.MAX_LEN, 8, 2
-        assert seen[0]["enc.emb"] == -(-b * n * d // 16)
-        last = f"enc.trm.layer{layers - 1}"
-        assert seen[0][f"{last}.att"] == -(-b * nh * n // 16)
-        assert seen[0][f"{last}.attout"] == seen[0][f"{last}.ffn"] == -(-b * d // 16)
-
+        sizes = self.drop_sizes(ids, layers)
+        assert seen[0] == {label: -(-size // 16) for label, size in sizes.items()}
 
     @pytest.mark.parametrize("layers", [1, 2, 3])
     def test_draws_only_rows_that_reach_the_output(self, layers, monkeypatch):
-        # the embedding and every layer but the last draw one lane per
-        # element of their whole B*N-position activations in a single call,
-        # though only the packed rows reach the output; the last layer draws
-        # over the last rows alone
+        # each dropout draws one lane per element of the array it drops, in a
+        # single call: the embedding and the row dropouts draw over the packed
+        # rows, or the last rows in the final layer, and never over the B*N
+        # positions
         params, ids = self.inputs(layers, 0.3)
-        drawn = {}
-        original = RngStream.lanes
+        dropped, drawn = {}, {}
+        original_dropout, original_lanes = ad.dropout, RngStream.lanes
+
+        def recording_dropout(x, rate, stream):
+            dropped.setdefault(stream.label, []).append(x.data.size)
+            return original_dropout(x, rate, stream)
 
         def recording_lanes(self, n):
             before = self.counter
-            out = original(self, n)
+            out = original_lanes(self, n)
             drawn.setdefault(self.label, []).append((out.size, self.counter - before))
             return out
 
+        monkeypatch.setattr(ad, "dropout", recording_dropout)
         monkeypatch.setattr(RngStream, "lanes", recording_lanes)
         encode_sequence(ids, params, RngStream(3, "enc"))
-        b, n, d, nh = len(ids), self.MAX_LEN, 8, 2
-        want = {"enc.emb": [(b * n * d, -(-b * n * d // 16))]}
-        for layer in range(layers - 1):
-            want |= {f"enc.trm.layer{layer}.att": [(b * nh * n * n, -(-b * nh * n * n // 16))],
-                     f"enc.trm.layer{layer}.attout": [(b * n * d, -(-b * n * d // 16))],
-                     f"enc.trm.layer{layer}.ffn": [(b * n * d, -(-b * n * d // 16))]}
-        last = f"enc.trm.layer{layers - 1}"
-        want |= {f"{last}.att": [(b * nh * n, -(-b * nh * n // 16))],
-                 f"{last}.attout": [(b * d, -(-b * d // 16))],
-                 f"{last}.ffn": [(b * d, -(-b * d // 16))]}
-        assert drawn == want
+        assert len(_packed_rows(ids)) < ids.size
+        sizes = self.drop_sizes(ids, layers)
+        assert dropped == {label: [size] for label, size in sizes.items()}
+        assert drawn == {label: [(size, -(-size // 16))] for label, size in sizes.items()}
 
 
 class TestPackedRows(TestLastPositionFinalLayer):
