@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -185,6 +186,44 @@ class TestDropout:
         survivors = out.data != 0
         np.testing.assert_allclose(x.grad[survivors], quantized_scale(0.4))
         np.testing.assert_array_equal(x.grad[~survivors], 0.0)
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4), (3, 2, 1, 5)])
+    def test_mask_is_drawn_over_the_array_it_drops(self, shape):
+        # element i in C order owns lane i of one draw of x.size lanes
+        x = Tensor(np.ones(shape))
+        stream = RngStream(5, "shape", 3)
+        kept = ad.dropout(x, 0.3, stream).data != 0
+        lanes = philox_lanes("shape", 3, x.data.size).reshape(shape)
+        np.testing.assert_array_equal(kept, lanes >= round(0.3 * 65536))
+        assert stream.counter == 3 + -(-x.data.size // 16)
+
+    def test_successive_draws_start_at_the_next_block(self):
+        # a draw of 17 lanes takes two whole counter blocks; the next begins at the third
+        stream = RngStream(5, "next", 1)
+        ad.dropout(Tensor(np.ones(17)), 0.3, stream)
+        kept = ad.dropout(Tensor(np.ones((2, 3))), 0.3, stream).data != 0
+        lanes = philox_lanes("next", 3, 6).reshape(2, 3)
+        np.testing.assert_array_equal(kept, lanes >= round(0.3 * 65536))
+        assert stream.counter == 4
+
+    def test_strided_input_follows_its_logical_order(self, rng):
+        # a transposed view is dropped in the order of its shape, not of its memory
+        x = ad.transpose(Tensor(rng.standard_normal((3, 4))), (1, 0))
+        assert not x.data.flags["C_CONTIGUOUS"]
+        out = ad.dropout(x, 0.3, RngStream(5, "view"))
+        kept = philox_lanes("view", 0, 12).reshape(4, 3) >= round(0.3 * 65536)
+        np.testing.assert_array_equal(out.data != 0, kept)
+        np.testing.assert_array_equal(out.data[kept], x.data[kept] * quantized_scale(0.3))
+
+    def test_empty_array_draws_nothing(self):
+        stream = RngStream(1, "empty", 3)
+        out = ad.dropout(Tensor(np.ones((0, 4))), 0.3, stream)
+        assert out.shape == (0, 4)
+        assert stream.counter == 3
+
+    def test_signature_has_one_form(self):
+        # no option selects a draw over any array but the one dropped
+        assert list(inspect.signature(ad.dropout).parameters) == ["x", "rate", "stream"]
 
 
 class TestLayerNorm:
@@ -668,6 +707,7 @@ def _op_cases(rng):
         ("logsumexp_rows", [r(3, 4)], lambda a: ad.logsumexp_rows(a)),
         ("layer_norm", [r(3, 4), r(4), r(4)], lambda a, g, b: ad.layer_norm(a, g, b)),
         ("dropout", [r(3, 4)], lambda a: ad.dropout(a, 0.3, RngStream(0, "d"))),
+        ("dropout_3d", [r(2, 3, 4)], lambda a: ad.dropout(a, 0.3, RngStream(0, "d"))),
         ("gather_rows", [r(3, 4)], lambda a: ad.gather_rows(a, idx)),
         ("scatter_rows", [r(3, 4)], lambda a: ad.scatter_rows(a, rows, 5)),
         ("interleave_rows", [r(3, 4), r(3, 4)], lambda a, b: ad.interleave_rows(a, b)),
@@ -704,8 +744,9 @@ class TestDtypeRule:
         for a, b in zip(g32, g64):
             np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
 
-    def test_float32_dropout_keeps_the_float64_pattern(self, rng):
-        x = rng.standard_normal((12, 7))
+    @pytest.mark.parametrize("shape", [(12, 7), (2, 3, 14)])
+    def test_float32_dropout_keeps_the_float64_pattern(self, rng, shape):
+        x = rng.standard_normal(shape)
         out = {}
         for dtype in (np.float32, np.float64):
             stream = RngStream(8, "k", 2)
@@ -713,7 +754,7 @@ class TestDtypeRule:
             out[dtype, "counter"] = stream.counter
         kept32, kept64 = out[np.float32] != 0, out[np.float64] != 0
         np.testing.assert_array_equal(kept32, kept64)
-        assert out[np.float32, "counter"] == out[np.float64, "counter"] == 2 + -(-12 * 7 // 16)
+        assert out[np.float32, "counter"] == out[np.float64, "counter"] == 2 + -(-x.size // 16)
         scale = np.float32(1.0 / 0.75)
         assert out[np.float32][kept32].tobytes() == (
             x.astype(np.float32)[kept32] * scale).tobytes()
