@@ -412,6 +412,11 @@ def dropout(x: Tensor, rate: float, stream: RngStream) -> Tensor:
     ``65536 / (65536 - cut)``, so each mask value's expectation is exactly
     1; only that scale is rounded to ``x``'s dtype, and float32 and float64
     inputs share the keep pattern.
+
+    Only that pattern is kept for the backward, one byte per element: an
+    output element is ``x * scale`` where kept and ``x * 0.0`` where
+    dropped (so a dropped negative is -0.0), and its gradient ``g * scale``
+    or ``g * 0.0``, the bytes of multiplying by a float mask.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
@@ -420,12 +425,15 @@ def dropout(x: Tensor, rate: float, stream: RngStream) -> Tensor:
         raise ConfigError(f"dropout rate {rate} rounds to 1 in steps of 1/65536")
     if cut == 0:
         return x
-    scale = x.data.dtype.type(65536 / (65536 - cut))
-    mask = (stream.lanes(x.data.size) >= cut).reshape(x.data.shape) * scale
-    out_data = x.data * mask
+    dtype = x.data.dtype
+    scale, zero = dtype.type(65536 / (65536 - cut)), dtype.type(0.0)
+    keep = (stream.lanes(x.data.size) >= cut).reshape(x.data.shape)
+    out_data = np.where(keep, scale, zero)
+    np.multiply(x.data, out_data, out=out_data)
 
     def backward(g):
-        x._accumulate(g * mask)
+        gx = np.where(keep, scale, zero)
+        x._accumulate(np.multiply(g, gx, out=gx))
 
     return _make(out_data, (x,), backward)
 
@@ -452,13 +460,19 @@ def gather_rows(table: Tensor, indices) -> Tensor:
 
 
 def scatter_rows(x: Tensor, rows, n_rows: int) -> Tensor:
-    """[n_rows, ...] zeros with ``x``'s rows placed at the strictly increasing
-    ``rows``; the inverse of ``gather_rows``, whose gather is its backward."""
+    """[n_rows, ...] zeros with row i of ``x`` placed at ``rows[i]``, for
+    distinct ``rows`` in any order; the inverse of ``gather_rows``, whose
+    gather is its backward. A repeated or out-of-range row raises
+    ``IndexError``, since it would lose one of ``x``'s rows."""
     idx = np.asarray(rows, dtype=np.int64)
     if idx.shape != x.data.shape[:1]:
         raise ShapeError(f"{idx.shape} row indices for input {x.data.shape}")
-    if idx.size and (idx[0] < 0 or idx[-1] >= n_rows or np.any(idx[1:] <= idx[:-1])):
-        raise IndexError(f"rows must be strictly increasing in [0, {n_rows})")
+    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
+        raise IndexError(f"rows must lie in [0, {n_rows})")
+    hit = np.zeros(n_rows, dtype=bool)
+    hit[idx] = True
+    if np.count_nonzero(hit) != idx.size:
+        raise IndexError("rows must be distinct")
     out_data = np.zeros((n_rows,) + x.data.shape[1:], dtype=x.data.dtype)
     out_data[idx] = x.data
 

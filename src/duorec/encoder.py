@@ -13,10 +13,22 @@ reads a pad position's result, so the pass computes only the packed rows
 sequence's last position (an all-pad row still yields one vector).
 ``embed`` gathers item and positional rows at those positions alone, and
 every layer runs on them: projections, residuals, layer norms and the
-feed-forward network take [M, d], and ``autodiff.scatter_rows`` places
-keys, values and queries into the padded [B, nh, N, N] attention layout,
-with zeros at the rows left out. Only the last position leaves the stack,
+feed-forward network take [M, d]. Only the last position leaves the stack,
 so the final layer's queries and everything after them run on B rows.
+
+Attention packs the rows into lanes (``_lanes``, built once per pass and
+shared by every layer but the last). A lane is one [N, N] attention block
+that holds one window, or a short and a long one whose packed rows fit in
+N slots together: windows are sorted by their number of packed rows and
+the shortest left is paired with the longest whenever the two fit.
+``autodiff.scatter_rows`` places keys, values and queries at each row's
+slot of an [n_lanes*N, d] table, with zeros at empty slots, and one
+[n_lanes, 1, N, N] mask lets a slot attend only its own window's slots
+up to itself (``_lane_mask``). So scores, softmax and attention dropout run
+over [n_lanes, nh, N, N], about half of the padded [B, nh, N, N] when
+windows are half full, and the context is gathered back to the packed
+rows. The final layer keeps the padded [B, nh, N, dh] keys for its B
+last-position queries, under a [B, 1, 1, N] mask row (``_last_row_mask``).
 
 Every dropout draws its mask over the array it drops.
 
@@ -33,6 +45,7 @@ activations, attention mask included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,15 +135,74 @@ def embed(item_ids: np.ndarray, rows: np.ndarray, params: EncoderParams,
     return ad.dropout(ad.add(v, pos), cfg.emb_dropout, stream.child("emb"))
 
 
-def _attention_mask(item_ids: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """[B, 1, N, N] additive mask in ``dtype``: causal plus pad-key removal,
-    with the diagonal open so a pad query does not mask its whole row."""
-    b, n = item_ids.shape
-    neg = np.dtype(dtype).type(NEG_INF)
-    causal = np.triu(np.full((n, n), neg), k=1)
-    mask = causal + np.where(item_ids == PAD_INDEX, neg, 0)[:, None, None, :]
-    mask.reshape(b, n * n)[:, ::n + 1] = 0
-    return mask
+def _lanes(rows: np.ndarray, b: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lane layout of the packed ``rows`` of B windows of N: (slots, owner).
+
+    A window's length is its number of packed rows: its real positions and
+    its last one, so 1 for an all-pad window. Windows are sorted stably by
+    length and paired from both ends: while two are left, the longest is
+    paired with the shortest if their lengths sum to at most N, and takes a
+    lane alone otherwise; a last one left takes a lane alone. That forms as
+    many pairs as any pairing can. The pairs' lanes come first, the shorter
+    window at its start; each window's rows sit contiguously and in order.
+
+    ``slots`` [M] is each packed row's slot in the flat [n_lanes*N] layout,
+    all distinct. ``owner`` [n_lanes, N] holds the window at each slot and
+    a distinct negative number at each empty one.
+    """
+    window = rows // n
+    length = np.bincount(window, minlength=b)
+    order = np.argsort(length, kind="stable")
+    sorted_len = length[order].tolist()
+    short, long, alone = [], [], []             # places in ``order``
+    lo, hi = 0, b - 1
+    while lo <= hi:
+        if lo < hi and sorted_len[lo] + sorted_len[hi] <= n:
+            short.append(lo)
+            long.append(hi)
+            lo += 1
+        else:
+            alone.append(hi)
+        hi -= 1
+    short, long, alone = order[short], order[long], order[alone]
+    first = np.concatenate([short, alone])      # the window at each lane's start
+    lane, offset = np.empty(b, dtype=np.int64), np.zeros(b, dtype=np.int64)
+    lane[first] = np.arange(len(first))
+    lane[long] = np.arange(len(long))
+    offset[long] = length[short]
+    start = np.cumsum(length) - length          # each window's first packed row
+    slots = (lane * n + offset - start)[window] + np.arange(len(rows))
+    owner = -1 - np.arange(len(first) * n)
+    owner[slots] = window
+    return slots, owner.reshape(len(first), n)
+
+
+def _lane_mask(owner: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """[n_lanes, 1, N, N] additive mask in ``dtype`` for the lanes ``owner``
+    describes: each slot attends the slots of its own window up to itself,
+    so an empty slot attends itself alone."""
+    n = owner.shape[1]
+    dtype = np.dtype(dtype).type
+    allowed = owner[:, :, None] == owner[:, None, :]
+    allowed &= np.tri(n, dtype=bool)
+    return np.where(allowed[:, None], dtype(0), dtype(NEG_INF))
+
+
+def _last_row_mask(item_ids: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """[B, 1, 1, N] additive mask in ``dtype`` of each window's last query:
+    pad keys removed, the last key, the query's own, always open."""
+    dtype = np.dtype(dtype).type
+    mask = np.where(item_ids == PAD_INDEX, dtype(NEG_INF), dtype(0))
+    mask[:, -1] = 0
+    return mask[:, None, None, :]
+
+
+class _Layout(NamedTuple):
+    """Where an attention places the packed rows: at ``slots`` of a
+    [groups*N, d] table, under the additive ``mask``."""
+    slots: np.ndarray
+    groups: int
+    mask: np.ndarray
 
 
 def encode(h: Tensor, item_ids: np.ndarray, rows: np.ndarray, params: EncoderParams,
@@ -142,22 +214,26 @@ def encode(h: Tensor, item_ids: np.ndarray, rows: np.ndarray, params: EncoderPar
     last = np.searchsorted(rows, np.arange(n - 1, b * n, n))   # each window's last row of h
     if cfg.layers == 0:
         return ad.gather_rows(h, last)
-    mask = _attention_mask(item_ids, h.data.dtype)
-    for layer in range(cfg.layers):
-        h = _block(h, rows, b, n, mask, params, layer, stream.child(f"layer{layer}"),
-                   last if layer == cfg.layers - 1 else None)
-    return h
+    dtype = h.data.dtype
+    if cfg.layers > 1:
+        slots, owner = _lanes(rows, b, n)
+        lanes = _Layout(slots, len(owner), _lane_mask(owner, dtype))
+        for layer in range(cfg.layers - 1):
+            h = _block(h, n, lanes, params, layer, stream.child(f"layer{layer}"), None)
+    final = _Layout(rows, b, _last_row_mask(item_ids, dtype))
+    layer = cfg.layers - 1
+    return _block(h, n, final, params, layer, stream.child(f"layer{layer}"), last)
 
 
-def _block(h: Tensor, rows: np.ndarray, b: int, n: int, mask: np.ndarray,
-           params: EncoderParams, layer: int, stream: RngStream,
-           last: np.ndarray | None) -> Tensor:
+def _block(h: Tensor, n: int, layout: _Layout, params: EncoderParams, layer: int,
+           stream: RngStream, last: np.ndarray | None) -> Tensor:
     """One post-norm attention + feed-forward block on packed rows.
 
-    ``h`` [M, d] holds the packed rows and ``rows`` the flat [B*N] position
-    of each. Returns the packed rows, or, given ``last`` (the index in ``h``
-    of each sequence's last position), those positions' rows, [B, d]: then
-    the queries and everything after them run on those B rows only.
+    ``h`` [M, d] holds the packed rows and ``layout`` the attention's
+    placement of them. Returns the packed rows, or, given ``last`` (the
+    index in ``h`` of each sequence's last position), those positions'
+    rows, [B, d]: then the queries and everything after them run on those
+    B rows only.
     """
     cfg = params.config
     rate = cfg.hidden_dropout
@@ -168,7 +244,7 @@ def _block(h: Tensor, rows: np.ndarray, b: int, n: int, mask: np.ndarray,
     hq = h if last is None else ad.gather_rows(h, last)
     # the attention's tables, scores and weights are the helper's locals,
     # so under no_grad they are freed before the feed-forward network runs
-    att = _attention(h, hq, rows, b, n, mask, cfg, w, stream, last is not None)
+    att = _attention(h, hq, n, layout, cfg, w, stream, last is not None)
     att = ad.dropout(att, rate, stream.child("attout"))
     x = ad.layer_norm(ad.add(hq, att), w("ln1_gain"), w("ln1_bias"))
     f2 = ad.matmul(ad.gelu(ad.matmul(x, w("ffn_w1"), w("ffn_b1"))), w("ffn_w2"), w("ffn_b2"))
@@ -176,37 +252,37 @@ def _block(h: Tensor, rows: np.ndarray, b: int, n: int, mask: np.ndarray,
     return ad.layer_norm(ad.add(x, f2), w("ln2_gain"), w("ln2_bias"))
 
 
-def _attention(h: Tensor, hq: Tensor, rows: np.ndarray, b: int, n: int, mask: np.ndarray,
-               cfg: EncoderConfig, w, stream: RngStream, last_only: bool) -> Tensor:
+def _attention(h: Tensor, hq: Tensor, n: int, layout: _Layout, cfg: EncoderConfig, w,
+               stream: RngStream, last_only: bool) -> Tensor:
     """Multi-head self-attention of ``_block``, through the output projection.
 
-    Keys and values come from the packed rows ``h``, scattered into the
-    padded [B, nh, N, dh] layout; queries from ``hq``, which is ``h`` or,
-    with ``last_only``, each sequence's last row. Returns one row per row
-    of ``hq``. The attention dropout draws over the [B, nh, N, N] weights,
-    or with ``last_only`` over the [B, nh, 1, N] ones.
+    Keys and values come from the packed rows ``h``, scattered to
+    ``layout.slots`` of the [G, nh, N, dh] layout: G lanes in every layer
+    but the last (``_lanes``), the B padded windows in the last. Queries
+    come from ``hq``: with ``last_only`` each window's last row, [B, nh, 1,
+    dh]; otherwise ``h``, scattered like the keys, and the context is
+    gathered back from the slots. Returns one row per row of ``hq``. The
+    attention dropout draws over the [G, nh, N, N] weights, or with
+    ``last_only`` over the [B, nh, 1, N] ones.
     """
     d, nh = cfg.d, cfg.heads
     dh = d // nh
+    g = layout.groups
 
-    def split_heads(x: Tensor, m: int) -> Tensor:             # [B*m, d] -> [B, nh, m, dh]
-        return ad.transpose(ad.reshape(x, (b, m, nh, dh)), (0, 2, 1, 3))
+    def split_heads(x: Tensor, m: int) -> Tensor:             # [G*m, d] -> [G, nh, m, dh]
+        return ad.transpose(ad.reshape(x, (g, m, nh, dh)), (0, 2, 1, 3))
 
-    def projected(name: str) -> Tensor:                        # [B, nh, N, dh]
-        return split_heads(ad.scatter_rows(ad.matmul(h, w(name)), rows, b * n), n)
+    def projected(name: str) -> Tensor:                        # [G, nh, N, dh]
+        return split_heads(ad.scatter_rows(ad.matmul(h, w(name)), layout.slots, g * n), n)
 
-    if last_only:
-        q = split_heads(ad.matmul(hq, w("wq")), 1)
-        mask = mask[:, :, n - 1:]
-    else:
-        q = projected("wq")
+    q = split_heads(ad.matmul(hq, w("wq")), 1) if last_only else projected("wq")
     scores = ad.matmul(q, ad.transpose(projected("wk"), (0, 1, 3, 2)))
-    att = ad.softmax_rows(scores, 1.0 / np.sqrt(dh), mask)    # [B, nh, 1 or N, N]
+    att = ad.softmax_rows(scores, 1.0 / np.sqrt(dh), layout.mask)   # [G, nh, 1 or N, N]
     att = ad.dropout(att, cfg.hidden_dropout, stream.child("att"))
-    ctx = ad.transpose(ad.matmul(att, projected("wv")), (0, 2, 1, 3))   # [B, 1 or N, nh, dh]
-    ctx = ad.reshape(ctx, (b * ctx.shape[1], d))
+    ctx = ad.transpose(ad.matmul(att, projected("wv")), (0, 2, 1, 3))   # [G, 1 or N, nh, dh]
+    ctx = ad.reshape(ctx, (g * ctx.shape[1], d))
     if not last_only:
-        ctx = ad.gather_rows(ctx, rows)
+        ctx = ad.gather_rows(ctx, layout.slots)
     return ad.matmul(ctx, w("wo"))
 
 

@@ -77,6 +77,15 @@ def test_recorded_gelu_keeps_one_array_besides_its_output(x):
     assert mem.current <= 2 * x.data.nbytes + row_slack(x.data)
 
 
+def test_recorded_dropout_keeps_a_one_byte_pattern(x):
+    # the output and one byte per element: the keep pattern its backward reads
+    leaf, stream = Tensor(x.data, requires_grad=True), RngStream(0, "drop")
+    with traced() as mem:
+        out = ad.dropout(leaf, 0.3, stream)
+    assert out.requires_grad
+    assert mem.current <= x.data.nbytes + x.data.size + 65536
+
+
 def test_eval_encoder_pass_peak():
     # B=256 full windows of N=50 at d=64, two layers, float64: the FFN's
     # [12800, 256] hidden rows are 26 MB each. Measured: 203 MB when every op

@@ -221,6 +221,27 @@ class TestDropout:
         assert out.shape == (0, 4)
         assert stream.counter == 3
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keep_pattern_gives_the_float_mask_bytes(self, rng, dtype):
+        # against ``x * mask`` and ``g * mask`` with the float mask the one-byte
+        # pattern replaced: a dropped -x is -0.0, a dropped inf or NaN is NaN,
+        # and a kept value near the largest finite one may overflow to inf
+        big = np.finfo(dtype).max
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, big, -big, 1e-300, -5e-324]
+        x = np.concatenate([special * 20, rng.standard_normal(800)]).astype(dtype)
+        g = rng.permutation(x)
+        rate, cut = 0.4, round(0.4 * 65536)
+        mask = (RngStream(8, "bytes").lanes(x.size) >= cut) * dtype(quantized_scale(rate))
+        tx = Tensor(x, requires_grad=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = ad.dropout(tx, rate, RngStream(8, "bytes"))
+            out._backward(g)
+            want_out, want_grad = x * mask, g * mask
+        assert mask.dtype == out.data.dtype == tx.grad.dtype == dtype
+        assert 0 < np.count_nonzero(mask) < x.size
+        assert out.data.tobytes() == want_out.tobytes()
+        assert tx.grad.tobytes() == want_grad.tobytes()
+
     def test_signature_has_one_form(self):
         # no option selects a draw over any array but the one dropped
         assert list(inspect.signature(ad.dropout).parameters) == ["x", "rate", "stream"]
@@ -310,7 +331,7 @@ class TestScatterRows:
     def test_gradient_vs_finite_differences(self, rng):
         x = rng.standard_normal((3, 4))
         v = rng.standard_normal((5, 4))
-        rows = [1, 2, 4]
+        rows = [4, 1, 2]
         tx = Tensor(x.copy(), requires_grad=True)
         ad.sum_all(ad.mul(ad.scatter_rows(tx, rows, 5), v)).backward()
 
@@ -321,10 +342,26 @@ class TestScatterRows:
 
         assert_grad_close(tx.grad, finite_difference_grad(f, x.copy()))
 
-    @pytest.mark.parametrize("rows", [[0, 0, 1], [2, 1, 3], [1, 2, 6], [-1, 0, 1]])
-    def test_rows_must_be_increasing_and_in_range(self, rows):
+    @pytest.mark.parametrize("rows", [[0, 0, 1], [4, 1, 4], [1, 2, 6], [-1, 0, 1], [5, 9, 2]])
+    def test_rows_must_be_distinct_and_in_range(self, rows):
+        # a repeated row would silently lose one of x's rows
         with pytest.raises(IndexError):
             ad.scatter_rows(Tensor(np.ones((3, 2))), rows, 6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_in_any_order(self, rng, dtype):
+        # row i of x lands at rows[i] and its gradient is g[rows[i]], byte for byte
+        x = rng.standard_normal((5, 3)).astype(dtype)
+        rows = [7, 0, 4, 1, 6]
+        tx = Tensor(x, requires_grad=True)
+        out = ad.scatter_rows(tx, rows, 8)
+        want = np.zeros((8, 3), dtype)
+        want[rows] = x
+        assert out.data.dtype == dtype and out.data.tobytes() == want.tobytes()
+        g = rng.standard_normal((8, 3)).astype(dtype)
+        out._backward(g)
+        assert tx.grad.dtype == dtype
+        assert tx.grad.tobytes() == np.stack([g[r] for r in rows]).tobytes()
 
     def test_one_index_per_row(self):
         with pytest.raises(ShapeError):

@@ -4,8 +4,10 @@
 oracles (prep, brute-force ranks, the gradient probe, the sweep's test HR@10,
 byte-identical repeats) and, when traced, cross-checks its call counts
 against the work the inputs fix. One sample per phase (``--seconds 0``) of
-the two small workloads takes a few seconds, so a change that breaks any of
-those checks fails here and not only in a benchmark run.
+each workload takes a few seconds, so a change that breaks any of those
+checks fails here and not only in a benchmark run. ``train_ml1m_duo`` is
+traced for its two layers: ``c5_sweep`` has one, so only it checks the op
+counts of a layer that is not the last.
 """
 
 import json
@@ -18,7 +20,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload, trace", [("c5_sweep", "1"), ("offline_ml1m", "0")])
+@pytest.mark.parametrize("workload, trace", [("c5_sweep", "1"), ("offline_ml1m", "0"),
+                                             ("train_ml1m_duo", "1")])
 def test_benchmark_checks_pass(workload, trace):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,

@@ -4,10 +4,12 @@ import pytest
 from duorec import autodiff as ad
 from duorec.autodiff import ConfigError, no_grad
 from duorec.data import PAD_INDEX, Batch, make_collision_mask
-from duorec.encoder import (NEG_INF, EncoderConfig, EncoderParams, _attention_mask,
-                            _packed_rows, embed, encode, encode_sequence, encode_twins,
-                            init_params)
+from duorec.encoder import (NEG_INF, EncoderConfig, EncoderParams, _lane_mask, _lanes,
+                            _last_row_mask, _packed_rows, embed, encode, encode_sequence,
+                            encode_twins, init_params)
 from duorec.rng import RngStream
+
+from conftest import assert_grad_close, finite_difference_grad
 
 
 def make_params(vocab_size=12, d=8, layers=1, heads=2, max_len=6,
@@ -28,8 +30,9 @@ def make_batch(rows, max_len=6, positives=None, targets=None):
 
 
 def reference_attention_mask(item_ids):
-    """The mask built step by step (test oracle for ``_attention_mask``):
-    causal -inf above the diagonal, plus -inf at pad keys, then the diagonal
+    """The padded [B, 1, N, N] mask built step by step (the full stack's
+    mask, whose last query row is the oracle for ``_last_row_mask``): causal
+    -inf above the diagonal, plus -inf at pad keys, then the diagonal
     reopened wherever it was masked."""
     b, n = item_ids.shape
     causal = np.triu(np.full((n, n), NEG_INF), k=1)
@@ -70,15 +73,40 @@ def reference_embed(item_ids, params, stream):
     return rows_dropout(h0, cfg.emb_dropout, stream.child("emb"), reference_packed_rows(item_ids))
 
 
+def window_lengths(item_ids):
+    """Packed rows of each window: its real positions and its last one."""
+    n = item_ids.shape[1]
+    return ((item_ids != PAD_INDEX) | (np.arange(n) == n - 1)).sum(axis=1)
+
+
+def lane_dropout(att, rate, stream, item_ids):
+    """The attention dropout of a layer but the last, on the oracle's
+    [B, nh, N, N] weights: one draw over the [n_lanes, nh, N, N] lane weights
+    of ``_lanes``, each window's entries read at its slots in its lane.
+    Entries outside a window's packed rows (zero weights, or the rows of pad
+    queries, which nothing reads) pass unchanged."""
+    b, nh, n, _ = att.shape
+    packed = reference_packed_rows(item_ids)
+    slots, owner = _lanes(packed, b, n)
+    keep = ad.dropout(ad.Tensor(np.ones((len(owner), nh, n, n), att.data.dtype)),
+                      rate, stream).data
+    mask = np.ones(att.shape, att.data.dtype)
+    for w in range(b):
+        pos, s = packed[packed // n == w] % n, slots[packed // n == w]
+        mask[w][:, pos[:, None], pos] = keep[s[0] // n][:, s[:, None] % n, s % n]
+    return ad.mul(att, mask)
+
+
 def full_stack_encode(h0, item_ids, params, stream):
     """Reference stack: every layer over all B*N positions, then the last row.
 
     This is the straightforward layer loop, kept here as the oracle for
     ``encode``, which computes only the packed rows and, in the final layer,
     only the last position. Each dropout draws over the rows ``encode``
-    computes: every layer but the last drops its whole attention weights and
-    the packed rows of its outputs; the last drops each sequence's last row
-    alone, the last query row of each head in the attention.
+    computes: every layer but the last drops its attention weights as laid
+    out in lanes (``lane_dropout``) and the packed rows of its outputs; the
+    last drops each sequence's last row alone, the last query row of each
+    head in the attention.
     """
     cfg = params.config
     b, n, d = h0.shape
@@ -102,7 +130,7 @@ def full_stack_encode(h0, item_ids, params, stream):
             att = rows_dropout(att, cfg.hidden_dropout, ls.child("att"),
                                np.arange(n - 1, b * nh * n, n))
         else:
-            att = ad.dropout(att, cfg.hidden_dropout, ls.child("att"))
+            att = lane_dropout(att, cfg.hidden_dropout, ls.child("att"), item_ids)
         ctx = ad.matmul(att, vv)                               # [B, nh, N, dh]
         ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b * n, d))
         out = ad.reshape(ad.matmul(ctx, params[f"layer{layer}.wo"]), (b, n, d))
@@ -232,8 +260,9 @@ class TestAttentionMask:
                     [0, 0, 0, 0, 0], [6, 7, 8, 9, 1]])
 
     def test_matches_the_step_by_step_builder(self):
-        got = _attention_mask(self.IDS)
-        want = reference_attention_mask(self.IDS)
+        # the final layer's mask is the last query row of the padded mask
+        got = _last_row_mask(self.IDS)
+        want = reference_attention_mask(self.IDS)[:, :, -1:]
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -241,12 +270,118 @@ class TestAttentionMask:
         rng = np.random.default_rng(3)
         for _ in range(20):
             ids = rng.integers(0, 4, size=(int(rng.integers(1, 6)), int(rng.integers(1, 9))))
-            assert _attention_mask(ids).tobytes() == reference_attention_mask(ids).tobytes()
+            want = reference_attention_mask(ids)[:, :, -1:]
+            assert _last_row_mask(ids).tobytes() == want.tobytes()
 
     def test_float32_is_the_float64_mask_rounded(self):
-        got = _attention_mask(self.IDS, np.float32)
+        got = _last_row_mask(self.IDS, np.float32)
         assert got.dtype == np.float32
-        assert got.tobytes() == reference_attention_mask(self.IDS).astype(np.float32).tobytes()
+        want = reference_attention_mask(self.IDS)[:, :, -1:].astype(np.float32)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lane_mask_opens_each_window_up_to_the_query(self, dtype):
+        # slot i attends slot j exactly when both hold the same window and
+        # j <= i; an empty slot attends itself alone
+        ids = np.array([[0, 0, 0, 0, 0], [0, 0, 0, 4, 5], [0, 1, 2, 3, 4], [1, 2, 3, 4, 5],
+                        [0, 0, 0, 0, 9], [0, 0, 7, 8, 9]])
+        b, n = ids.shape
+        _, owner = _lanes(_packed_rows(ids), b, n)
+        want = np.full((len(owner), 1, n, n), NEG_INF)
+        for lane, i, j in np.ndindex(len(owner), n, n):
+            if i == j or (j < i and owner[lane, i] == owner[lane, j] >= 0):
+                want[lane, 0, i, j] = 0.0
+        got = _lane_mask(owner, dtype)
+        assert got.dtype == dtype
+        assert got.tobytes() == want.astype(dtype).tobytes()
+
+
+def max_pairs(lengths, n):
+    """Most disjoint pairs of ``lengths`` that each sum to at most ``n``,
+    by exhaustive search."""
+    if len(lengths) < 2:
+        return 0
+    first, rest = lengths[0], lengths[1:]
+    best = max_pairs(rest, n)
+    for j in range(len(rest)):
+        if first + rest[j] <= n:
+            best = max(best, 1 + max_pairs(rest[:j] + rest[j + 1:], n))
+    return best
+
+
+def left_padded(lengths, n, seed=0):
+    """Windows of N with the given numbers of real items, left-padded."""
+    rng = np.random.default_rng(seed)
+    ids = np.zeros((len(lengths), n), dtype=np.int64)
+    for i, length in enumerate(lengths):
+        if length:
+            ids[i, n - length:] = rng.integers(1, 20, length)
+    return ids
+
+
+class TestLanes:
+    """``_lanes`` against the properties the attention relies on."""
+
+    @staticmethod
+    def check(ids):
+        b, n = ids.shape
+        rows = _packed_rows(ids)
+        slots, owner = _lanes(rows, b, n)
+        window, length = rows // n, window_lengths(ids)
+        # distinct slots inside the table, named by owner; empty slots distinct
+        assert owner.shape == (len(owner), n) and slots.shape == rows.shape
+        assert len(np.unique(slots)) == len(slots)
+        np.testing.assert_array_equal(owner.ravel()[slots], window)
+        empty = np.setdiff1d(np.arange(owner.size), slots)
+        assert (owner.ravel()[empty] < 0).all()
+        assert len(np.unique(owner.ravel()[empty])) == len(empty)
+        lanes = {}
+        for w in range(b):
+            s = slots[window == w]
+            assert len(s) == length[w]
+            # one lane, its rows contiguous and in order
+            np.testing.assert_array_equal(s, s[0] + np.arange(len(s)))
+            assert s[-1] // n == s[0] // n
+            lanes.setdefault(int(s[0] // n), []).append(w)
+        # every lane holds one window, or two whose lengths sum to at most N
+        assert sorted(lanes) == list(range(len(owner)))
+        for ws in lanes.values():
+            assert len(ws) in (1, 2) and length[ws].sum() <= n
+        # the same input gives the same layout
+        again = _lanes(rows.copy(), b, n)
+        assert again[0].tobytes() == slots.tobytes() and again[1].tobytes() == owner.tobytes()
+        return length, len(owner)
+
+    @pytest.mark.parametrize("lengths", [list(range(9)), [0], [8], [8, 8, 8], [0, 0, 0, 0, 0],
+                                         [4, 4, 4], [1, 7, 2, 6, 3, 5, 4], [5, 5, 3, 3]])
+    def test_layout_properties(self, lengths):
+        length, n_lanes = self.check(left_padded(lengths, 8))
+        assert n_lanes == len(lengths) - max_pairs(length.tolist(), 8)
+
+    def test_random_windows_pair_as_often_as_possible(self):
+        # the two-ended pairing forms the most pairs any pairing does
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            b, n = int(rng.integers(1, 9)), int(rng.integers(1, 11))
+            length, n_lanes = self.check(left_padded(rng.integers(0, n + 1, b), n))
+            assert n_lanes == b - max_pairs(length.tolist(), n)
+
+    def test_interior_pads_count_as_padding(self):
+        # only real positions (and the last) are packed, wherever a pad sits
+        ids = np.array([[0, 3, 0, 4, 0, 0], [5, 0, 0, 0, 0, 6], [0, 0, 0, 0, 0, 0]])
+        length, n_lanes = self.check(ids)
+        np.testing.assert_array_equal(length, [3, 2, 1])
+        assert n_lanes == 2
+
+    def test_half_full_windows_need_about_half_the_lanes(self):
+        # prefixes of 10 users with 40 to 50 items, as the training windows
+        # of a 50-item run, at B=128
+        rng = np.random.default_rng(5)
+        users = rng.integers(40, 51, 10)
+        lengths = np.concatenate([np.minimum(np.arange(1, u - 2), 50) for u in users])
+        ids = left_padded(rng.choice(lengths, 128, replace=False), 50)
+        _, n_lanes = self.check(ids)
+        assert n_lanes <= 70
 
 
 class TestEncode:
@@ -408,13 +543,15 @@ class TestLastPositionFinalLayer:
 
     def drop_sizes(self, ids, layers):
         """Size of each array the encoder drops, by stream label: [M, d] rows
-        and [B, nh, N, N] weights, then [B, d] and [B, nh, 1, N] in the last
-        layer."""
+        and [n_lanes, nh, N, N] weights, then [B, d] and [B, nh, 1, N] in the
+        last layer."""
         b, m, n, d, nh = len(ids), len(_packed_rows(ids)), self.MAX_LEN, 8, 2
+        n_lanes = len(_lanes(_packed_rows(ids), b, n)[1])
+        assert n_lanes < b
         sizes = {"enc.emb": m * d}
         for layer in range(layers):
             rows = b if layer == layers - 1 else m
-            att = b * nh * n if layer == layers - 1 else b * nh * n * n
+            att = b * nh * n if layer == layers - 1 else n_lanes * nh * n * n
             sizes |= {f"enc.trm.layer{layer}.att": att,
                       f"enc.trm.layer{layer}.attout": rows * d,
                       f"enc.trm.layer{layer}.ffn": rows * d}
@@ -504,3 +641,54 @@ class TestPackedRows(TestLastPositionFinalLayer):
         biases = {f"layer{i}.ffn_w{j}": f"layer{i}.ffn_b{j}" for i in (0, 1) for j in (1, 2)}
         want = [(name, n, biases.get(name)) for name, n in rows.items()]
         assert sorted(seen) == sorted(want)
+
+
+def spread(params, seed=3):
+    """``params`` with N(0, 0.25) added to every weight, so that attention
+    weights are far from uniform and their gradients far from 0."""
+    rng = np.random.default_rng(seed)
+    for t in params.tensors.values():
+        t.data = t.data + 0.5 * rng.standard_normal(t.data.shape)
+    return params
+
+
+class TestLanePacking:
+    """Stacks of two and three layers, whose every layer but the last
+    attends over lanes, against the per-window padded oracle."""
+
+    N = 9
+
+    @pytest.mark.parametrize("layers", [2, 3])
+    @pytest.mark.parametrize("lengths", [list(range(N + 1)), [0], [N], [4], [N, 0, N],
+                                         [1, 8, 2, 7, 3, 6, 5]])
+    def test_eval_mode_matches_per_window_oracle(self, layers, lengths):
+        # every length 0..N (all-pad and full windows), odd B and B=1
+        params = spread(make_params(vocab_size=20, d=8, layers=layers, max_len=self.N, seed=2))
+        ids = left_padded(lengths, self.N, seed=1)
+        with no_grad():
+            new = encode_sequence(ids, params, RngStream(0, "eval"))
+            ref = full_stack_sequence(ids, params, RngStream(0, "eval"))
+        assert new.data.dtype == np.float64 and new.shape == (len(lengths), 8)
+        assert np.abs(new.data - ref.data).max() <= 1e-12
+
+    def test_two_layer_gradients_vs_finite_differences(self):
+        # under fixed dropout masks the loss is smooth in every weight; the
+        # first layer's attention runs on lanes, three of them for five windows
+        params = spread(make_params(vocab_size=10, d=4, layers=2, heads=2, max_len=5,
+                                    emb_dropout=0.2, hidden_dropout=0.2, seed=6))
+        ids = left_padded([0, 2, 5, 3, 1], 5, seed=2)
+        ids[ids >= 10] = 9
+        assert len(_lanes(_packed_rows(ids), 5, 5)[1]) == 3
+        v = np.random.default_rng(8).standard_normal((5, 4))
+
+        def loss():
+            out = encode_sequence(ids, params, RngStream(4, "fd"))
+            return ad.sum_all(ad.mul(out, v))
+
+        loss().backward()
+        for name, t in params.named():
+            x = t.data.copy()
+            original, t.data = t.data, x
+            numeric = finite_difference_grad(lambda _: loss().item(), x)
+            t.data = original
+            assert_grad_close(t.grad, numeric, rtol=1e-6)
