@@ -20,8 +20,8 @@ Allocation rule: an op writes each intermediate into an array it already
 holds (``out=``, in place) wherever its arithmetic allows, so a forward
 allocates its output, the arrays its backward keeps, and as few other
 arrays of its input's size as its arithmetic needs. Under ``no_grad`` that
-is two arrays in all for ``gelu`` and ``layer_norm`` and one for
-``softmax_rows``. Each expression keeps its floating-point operations and
+is one array in all for ``gelu`` and ``softmax_rows`` and two for
+``layer_norm``. Each expression keeps its floating-point operations and
 their order, so the bytes are those of the plain expression. Two fused
 forms save the arrays between a product and the next op:
 ``matmul(a, b, bias)`` adds the bias into the product, and
@@ -260,6 +260,9 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
+_GELU_BLOCK = 1 << 16       # elements per block of a no_grad gelu's scratch
+
+
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation).
 
@@ -268,28 +271,40 @@ def gelu(x: Tensor) -> Tensor:
     recorded it also computes the derivative
     0.5*(1 + t) + 0.5*x*(1 - t**2)*c*(1 + 0.134145*x**2) and keeps that
     alone; every expression runs its operations in the order written.
+    Under ``no_grad`` the output is made in t itself, ``_GELU_BLOCK``
+    elements at a time, so the op holds one array of ``x``'s size.
     """
     xd = x.data
     c = xd.dtype.type(np.sqrt(2.0 / np.pi))
     recorded = _records(x)
-    t = np.square(xd)
-    if recorded:
-        du = t                                  # c*(1 + 0.134145*x**2)
-        t = du * 0.044715
-        du *= 0.134145
-        du += 1.0
-        du *= c
-    else:
+    if not recorded:
+        xd = np.ascontiguousarray(xd)
+        t = np.square(xd)
         t *= 0.044715
+        t += 1.0
+        flat_x, flat_t = xd.reshape(-1), t.reshape(-1)
+        buf = np.empty(min(flat_x.size, _GELU_BLOCK), dtype=xd.dtype)
+        for start in range(0, flat_x.size, _GELU_BLOCK):
+            xb, tb = flat_x[start:start + _GELU_BLOCK], flat_t[start:start + _GELU_BLOCK]
+            cx = np.multiply(c, xb, out=buf[:len(xb)])
+            tb *= cx
+            np.tanh(tb, out=tb)
+            tb += 1.0
+            # (0.5*x)*(1 + t) in that operand order: a NaN result takes
+            # its sign from the first operand
+            np.multiply(np.multiply(xb, 0.5, out=cx), tb, out=tb)
+        return Tensor(t)
+    t = np.square(xd)
+    du = t                                      # c*(1 + 0.134145*x**2)
+    t = du * 0.044715
+    du *= 0.134145
+    du += 1.0
+    du *= c
     t += 1.0
     out_data = np.multiply(c, xd)
     t *= out_data
     np.tanh(t, out=t)
     np.multiply(xd, 0.5, out=out_data)
-    if not recorded:
-        t += 1.0
-        out_data *= t
-        return Tensor(out_data)
     deriv = np.square(t)                        # 0.5*x*(1 - t**2)*du
     np.subtract(1.0, deriv, out=deriv)
     deriv *= out_data

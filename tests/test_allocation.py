@@ -49,10 +49,11 @@ def x(rng):
 
 
 class TestNoGradOps:
-    def test_gelu_holds_two_arrays(self, x):
+    def test_gelu_holds_one_array(self, x):
+        # its output, and one block of scratch
         with ad.no_grad(), traced() as mem:
             ad.gelu(x)
-        assert mem.peak <= 2 * x.data.nbytes + row_slack(x.data)
+        assert mem.peak <= x.data.nbytes + ad._GELU_BLOCK * x.data.itemsize + 65536
 
     def test_layer_norm_holds_two_arrays(self, x):
         d = x.shape[-1]
@@ -90,11 +91,11 @@ def test_eval_encoder_pass_peak():
     # B=256 full windows of N=50 at d=64, two layers, float64: the FFN's
     # [12800, 256] hidden rows are 26 MB each. Measured: 203 MB when every op
     # made its throwaway arrays and the attention's locals lived through the
-    # FFN, 104 MB now.
+    # FFN, 104 MB while gelu held two of those rows, 78 MB now.
     cfg = EncoderConfig(vocab_size=3400, d=64, layers=2, heads=2, max_len=50,
                         emb_dropout=0.0, hidden_dropout=0.0)
     params = init_params(cfg, RngStream(0, "init"))
     ids = np.random.default_rng(1).integers(1, cfg.vocab_size, size=(256, cfg.max_len))
     with ad.no_grad(), traced() as mem:
         encode_sequence(ids, params, RngStream(0, "eval"))
-    assert mem.peak <= 150e6
+    assert mem.peak <= 90e6

@@ -687,6 +687,23 @@ class TestRewrittenOps:
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_grad_gelu_keeps_the_recorded_bytes(self, rng, dtype):
+        # its output is made block by block in one array: every value, NaN
+        # signs included, and a strided view that spans blocks, as recorded
+        fi = np.finfo(dtype)
+        x = (rng.standard_normal((2 * ad._GELU_BLOCK + 7, 3)) * 4).astype(dtype)
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, fi.max, -fi.max,
+                    fi.smallest_subnormal, -fi.smallest_subnormal, 30.0, -30.0]
+        x.reshape(-1)[:len(specials)] = np.array(specials, dtype=dtype)
+        with np.errstate(all="ignore"):
+            for view in (x, x.T):
+                with ad.no_grad():
+                    got = ad.gelu(Tensor(view)).data
+                want = ad.gelu(Tensor(view, requires_grad=True)).data
+                assert got.dtype == dtype and got.shape == view.shape
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
     def test_interleave_rows_gradient_vs_finite_differences(self, rng):
         a, b = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
         w = rng.standard_normal((8, 3))
