@@ -21,12 +21,14 @@ holds (``out=``, in place) wherever its arithmetic allows, so a forward
 allocates its output, the arrays its backward keeps, and as few other
 arrays of its input's size as its arithmetic needs. Under ``no_grad`` that
 is one array in all for ``gelu`` and ``softmax_rows`` and two for
-``layer_norm``. Each expression keeps its floating-point operations and
-their order, so the bytes are those of the plain expression. Two fused
-forms save the arrays between a product and the next op:
-``matmul(a, b, bias)`` adds the bias into the product, and
-``softmax_rows(x, scale, mask)`` takes the softmax of ``x*scale + mask``
-in one array.
+``layer_norm``; a recorded ``gelu`` adds the derivative its backward
+keeps. ``gelu`` makes both in one loop over fixed-size blocks, so its
+other intermediates take a block each, not an array. Each expression
+keeps its floating-point operations and their order, so the bytes are
+those of the plain expression. Two fused forms save the arrays between a
+product and the next op: ``matmul(a, b, bias)`` adds the bias into the
+product, and ``softmax_rows(x, scale, mask)`` takes the softmax of
+``x*scale + mask`` in one array.
 
 Backward rule: a backward writes only into arrays it allocated itself, or
 into temporaries its forward kept for it alone. It never writes into the
@@ -260,59 +262,54 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
-_GELU_BLOCK = 1 << 16       # elements per block of a no_grad gelu's scratch
+_GELU_BLOCK = 1 << 16       # elements per block of gelu's loop
 
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit (tanh approximation).
 
-    The forward computes t = tanh(c*x*(1 + 0.044715*x**2)) and the output
-    0.5*x*(1 + t) in two arrays, t and the output. When a gradient is
-    recorded it also computes the derivative
-    0.5*(1 + t) + 0.5*x*(1 - t**2)*c*(1 + 0.134145*x**2) and keeps that
-    alone; every expression runs its operations in the order written.
-    Under ``no_grad`` the output is made in t itself, ``_GELU_BLOCK``
-    elements at a time, so the op holds one array of ``x``'s size.
+    The output 0.5*x*(1 + t), t = tanh(c*x*(1 + 0.044715*x**2)), is made
+    ``_GELU_BLOCK`` elements at a time: each block writes t, then the
+    output, into the output array, with one block of scratch for c*x and
+    0.5*x. When a gradient is recorded, each block also writes the
+    derivative 0.5*(1 + t) + 0.5*x*(1 - t**2)*c*(1 + 0.134145*x**2) into a
+    second array, the one its backward keeps, with a second block of
+    scratch for c*(1 + 0.134145*x**2). Every expression runs its operations
+    in the order written, so the op holds one array of ``x``'s size under
+    ``no_grad`` and two when recorded, plus its blocks.
     """
-    xd = x.data
+    xd = np.ascontiguousarray(x.data)
     c = xd.dtype.type(np.sqrt(2.0 / np.pi))
     recorded = _records(x)
-    if not recorded:
-        xd = np.ascontiguousarray(xd)
-        t = np.square(xd)
-        t *= 0.044715
-        t += 1.0
-        flat_x, flat_t = xd.reshape(-1), t.reshape(-1)
-        buf = np.empty(min(flat_x.size, _GELU_BLOCK), dtype=xd.dtype)
-        for start in range(0, flat_x.size, _GELU_BLOCK):
-            xb, tb = flat_x[start:start + _GELU_BLOCK], flat_t[start:start + _GELU_BLOCK]
-            cx = np.multiply(c, xb, out=buf[:len(xb)])
-            tb *= cx
-            np.tanh(tb, out=tb)
-            tb += 1.0
-            # (0.5*x)*(1 + t) in that operand order: a NaN result takes
-            # its sign from the first operand
-            np.multiply(np.multiply(xb, 0.5, out=cx), tb, out=tb)
-        return Tensor(t)
-    t = np.square(xd)
-    du = t                                      # c*(1 + 0.134145*x**2)
-    t = du * 0.044715
-    du *= 0.134145
-    du += 1.0
-    du *= c
-    t += 1.0
-    out_data = np.multiply(c, xd)
-    t *= out_data
-    np.tanh(t, out=t)
-    np.multiply(xd, 0.5, out=out_data)
-    deriv = np.square(t)                        # 0.5*x*(1 - t**2)*du
-    np.subtract(1.0, deriv, out=deriv)
-    deriv *= out_data
-    deriv *= du
-    t += 1.0
-    out_data *= t
-    t *= 0.5
-    deriv += t                                  # + 0.5*(1 + t)
+    out_data = np.empty_like(xd)
+    deriv = np.empty_like(xd) if recorded else None
+    buf = np.empty(min(xd.size, _GELU_BLOCK), dtype=xd.dtype)
+    du_buf = np.empty_like(buf) if recorded else None
+    for start in range(0, xd.size, _GELU_BLOCK):
+        span = slice(start, start + _GELU_BLOCK)
+        xb, tb = xd.reshape(-1)[span], out_data.reshape(-1)[span]
+        n = len(xb)
+        np.square(xb, out=tb)
+        if recorded:                            # du = c*(1 + 0.134145*x**2)
+            du = np.multiply(tb, 0.134145, out=du_buf[:n])
+            du += 1.0
+            du *= c
+        tb *= 0.044715
+        tb += 1.0
+        tb *= np.multiply(c, xb, out=buf[:n])
+        np.tanh(tb, out=tb)
+        half_x = np.multiply(xb, 0.5, out=buf[:n])
+        if recorded:                            # 0.5*x*(1 - t**2)*du
+            db = np.square(tb, out=deriv.reshape(-1)[span])
+            np.subtract(1.0, db, out=db)
+            db *= half_x
+            db *= du
+        tb += 1.0
+        if recorded:                            # + 0.5*(1 + t)
+            db += np.multiply(tb, 0.5, out=du)
+        # (0.5*x)*(1 + t) in that operand order: a NaN result takes its
+        # sign from the first operand
+        np.multiply(half_x, tb, out=tb)
 
     def backward(g):
         x._accumulate(g * deriv)
@@ -515,20 +512,6 @@ def interleave_rows(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(np.ascontiguousarray(g[1::2]))
 
     return _make(out_data, (a, b), backward)
-
-
-def take_pairs(x: Tensor, rows, cols) -> Tensor:
-    """Elements x[rows[i], cols[i]] as a vector; backward scatter-adds."""
-    r = np.asarray(rows, dtype=np.int64)
-    c = np.asarray(cols, dtype=np.int64)
-    out_data = x.data[r, c]
-
-    def backward(g):
-        acc = np.zeros_like(x.data)
-        np.add.at(acc, (r, c), g)
-        x._accumulate(acc)
-
-    return _make(out_data, (x,), backward)
 
 
 def cross_entropy_from_logits(logits: Tensor, targets) -> Tensor:

@@ -59,7 +59,8 @@ def nce_regularizer(cb: ContrastiveBatch) -> Tensor:
     allowed[slots, partner] = True
     penalty = np.where(allowed, 0, sim.data.dtype.type(NEG_INF))
     lse = ad.logsumexp_rows(ad.add(sim, penalty))              # [2B]
-    pos = ad.take_pairs(sim, slots, partner)                   # [2B]
+    # sim[i, i^1]: distinct elements of the flat [4B^2] view
+    pos = ad.gather_rows(ad.reshape(sim, (two_b * two_b,)), slots * two_b + partner)
     return ad.mul(ad.sum_all(ad.add(lse, ad.mul(pos, -1.0))), 1.0 / b)
 
 

@@ -17,17 +17,12 @@ from .rng import RngStream
 def make_clustered_corpus(n_items: int = 200, n_clusters: int = 10,
                           n_sequences: int = 500, min_len: int = 8,
                           max_len: int = 20, seed: int = 0,
-                          zipf: float = 1.0, noise: float = 0.0,
-                          cluster_zipf: float = 0.0):
+                          zipf: float = 1.0):
     """Returns (sequences, vocab) with a zipfian within-cluster popularity.
 
     ``zipf`` is the popularity exponent: larger values concentrate draws on
     each cluster's head items, leaving a long tail of items that are mostly
-    trained as non-targets. ``noise`` is the probability that a draw comes
-    from the whole catalog (same popularity law, any cluster) instead of the
-    user's home cluster; it controls how predictable the next item is.
-    ``cluster_zipf`` skews how users distribute over clusters (0 = evenly),
-    concentrating most sequences on a few dominant preference groups.
+    trained as non-targets. Users spread evenly over the clusters.
     """
     stream = RngStream(seed, "synthetic")
     per_cluster = n_items // n_clusters
@@ -39,8 +34,7 @@ def make_clustered_corpus(n_items: int = 200, n_clusters: int = 10,
     weights = 1.0 / np.arange(1, per_cluster + 1) ** zipf
     weights /= weights.sum()
     cdf = np.cumsum(weights)
-    cweights = 1.0 / np.arange(1, n_clusters + 1) ** cluster_zipf
-    ccdf = np.cumsum(cweights / cweights.sum())
+    ccdf = np.cumsum(np.ones(n_clusters) / n_clusters)
 
     sequences: list[UserSequence] = []
     frequency = np.zeros(n_items + 1, dtype=np.int64)
@@ -48,13 +42,7 @@ def make_clustered_corpus(n_items: int = 200, n_clusters: int = 10,
         c = int(np.searchsorted(ccdf, stream.uniform(1)[0]))
         length = int(stream.integers(min_len, max_len + 1, 1)[0])
         draws = np.searchsorted(cdf, stream.uniform(length))
-        items = cluster_items[c][draws]
-        if noise > 0.0:
-            stray = stream.uniform(length) < noise
-            stray_cluster = stream.integers(0, n_clusters, length)
-            items = np.where(stray, np.stack(cluster_items)[stray_cluster, draws],
-                             items)
-        items = items.tolist()
+        items = cluster_items[c][draws].tolist()
         for it in items:
             frequency[it] += 1
         sequences.append(UserSequence(user=u, items=items))

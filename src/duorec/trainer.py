@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -42,6 +43,11 @@ MAGIC = b"DUO2"
 EVAL_BATCH = 256
 
 
+# a field's annotation -> the values it takes; bool is rejected everywhere
+_FIELD_TYPES = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
+                "str": (str, "a string")}
+
+
 @dataclass
 class TrainConfig:
     d: int = 64
@@ -60,6 +66,12 @@ class TrainConfig:
     early_stop_patience: int = 10
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            want, noun = _FIELD_TYPES[f.type]
+            if isinstance(v, bool) or not isinstance(v, want):
+                key = "lambda" if f.name == "lam" else f.name
+                raise ConfigError(f"{key} must be {noun}, got {v!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lambda must be in [0, 1], got {self.lam}")
         if self.positive_mode not in POSITIVE_MODES:
@@ -107,14 +119,14 @@ class TrainConfig:
                              hidden_dropout=self.hidden_dropout)
 
 
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8   # moment decays, denominator offset
+
+
 class Adam:
     """Bias-corrected Adam over the named parameter tensors."""
 
-    def __init__(self, params: EncoderParams, lr: float,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: EncoderParams, lr: float):
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(t.data) for name, t in params.named()}
         self.v = {name: np.zeros_like(t.data) for name, t in params.named()}
@@ -130,11 +142,11 @@ class Adam:
             if name == "item_emb":
                 g = g.copy()
                 g[PAD_INDEX] = 0.0
-            self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
-            self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
-            m_hat = self.m[name] / (1 - self.b1 ** self.t)
-            v_hat = self.v[name] / (1 - self.b2 ** self.t)
-            tensor.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[name] = ADAM_B1 * self.m[name] + (1 - ADAM_B1) * g
+            self.v[name] = ADAM_B2 * self.v[name] + (1 - ADAM_B2) * g * g
+            m_hat = self.m[name] / (1 - ADAM_B1 ** self.t)
+            v_hat = self.v[name] / (1 - ADAM_B2 ** self.t)
+            tensor.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             if name == "item_emb":
                 tensor.data[PAD_INDEX] = 0.0
 

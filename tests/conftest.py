@@ -159,6 +159,20 @@ def interleave_rows_reference(a, b):
     return ad.reshape(ad.transpose(ad.reshape(stacked, (2, n, d)), (1, 0, 2)), (2 * n, d))
 
 
+def take_pairs_reference(x, rows, cols):
+    """Elements x[rows[i], cols[i]] as a vector, with an ``np.add.at`` backward:
+    the op that read NCE's positive logits before ``gather_rows`` did."""
+    r = np.asarray(rows, dtype=np.int64)
+    c = np.asarray(cols, dtype=np.int64)
+
+    def backward(g):
+        acc = np.zeros_like(x.data)
+        np.add.at(acc, (r, c), g)
+        x._accumulate(acc)
+
+    return ad._make(x.data[r, c], (x,), backward)
+
+
 def ingest_reference(path, fmt: str) -> list[tuple[str, str, int]]:
     """Line-by-line reference for ``data.ingest``: (user, item, timestamp)
     per event, in file order. Timestamps are Python ints of any size."""

@@ -78,6 +78,14 @@ def test_recorded_gelu_keeps_one_array_besides_its_output(x):
     assert mem.current <= 2 * x.data.nbytes + row_slack(x.data)
 
 
+def test_recorded_gelu_peak(x):
+    # its output, the derivative its backward keeps, and two blocks of scratch
+    leaf = Tensor(x.data, requires_grad=True)
+    with traced() as mem:
+        ad.gelu(leaf)
+    assert mem.peak <= 2 * x.data.nbytes + 2 * ad._GELU_BLOCK * x.data.itemsize + 65536
+
+
 def test_recorded_dropout_keeps_a_one_byte_pattern(x):
     # the output and one byte per element: the keep pattern its backward reads
     leaf, stream = Tensor(x.data, requires_grad=True), RngStream(0, "drop")

@@ -11,7 +11,8 @@ from duorec.rng import RngStream
 from conftest import (assert_grad_close, cross_entropy_reference, finite_difference_grad,
                       gelu_reference, interleave_rows_reference, layer_norm_reference,
                       logsumexp_rows_reference, matmul_bias_reference,
-                      scaled_masked_softmax_reference, softmax_rows_reference)
+                      scaled_masked_softmax_reference, softmax_rows_reference,
+                      take_pairs_reference)
 
 
 def quantized_scale(rate):
@@ -319,6 +320,25 @@ class TestGatherRows:
         np.add.at(want, np.asarray(indices), g)
         assert t.grad.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_pairs_give_the_take_pairs_bytes(self, rng, dtype):
+        # x[rows[i], cols[i]] for distinct pairs, as NCE reads its positive
+        # logits: a gather over the flat view, against the old take_pairs op
+        rows, cols = np.array([0, 3, 1, 2, 4, 3]), np.array([1, 2, 0, 3, 4, 0])
+        x = (rng.standard_normal((5, 5)) * 3).astype(dtype)
+        x[0, 1], x[3, 2] = 0.0, -0.0
+        g = rng.standard_normal(len(rows)).astype(dtype)
+        g[1], g[4] = 0.0, -0.0
+        got, want = Tensor(x.copy(), requires_grad=True), Tensor(x.copy(), requires_grad=True)
+        out = ad.gather_rows(ad.reshape(got, (25,)), rows * 5 + cols)
+        ref = take_pairs_reference(want, rows, cols)
+        assert out.data.dtype == ref.data.dtype == dtype
+        assert out.data.tobytes() == ref.data.tobytes()
+        feed(out, g.copy()).backward()
+        feed(ref, g.copy()).backward()
+        assert got.grad.dtype == dtype and got.grad.shape == x.shape
+        assert got.grad.tobytes() == want.grad.tobytes()
+
 
 class TestScatterRows:
     def test_places_rows_between_zeros(self, rng):
@@ -615,6 +635,9 @@ def _rewrite_cases(rng, dtype):
     targets = [0, 8, 3, 3, 5, 1]
     return {
         "gelu": ([s(6, 16)], ad.gelu, gelu_reference),
+        # 2*_GELU_BLOCK + 7 rows: two full blocks and a short one, read
+        # through a transposed view
+        "gelu_blocks": ([s(3, 2 * ad._GELU_BLOCK + 7).T], ad.gelu, gelu_reference),
         "layer_norm": ([s(6, 8), s(8), s(8)], ad.layer_norm, layer_norm_reference),
         "layer_norm_full_gain": ([s(6, 8), s(6, 8), s(1, 8)], ad.layer_norm,
                                  layer_norm_reference),
@@ -765,7 +788,9 @@ def _op_cases(rng):
         ("gather_rows", [r(3, 4)], lambda a: ad.gather_rows(a, idx)),
         ("scatter_rows", [r(3, 4)], lambda a: ad.scatter_rows(a, rows, 5)),
         ("interleave_rows", [r(3, 4), r(3, 4)], lambda a, b: ad.interleave_rows(a, b)),
-        ("take_pairs", [r(3, 4)], lambda a: ad.take_pairs(a, [0, 2, 2], [3, 1, 1])),
+        # NCE's positive logits: distinct elements of the flat view
+        ("gather_pairs", [r(3, 4)],
+         lambda a: ad.gather_rows(ad.reshape(a, (12,)), [3, 9, 5])),
         ("cross_entropy", [r(3, 4)], lambda a: ad.cross_entropy_from_logits(a, [1, 0, 3])),
     ]
 

@@ -12,6 +12,7 @@ from duorec.synthetic import make_clustered_corpus
 from duorec.trainer import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
 
 from test_encoder import make_params
+from test_trainer import MISTYPED_CONFIG_VALUES
 
 
 @pytest.fixture()
@@ -179,6 +180,45 @@ class TestTrainEvalDiagnose:
         x = np.array([float(r["x"]) for r in proj])
         np.testing.assert_allclose(np.abs(x), np.abs(emb - emb.mean()), rtol=1e-11)
         assert [r["y"] for r in proj] == ["0"] * 30
+
+    @pytest.mark.parametrize("key, value", MISTYPED_CONFIG_VALUES)
+    def test_mistyped_config_value_is_runtime_error(self, dataset_dir, tmp_path, capsys,
+                                                    key, value):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value}))
+        out = tmp_path / "o"
+        rc = main(["train", "--data", str(dataset_dir), "--config", str(path),
+                   "--out", str(out)])
+        assert rc == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diagnose_no_center(self, dataset_dir, tmp_path):
+        # --no-center takes item_emb[1:] as it is: its normalized singular
+        # values, and its rows on the top two right singular vectors. A
+        # column offset makes the centered spectrum differ.
+        params = make_params(vocab_size=31, d=8, layers=1, max_len=10)
+        params["item_emb"].data[1:] += 0.05 * np.arange(8)
+        save_checkpoint(tmp_path / "ckpt.duo", Checkpoint(
+            params=params, epoch=0, best_valid_hr5=0.0,
+            train_config=TrainConfig(d=8, layers=1, heads=2, max_len=10)))
+        diag_dir = tmp_path / "diag"
+        rc = main(["diagnose", "--checkpoint", str(tmp_path / "ckpt.duo"),
+                   "--data", str(dataset_dir), "--out", str(diag_dir), "--no-center"])
+        assert rc == 0
+        emb = load_checkpoint(tmp_path / "ckpt.duo").params["item_emb"].data[1:]
+        _, s, vt = np.linalg.svd(emb, full_matrices=False)
+        with open(diag_dir / "spectrum.csv", newline="") as f:
+            sv = np.array([float(r["normalized_singular_value"]) for r in csv.DictReader(f)])
+        np.testing.assert_allclose(sv, s / s[0], rtol=0, atol=1e-10)
+        centered = np.linalg.svd(emb - emb.mean(axis=0), compute_uv=False)
+        assert np.abs(sv - centered / centered[0]).max() > 0.01
+        with open(diag_dir / "diagnostics.csv", newline="") as f:
+            xy = np.array([[float(r["x"]), float(r["y"])] for r in csv.DictReader(f)])
+        want = emb @ vt[:2].T
+        for k in range(2):
+            sign = np.sign(xy[:, k] @ want[:, k])
+            np.testing.assert_allclose(xy[:, k], sign * want[:, k], rtol=0, atol=1e-10)
 
     def test_bad_config_key_is_runtime_error(self, dataset_dir, tmp_path):
         path = tmp_path / "bad.json"
@@ -368,6 +408,15 @@ class TestSweep:
                    "--grid", axis, "--out", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mistyped_base_config_trains_nothing(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--data", str(dataset_dir),
+                   "--config", tiny_config_file(tmp_path, seed=1.5),
+                   "--grid", "lambda=0.0,0.2", "--out", str(out)])
+        assert rc == 2
+        assert "seed must be an integer, got 1.5" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_required_flag_is_usage_error(self):

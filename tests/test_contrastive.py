@@ -8,10 +8,10 @@ from duorec.autodiff import ConfigError, Tensor
 from duorec.contrastive import (assemble, combined_loss, contrastive_views,
                                 nce_regularizer)
 from duorec.data import make_collision_mask
-from duorec.encoder import encode_sequence
+from duorec.encoder import NEG_INF, encode_sequence
 from duorec.rng import RngStream
 
-from conftest import nce_regularizer_bruteforce
+from conftest import nce_regularizer_bruteforce, take_pairs_reference
 from test_encoder import make_batch, make_params
 
 
@@ -178,6 +178,35 @@ class TestNceRegularizer:
                         assert dslope < 0
                     else:
                         assert dslope > 0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_match_the_take_pairs_form(self, rng, dtype):
+        # the regularizer as it read sim[i, i^1] with take_pairs: the same
+        # loss and gradient bytes
+        def take_pairs_form(cb):
+            two_b = cb.reps.shape[0]
+            sim = ad.mul(ad.matmul(cb.reps, ad.transpose(cb.reps, (1, 0))), 1.0 / cb.tau)
+            slots = np.arange(two_b)
+            allowed = cb.collision_mask.copy()
+            allowed[slots, slots ^ 1] = True
+            penalty = np.where(allowed, 0, sim.data.dtype.type(NEG_INF))
+            lse = ad.logsumexp_rows(ad.add(sim, penalty))
+            pos = take_pairs_reference(sim, slots, slots ^ 1)
+            return ad.mul(ad.sum_all(ad.add(lse, ad.mul(pos, -1.0))), 1.0 / (two_b // 2))
+
+        targets = np.array([3, 1, 3, 2, 5])
+        mask = make_collision_mask(targets, targets.copy())
+        xv, yv = (rng.standard_normal((5, 4)).astype(dtype) for _ in range(2))
+        xv[1, 2] = -0.0
+        results = []
+        for form in (nce_regularizer, take_pairs_form):
+            x, y = Tensor(xv.copy(), requires_grad=True), Tensor(yv.copy(), requires_grad=True)
+            loss = form(assemble(x, y, mask, tau=0.7))
+            loss.backward()
+            results.append([loss.data, x.grad, y.grad])
+        for a, b in zip(*results):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
 
     def test_gradient_vs_finite_differences(self, rng):
         from conftest import assert_grad_close, finite_difference_grad

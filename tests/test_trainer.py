@@ -34,6 +34,11 @@ def tiny_data(n_sequences=40, seed=0):
     return split_leave_one_out(seqs, vocab, max_len=10)
 
 
+# (key, value) pairs of the wrong type: each names its key in a ConfigError
+MISTYPED_CONFIG_VALUES = [("seed", 1.5), ("epochs", 2.5), ("batch_size", 2.5), ("d", "64"),
+                          ("lr", "0.1"), ("layers", True), ("lambda", False)]
+
+
 class TestConfig:
     def test_defaults_round_trip(self):
         cfg = TrainConfig()
@@ -70,6 +75,18 @@ class TestConfig:
     def test_degenerate_shapes_and_rates_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("key, value", MISTYPED_CONFIG_VALUES)
+    def test_mistyped_values_rejected(self, key, value):
+        # a float seed used to be truncated, a float epochs or batch_size
+        # to raise TypeError once training started, and a string d or lr
+        # to raise TypeError here
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig.from_dict({key: value})
+
+    def test_integers_are_numbers(self):
+        cfg = TrainConfig.from_dict({"lambda": 0, "lr": 1, "tau": 2})
+        assert (cfg.lam, cfg.lr, cfg.tau) == (0, 1, 2)
 
     def test_from_json(self, tmp_path):
         path = tmp_path / "config.json"
