@@ -25,10 +25,12 @@ is one array in all for ``gelu`` and ``softmax_rows`` and two for
 keeps. ``gelu`` makes both in one loop over fixed-size blocks, so its
 other intermediates take a block each, not an array. Each expression
 keeps its floating-point operations and their order, so the bytes are
-those of the plain expression. Two fused forms save the arrays between a
-product and the next op: ``matmul(a, b, bias)`` adds the bias into the
-product, and ``softmax_rows(x, scale, mask)`` takes the softmax of
-``x*scale + mask`` in one array.
+those of the plain expression. Three fused forms save the arrays between
+ops: ``matmul(a, b, bias)`` adds the bias into the product,
+``softmax_rows(x, scale, mask)`` takes the softmax of ``x*scale + mask`` in
+one array, and ``nce_rows(reps, allowed, tau)`` runs the contrastive
+regularizer's graph (product, scale, penalty, log-sum-exp and positive
+logits) in one [2B, 2B] array that its backward reuses.
 
 Backward rule: a backward writes only into arrays it allocated itself, or
 into temporaries its forward kept for it alone. It never writes into the
@@ -438,13 +440,18 @@ def dropout(x: Tensor, rate: float, stream: RngStream) -> Tensor:
     if cut == 0:
         return x
     dtype = x.data.dtype
-    scale, zero = dtype.type(65536 / (65536 - cut)), dtype.type(0.0)
+    scale = dtype.type(65536 / (65536 - cut))
     keep = (stream.lanes(x.data.size) >= cut).reshape(x.data.shape)
-    out_data = np.where(keep, scale, zero)
+    # the float mask: scale where kept, +0.0 where dropped. A cast and an
+    # in-place multiply, where a bool-by-float ufunc would allocate a cast
+    # buffer between the large arrays
+    out_data = keep.astype(dtype)
+    out_data *= scale
     np.multiply(x.data, out_data, out=out_data)
 
     def backward(g):
-        gx = np.where(keep, scale, zero)
+        gx = keep.astype(dtype)
+        gx *= scale
         x._accumulate(np.multiply(g, gx, out=gx))
 
     return _make(out_data, (x,), backward)
@@ -537,3 +544,56 @@ def cross_entropy_from_logits(logits: Tensor, targets) -> Tensor:
         logits._accumulate(p)
 
     return _make(out_data, (logits,), backward)
+
+
+def nce_rows(reps: Tensor, allowed: np.ndarray, tau: float) -> Tensor:
+    """Symmetric NCE over 2B rows whose positive pairs are rows 2i and 2i+1.
+
+    Row i's logits are ``reps[i] . reps[j] / tau``; its denominator holds
+    the slots j where ``allowed[i, j]`` is True, and its positive is slot
+    i^1. Returns sum_i (log-sum-exp_j - logit[i, i^1]) / B.
+
+    The values and gradients are those of the graph
+    ``sim = mul(matmul(reps, transpose(reps)), 1/tau)``, then
+    ``mul(sum_all(add(logsumexp_rows(add(sim, penalty)), mul(pos, -1))), 1/B)``
+    with ``penalty`` 0 where allowed and -1e30 (the encoder's ``NEG_INF``)
+    elsewhere, and ``pos`` the gather of sim[i, i^1]. Its operations run in
+    that order inside one [2B, 2B] array, the only one the backward keeps:
+    it turns the exponentials into sim's gradient in place.
+    """
+    x = reps.data
+    two_b = x.shape[0]
+    if x.ndim != 2 or two_b % 2 or np.shape(allowed) != (two_b, two_b):
+        raise ShapeError(f"NCE needs [2B, d] rows and a [2B, 2B] mask, got "
+                         f"{x.shape} and {np.shape(allowed)}")
+    dtype = x.dtype
+    inv_tau, inv_b = dtype.type(1.0 / tau), dtype.type(1.0 / (two_b // 2))
+    rows = np.arange(two_b)
+    partner = rows ^ 1
+    e = np.matmul(x, x.swapaxes(-1, -2))        # syrk, as the graph's product ran
+    e *= inv_tau
+    pos = e[rows, partner]
+    penalty = np.subtract(allowed, 1.0, dtype=dtype)     # 0.0 allowed, -1.0 not
+    penalty *= dtype.type(1e30)
+    e += penalty
+    mx = e.max(axis=-1, keepdims=True)
+    e -= mx
+    np.exp(e, out=e)
+    s = e.sum(axis=-1, keepdims=True)
+    lse = (mx + np.log(s)).squeeze(-1)
+    out_data = (lse + pos * dtype.type(-1.0)).sum() * inv_b
+
+    def backward(g):
+        gv = dtype.type(float(g * inv_b))       # each row's share of the mean
+        p = e                                   # e is this op's own: p = e / s * gv
+        p /= s
+        p *= gv
+        # + the positive logits' gradient: +0.0 off the pairs (a -0.0 becomes
+        # +0.0), -gv on them
+        p += 0.0
+        p[rows, partner] -= gv
+        p *= inv_tau
+        reps._accumulate(np.matmul(p, x))
+        reps._accumulate(np.matmul(x.swapaxes(-1, -2), p).swapaxes(-1, -2))
+
+    return _make(out_data, (reps,), backward)

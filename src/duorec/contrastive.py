@@ -4,7 +4,8 @@ The 2B representation slots interleave each row's two augmented views;
 in-batch negatives are every other slot except the pair itself and any
 slot whose training target matches (same-target collision removal). The
 regularizer is the symmetric noise-contrastive objective with raw dot
-products and temperature tau.
+products and temperature tau, one recorded op (``autodiff.nce_rows``)
+whose forward and backward share one [2B, 2B] array.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ConfigError, Tensor
 from .data import Batch
-from .encoder import NEG_INF, EncoderParams, encode_sequence, encode_twins
+from .encoder import EncoderParams, encode_sequence, encode_twins
 from .rng import RngStream
 
 
@@ -48,20 +49,13 @@ def nce_regularizer(cb: ContrastiveBatch) -> Tensor:
 
     Each slot's denominator holds its partner plus its admissible
     negatives; log-sum-exp stabilized. With no admissible negatives the
-    contribution is exactly zero.
+    contribution is exactly zero. The admissible slots are the collision
+    mask's plus each slot's partner; ``autodiff.nce_rows`` does the rest.
     """
-    two_b = cb.reps.shape[0]
-    b = two_b // 2
-    sim = ad.mul(ad.matmul(cb.reps, ad.transpose(cb.reps, (1, 0))), 1.0 / cb.tau)
-    slots = np.arange(two_b)
-    partner = slots ^ 1
+    slots = np.arange(cb.reps.shape[0])
     allowed = cb.collision_mask.copy()
-    allowed[slots, partner] = True
-    penalty = np.where(allowed, 0, sim.data.dtype.type(NEG_INF))
-    lse = ad.logsumexp_rows(ad.add(sim, penalty))              # [2B]
-    # sim[i, i^1]: distinct elements of the flat [4B^2] view
-    pos = ad.gather_rows(ad.reshape(sim, (two_b * two_b,)), slots * two_b + partner)
-    return ad.mul(ad.sum_all(ad.add(lse, ad.mul(pos, -1.0))), 1.0 / b)
+    allowed[slots, slots ^ 1] = True
+    return ad.nce_rows(cb.reps, allowed, cb.tau)
 
 
 def combined_loss(rec: Tensor, reg: Tensor, lam: float) -> LossBundle:

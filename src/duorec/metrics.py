@@ -39,9 +39,10 @@ def rank_full_catalog(h: np.ndarray, item_emb: np.ndarray, targets) -> np.ndarra
     favor of the smaller item index, the target included in its tie group
     under the same rule. A score that is not finite (a diverged model)
     never yields a hit: such a target ranks last, such an item above every
-    finite target.
+    finite target. A target outside [1, |V|) raises ``IndexError``.
     """
     t = np.asarray(targets, dtype=np.int64)
+    _check_items(t, item_emb.shape[0], "target")
     scores = h @ item_emb.T                                    # [B, |V|]
     non_finite = ~np.isfinite(scores)
     non_finite[:, PAD_INDEX] = False
@@ -52,6 +53,14 @@ def rank_full_catalog(h: np.ndarray, item_emb: np.ndarray, targets) -> np.ndarra
                    & (np.arange(scores.shape[1])[None, :] < t[:, None])).sum(axis=1)
     n_items = scores.shape[1] - 1                              # pad row excluded
     return np.where(np.isfinite(target_scores), 1 + higher + tied_before, n_items)
+
+
+def _check_items(items: np.ndarray, n_rows: int, what: str) -> None:
+    """Raise ``IndexError`` naming the first item outside [1, n_rows): the pad
+    row 0 is no item, and a negative index would wrap to the catalog's end."""
+    bad = items[(items < 1) | (items >= n_rows)]
+    if bad.size:
+        raise IndexError(f"{what} {bad[0]} out of range [1, {n_rows})")
 
 
 def hr_at_k(ranks, k: int) -> float:
@@ -79,7 +88,14 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
 
 
 def alignment(pairs_x: np.ndarray, pairs_y: np.ndarray) -> float:
-    """Mean squared distance between L2-normalized positive pairs."""
+    """Mean squared distance between L2-normalized positive pairs.
+
+    Row i of ``pairs_x`` pairs with row i of ``pairs_y``; the two must have
+    the same shape, since a broadcast would pair rows that are no pair.
+    """
+    if np.shape(pairs_x) != np.shape(pairs_y):
+        raise ValueError(f"alignment pairs rows of equal shapes, got "
+                         f"{np.shape(pairs_x)} and {np.shape(pairs_y)}")
     xn = _normalize_rows(pairs_x)
     yn = _normalize_rows(pairs_y)
     return float((np.linalg.norm(xn - yn, axis=-1) ** 2).mean())
@@ -247,8 +263,10 @@ def gradient_degeneration_probe(params: EncoderParams, batch: Batch,
     batch, the next-item softmax loss moves its embedding row along
     -mean_i p_i(item) * h_i exactly. Returns, per probe item, the
     autodiff-measured descent direction, the closed-form prediction, and
-    their cosine.
+    their cosine. A probe item outside [1, |V|) raises ``IndexError``.
     """
+    _check_items(np.asarray(probe_items, dtype=np.int64), params["item_emb"].data.shape[0],
+                 "probe item")
     appearing = set(batch.item_ids.ravel().tolist()) | set(batch.targets.tolist())
     for item in probe_items:
         if item in appearing:

@@ -6,6 +6,7 @@ import pytest
 
 from duorec import autodiff as ad
 from duorec.data import ParseError
+from duorec.encoder import NEG_INF
 
 
 def finite_difference_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -171,6 +172,22 @@ def take_pairs_reference(x, rows, cols):
         x._accumulate(acc)
 
     return ad._make(x.data[r, c], (x,), backward)
+
+
+def nce_regularizer_reference(cb):
+    """``contrastive.nce_regularizer`` as the composed graph it was before
+    ``autodiff.nce_rows`` fused it: sim = reps·repsᵀ/τ, a penalty of -1e30
+    off the mask, ``logsumexp_rows`` and sim[i, i^1] read by
+    ``take_pairs_reference``. The byte oracle of the fused op."""
+    two_b = cb.reps.shape[0]
+    sim = ad.mul(ad.matmul(cb.reps, ad.transpose(cb.reps, (1, 0))), 1.0 / cb.tau)
+    slots = np.arange(two_b)
+    allowed = cb.collision_mask.copy()
+    allowed[slots, slots ^ 1] = True
+    penalty = np.where(allowed, 0, sim.data.dtype.type(NEG_INF))
+    lse = ad.logsumexp_rows(ad.add(sim, penalty))
+    pos = take_pairs_reference(sim, slots, slots ^ 1)
+    return ad.mul(ad.sum_all(ad.add(lse, ad.mul(pos, -1.0))), 1.0 / (two_b // 2))
 
 
 def ingest_reference(path, fmt: str) -> list[tuple[str, str, int]]:

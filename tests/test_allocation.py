@@ -15,6 +15,8 @@ import pytest
 
 from duorec import autodiff as ad
 from duorec.autodiff import Tensor
+from duorec.contrastive import assemble, nce_regularizer
+from duorec.data import make_collision_mask
 from duorec.encoder import EncoderConfig, encode_sequence, init_params
 from duorec.rng import RngStream
 
@@ -93,6 +95,21 @@ def test_recorded_dropout_keeps_a_one_byte_pattern(x):
         out = ad.dropout(leaf, 0.3, stream)
     assert out.requires_grad
     assert mem.current <= x.data.nbytes + x.data.size + 65536
+
+
+def test_recorded_nce_keeps_one_square_array():
+    # c5_sweep's 2B=512, d=16, float32: the [2B, 2B] exponentials the backward
+    # turns into its gradient. The composed graph held 5.26 MB here: sim, its
+    # product, the penalty, the penalized logits and their exponentials.
+    rng = np.random.default_rng(3)
+    targets = rng.integers(1, 40, size=256)
+    views = [Tensor(rng.standard_normal((256, 16)).astype(np.float32), requires_grad=True)
+             for _ in range(2)]
+    cb = assemble(*views, make_collision_mask(targets, targets.copy()), tau=1.0)
+    with traced() as mem:
+        out = nce_regularizer(cb)
+    assert out.requires_grad
+    assert mem.current <= 512 * 512 * 4 + 65536
 
 
 def test_eval_encoder_pass_peak():

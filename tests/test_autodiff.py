@@ -420,6 +420,44 @@ class TestCrossEntropy:
         assert_grad_close(tl.grad, finite_difference_grad(f, logits.copy()))
 
 
+def _nce_allowed(rng, two_b):
+    """A random mask over 2B slots, not symmetric, with every partner allowed."""
+    allowed = rng.random((two_b, two_b)) < 0.6
+    slots = np.arange(two_b)
+    allowed[slots, slots ^ 1] = True
+    return allowed
+
+
+_NCE_ALLOWED = _nce_allowed(np.random.default_rng(0), 6)
+
+
+class TestNceRows:
+    def test_gradient_vs_finite_differences(self, rng):
+        xv = rng.standard_normal((8, 3))
+        allowed = _nce_allowed(rng, 8)
+        x = Tensor(xv.copy(), requires_grad=True)
+        ad.mul(ad.nce_rows(x, allowed, 0.7), 1.3).backward()
+
+        def f(z):
+            return 1.3 * ad.nce_rows(Tensor(z), allowed, 0.7).item()
+
+        assert_grad_close(x.grad, finite_difference_grad(f, xv.copy()), rtol=1e-6)
+
+    def test_value_is_the_mean_pair_loss(self, rng):
+        xv = rng.standard_normal((6, 4))
+        allowed = _nce_allowed(rng, 6)
+        sim = xv @ xv.T / 0.7
+        want = sum(np.log(np.exp(sim[i][allowed[i]]).sum()) - sim[i, i ^ 1]
+                   for i in range(6)) / 3
+        assert abs(ad.nce_rows(Tensor(xv), allowed, 0.7).item() - want) < 1e-12
+
+    @pytest.mark.parametrize("shape, mask_shape", [((5, 3), (5, 5)), ((6, 3), (6, 5)),
+                                                   ((6,), (6, 6))])
+    def test_shapes_rejected(self, shape, mask_shape):
+        with pytest.raises(ShapeError):
+            ad.nce_rows(Tensor(np.ones(shape)), np.ones(mask_shape, dtype=bool), 1.0)
+
+
 class TestBackward:
     def test_identity(self):
         x = Tensor(np.asarray(2.5), requires_grad=True)
@@ -792,6 +830,7 @@ def _op_cases(rng):
         ("gather_pairs", [r(3, 4)],
          lambda a: ad.gather_rows(ad.reshape(a, (12,)), [3, 9, 5])),
         ("cross_entropy", [r(3, 4)], lambda a: ad.cross_entropy_from_logits(a, [1, 0, 3])),
+        ("nce_rows", [r(6, 4)], lambda a: ad.nce_rows(a, _NCE_ALLOWED, 0.7)),
     ]
 
 

@@ -8,11 +8,64 @@ from duorec.autodiff import ConfigError, Tensor
 from duorec.contrastive import (assemble, combined_loss, contrastive_views,
                                 nce_regularizer)
 from duorec.data import make_collision_mask
-from duorec.encoder import NEG_INF, encode_sequence
+from duorec.encoder import encode_sequence
 from duorec.rng import RngStream
 
-from conftest import nce_regularizer_bruteforce, take_pairs_reference
+from conftest import nce_regularizer_bruteforce, nce_regularizer_reference
 from test_encoder import make_batch, make_params
+
+
+def assert_composed_bytes(xv, yv, mask, tau, g=None):
+    """``nce_regularizer`` and ``nce_regularizer_reference`` give the same
+    loss and gradient bytes; ``g`` is the gradient fed into the loss."""
+    results = []
+    for form in (nce_regularizer, nce_regularizer_reference):
+        x, y = Tensor(xv.copy(), requires_grad=True), Tensor(yv.copy(), requires_grad=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss = form(assemble(x, y, mask, tau))
+            (loss if g is None else ad.mul(loss, g)).backward()
+        results.append([loss.data, x.grad, y.grad])
+    for a, b in zip(*results):
+        assert a.dtype == b.dtype == xv.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+def _signed_zeros(xv, yv, mask):
+    xv[::2, 1] = -0.0
+    yv[1::3] = 0.0
+    xv[3] = -0.0
+    return xv, yv, mask
+
+
+def _partner_only(xv, yv, mask):
+    # slots 0 and 5 have no admissible negative: the partner is their only slot
+    mask = mask.copy()
+    mask[0] = mask[5] = False
+    return xv, yv, mask
+
+
+def _huge(xv, yv, mask):
+    # products of 1e20 overflow float32 to inf, and inf - inf makes NaN
+    xv[1] *= 1e20
+    yv[2, 0] = -1e20
+    return xv, yv, mask
+
+
+def _as_drawn(xv, yv, mask):
+    return xv, yv, mask
+
+
+# name: (B, d, dtype, how the drawn views and mask are changed)
+COMPOSED_BYTE_CASES = {
+    "c5_step": (256, 16, np.float32, _as_drawn),        # c5_sweep's 2B=512, d=16
+    "partial_batch": (25, 64, np.float32, _as_drawn),
+    "small_float64": (9, 5, np.float64, _as_drawn),
+    "one_pair": (1, 4, np.float32, _as_drawn),
+    "signed_zeros": (6, 4, np.float32, _signed_zeros),
+    "partner_only": (6, 4, np.float64, _partner_only),
+    "huge_float32": (6, 4, np.float32, _huge),
+    "huge_float64": (6, 4, np.float64, _huge),
+}
 
 
 def reps_tensor(rng, b, d):
@@ -181,32 +234,24 @@ class TestNceRegularizer:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bytes_match_the_take_pairs_form(self, rng, dtype):
-        # the regularizer as it read sim[i, i^1] with take_pairs: the same
-        # loss and gradient bytes
-        def take_pairs_form(cb):
-            two_b = cb.reps.shape[0]
-            sim = ad.mul(ad.matmul(cb.reps, ad.transpose(cb.reps, (1, 0))), 1.0 / cb.tau)
-            slots = np.arange(two_b)
-            allowed = cb.collision_mask.copy()
-            allowed[slots, slots ^ 1] = True
-            penalty = np.where(allowed, 0, sim.data.dtype.type(NEG_INF))
-            lse = ad.logsumexp_rows(ad.add(sim, penalty))
-            pos = take_pairs_reference(sim, slots, slots ^ 1)
-            return ad.mul(ad.sum_all(ad.add(lse, ad.mul(pos, -1.0))), 1.0 / (two_b // 2))
-
+        # the regularizer as the composed graph that read sim[i, i^1] with
+        # take_pairs: the same loss and gradient bytes
         targets = np.array([3, 1, 3, 2, 5])
         mask = make_collision_mask(targets, targets.copy())
         xv, yv = (rng.standard_normal((5, 4)).astype(dtype) for _ in range(2))
         xv[1, 2] = -0.0
-        results = []
-        for form in (nce_regularizer, take_pairs_form):
-            x, y = Tensor(xv.copy(), requires_grad=True), Tensor(yv.copy(), requires_grad=True)
-            loss = form(assemble(x, y, mask, tau=0.7))
-            loss.backward()
-            results.append([loss.data, x.grad, y.grad])
-        for a, b in zip(*results):
-            assert a.dtype == b.dtype == dtype
-            assert a.tobytes() == b.tobytes()
+        assert_composed_bytes(xv, yv, mask, 0.7)
+
+    @pytest.mark.parametrize("case", sorted(COMPOSED_BYTE_CASES))
+    @pytest.mark.parametrize("tau", [0.7, 1.0])
+    def test_bytes_match_the_composed_form(self, rng, case, tau):
+        b, d, dtype, make = COMPOSED_BYTE_CASES[case]
+        xv, yv = (rng.standard_normal((b, d)).astype(dtype) for _ in range(2))
+        targets = rng.integers(1, 6, size=b)
+        mask = make_collision_mask(targets, rng.integers(1, 6, size=b))
+        xv, yv, mask = make(xv, yv, mask)
+        for g in (None, 0.2, 0.0, -0.0):
+            assert_composed_bytes(xv, yv, mask, tau, g)
 
     def test_gradient_vs_finite_differences(self, rng):
         from conftest import assert_grad_close, finite_difference_grad

@@ -112,6 +112,14 @@ class TestRanking:
         emb[4] = np.where(h[0] > 0, -np.inf, np.inf)          # scores -inf
         assert rank_full_catalog(h.copy(), emb, [7])[0] == 3
 
+    @pytest.mark.parametrize("bad", [-1, PAD_INDEX, 10])
+    def test_target_outside_the_catalog_rejected(self, rng, bad):
+        # -1 used to rank as item |V|-1 and the pad target ranked last
+        emb = rng.standard_normal((10, 4))
+        h = rng.standard_normal((3, 4))
+        with pytest.raises(IndexError, match=f"target {bad} out of range"):
+            rank_full_catalog(h, emb, [2, bad, 5])
+
     def test_nan_model_scores_zero(self):
         params = make_params(vocab_size=12, d=8, max_len=6)
         params["layer0.wo"].data[:] = np.nan
@@ -165,6 +173,12 @@ class TestAlignmentUniformity:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             alignment(np.zeros((1, 3)), np.ones((1, 3)))
+
+    @pytest.mark.parametrize("shape_y", [(1, 3), (4, 3), (5, 2)])
+    def test_unpaired_shapes_rejected(self, rng, shape_y):
+        # [5, d] against [1, d] used to broadcast into a number
+        with pytest.raises(ValueError, match="equal shapes"):
+            alignment(rng.standard_normal((5, 3)), rng.standard_normal(shape_y))
 
     def test_identical_vectors_worst_uniformity(self):
         assert uniformity(np.ones((5, 3))) == 0.0
@@ -454,6 +468,13 @@ class TestGradientProbe:
         params, batch = self._setup()
         with pytest.raises(ValueError, match="3"):
             gradient_degeneration_probe(params, batch, [3], RngStream(0, "p"))
+
+    @pytest.mark.parametrize("bad", [-1, PAD_INDEX, 5])
+    def test_probe_item_outside_the_catalog_rejected(self, bad):
+        # -1 used to return item 4's gradient and cosine
+        params, batch = self._setup()
+        with pytest.raises(IndexError, match=f"probe item {bad} out of range"):
+            gradient_degeneration_probe(params, batch, [4, bad], RngStream(0, "p"))
 
     def test_single_example_direction_antiparallel_to_context(self):
         # with one example the probe gradient is exactly -p * h, so the

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import duorec.contrastive
+import duorec.trainer
 from duorec import autodiff as ad
 from duorec.autodiff import ConfigError, Tensor
 from duorec.data import (PAD_INDEX, EmptyDatasetError, build_target_index, iter_epoch,
@@ -16,6 +18,7 @@ from duorec.trainer import (Adam, Checkpoint, TrainConfig, evaluate,
                             load_checkpoint, save_checkpoint, train, train_step,
                             write_curves_csv)
 
+from conftest import nce_regularizer_reference
 from test_encoder import make_params
 
 
@@ -163,6 +166,35 @@ class TestTraining:
             write_curves_csv(p, res.curves)
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
+
+    def test_fused_nce_writes_the_composed_graph_bytes(self, tmp_path, monkeypatch):
+        # one lambda=0.2 epoch at c5_sweep's shape, its last batch partial: the
+        # checkpoint and curves bytes of the regularizer as a composed graph
+        seqs, vocab = make_clustered_corpus(n_items=200, n_clusters=10, n_sequences=300,
+                                            min_len=8, max_len=20, zipf=1.5, seed=1)
+        data = split_leave_one_out(seqs, vocab, max_len=20)
+        assert len(data.train) % 256 != 0
+        cfg = TrainConfig.from_dict(dict(d=16, layers=1, heads=2, max_len=20, batch_size=256,
+                                         lr=0.006, epochs=1, **{"lambda": 0.2}))
+        composed_calls = []
+
+        def composed(cb):
+            composed_calls.append(cb.reps.shape[0])
+            return nce_regularizer_reference(cb)
+
+        written = []
+        for name in ("fused", "composed"):
+            if name == "composed":
+                monkeypatch.setattr(duorec.contrastive, "nce_regularizer", composed)
+                monkeypatch.setattr(duorec.trainer, "nce_regularizer", composed)
+            res = train(cfg, data)
+            out = tmp_path / name
+            out.mkdir()
+            save_checkpoint(out / "checkpoint.duo", res.checkpoint)
+            write_curves_csv(out / "curves.csv", res.curves)
+            written.append([(out / f).read_bytes() for f in ("checkpoint.duo", "curves.csv")])
+        assert composed_calls[-1] == 2 * (len(data.train) % 256)
+        assert written[0] == written[1]
 
     def test_seed_changes_trajectory(self):
         data = tiny_data()
