@@ -380,7 +380,10 @@ def logsumexp_rows(x: Tensor) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
+LAYER_NORM_EPS = 1e-8              # added to the variance
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Zero-mean unit-variance normalization of the last axis, then affine.
 
     The forward makes two arrays of ``x``'s shape: ``x - mean``, scaled in
@@ -390,7 +393,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tens
     xhat = x.data - mu
     out_data = np.square(xhat)
     var = out_data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
     np.multiply(xhat, gain.data, out=out_data)
     out_data += bias.data
@@ -467,8 +470,10 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     out_data = table.data.take(idx, axis=0)
 
     def backward(g):
-        # np.add.at's bytes: every element starts at 0 and adds its gradients
-        # in index order
+        # each element starts at 0 and adds its gradients in index order, in
+        # float64, then rounds once to the table's dtype: the bytes of a
+        # float64 np.add.at and a cast (in float32 not those of a float32
+        # np.add.at, which rounds after every add)
         width = math.prod(table.data.shape[1:])
         flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
         acc = np.bincount(flat, weights=g.ravel(), minlength=table.data.size)

@@ -170,15 +170,15 @@ def _load_for_checkpoint(args):
     """The checkpoint and the dataset it is applied to, which must share a vocabulary."""
     ckpt = load_checkpoint(args.checkpoint)
     sequences, vocab = load_dataset_dir(args.data)
-    if vocab.size != ckpt.params.config.vocab_size:
+    if vocab.size != ckpt.params.vocab_size:
         raise ValueError(f"{args.data} has {vocab.size - 1} items but the checkpoint "
-                         f"was trained on {ckpt.params.config.vocab_size - 1}")
+                         f"was trained on {ckpt.params.vocab_size - 1}")
     return ckpt, sequences, vocab
 
 
 def _cmd_eval(args) -> None:
     ckpt, sequences, vocab = _load_for_checkpoint(args)
-    split = split_leave_one_out(sequences, vocab, max_len=ckpt.train_config.max_len)
+    split = split_leave_one_out(sequences, vocab, max_len=ckpt.params.config.max_len)
     examples = split.valid if args.split == "valid" else split.test
     rep = evaluate(ckpt.params, *split.window(examples))
     out = Path(args.out)

@@ -45,39 +45,31 @@ activations, attention mask included.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ConfigError, Tensor
+from .autodiff import Tensor
 from .data import PAD_INDEX, Batch
 from .rng import RngStream
+
+if TYPE_CHECKING:                   # trainer imports this module
+    from .trainer import TrainConfig
 
 NEG_INF = -1e30
 
 
 @dataclass
-class EncoderConfig:
-    vocab_size: int
-    d: int = 64
-    layers: int = 2
-    heads: int = 2
-    max_len: int = 50
-    emb_dropout: float = 0.1
-    hidden_dropout: float = 0.1
-
-    def __post_init__(self):
-        if self.d < 1 or self.heads < 1:
-            raise ConfigError(f"d={self.d} and heads={self.heads} must be >= 1")
-        if self.d % self.heads != 0:
-            raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
-
-
-@dataclass
 class EncoderParams:
-    config: EncoderConfig
+    """The weights and the run config that shaped them (d, layers, heads,
+    max_len and the dropout rates are read from it)."""
+    config: TrainConfig
     tensors: dict[str, Tensor] = field(default_factory=dict)
+
+    @property
+    def vocab_size(self) -> int:
+        return self.tensors["item_emb"].shape[0]
 
     def named(self):
         return self.tensors.items()
@@ -86,22 +78,22 @@ class EncoderParams:
         return self.tensors[name]
 
 
-def param_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+def param_shapes(config: TrainConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
     """Name and shape of every parameter tensor, in creation order."""
     d = config.d
     block = {"wq": (d, d), "wk": (d, d), "wv": (d, d), "wo": (d, d),
              "ffn_w1": (d, 4 * d), "ffn_b1": (4 * d,), "ffn_w2": (4 * d, d), "ffn_b2": (d,),
              "ln1_gain": (d,), "ln1_bias": (d,), "ln2_gain": (d,), "ln2_bias": (d,)}
-    shapes = {"item_emb": (config.vocab_size, d), "pos_emb": (config.max_len, d)}
+    shapes = {"item_emb": (vocab_size, d), "pos_emb": (config.max_len, d)}
     for layer in range(config.layers):
         shapes |= {f"layer{layer}.{name}": shape for name, shape in block.items()}
     return shapes
 
 
-def init_params(config: EncoderConfig, stream: RngStream) -> EncoderParams:
+def init_params(config: TrainConfig, vocab_size: int, stream: RngStream) -> EncoderParams:
     """Truncated-normal (std 0.02) matrices, zero biases, unit layer-norm gains."""
     p = EncoderParams(config)
-    for name, shape in param_shapes(config).items():
+    for name, shape in param_shapes(config, vocab_size).items():
         if len(shape) == 2:
             n = int(np.prod(shape))
             data = stream.child(f"init.{name}").truncated_normal(n, 0.02).reshape(shape)
@@ -252,7 +244,7 @@ def _block(h: Tensor, n: int, layout: _Layout, params: EncoderParams, layer: int
     return ad.layer_norm(ad.add(x, f2), w("ln2_gain"), w("ln2_bias"))
 
 
-def _attention(h: Tensor, hq: Tensor, n: int, layout: _Layout, cfg: EncoderConfig, w,
+def _attention(h: Tensor, hq: Tensor, n: int, layout: _Layout, cfg: TrainConfig, w,
                stream: RngStream, last_only: bool) -> Tensor:
     """Multi-head self-attention of ``_block``, through the output projection.
 

@@ -13,8 +13,9 @@ the weights it is given, and ``train`` hands back its checkpoint and final
 weights upcast, so they are the float32 values exactly.
 
 A checkpoint is the model alone: the best-validation weights, their epoch
-and score, and the config that built them. Adam's moments and the data
-stream's position are not saved, so a checkpoint is read, not resumed.
+and score. The weights carry the run's ``TrainConfig`` (``params.config``),
+the one config a checkpoint stores. Adam's moments and the data stream's
+position are not saved, so a checkpoint is read, not resumed.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .contrastive import (POSITIVE_MODES, assemble, combined_loss,
                           contrastive_views, nce_regularizer)
 from .data import (PAD_INDEX, EmptyDatasetError, SplitDataset, build_target_index,
                    iter_epoch)
-from .encoder import (EncoderConfig, EncoderParams, encode_sequence, init_params,
-                      param_shapes)
+from .encoder import EncoderParams, encode_sequence, init_params, param_shapes
 from .metrics import EvalReport, alignment, rank_full_catalog, report, uniformity
 from .rng import RngStream
 
@@ -93,6 +93,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be an object of keys and values, got {d!r}")
         keys = {f.name for f in dataclasses.fields(cls)} - {"lam"} | {"lambda"}
         unknown = set(d) - keys
         if unknown:
@@ -111,12 +113,6 @@ class TrainConfig:
         d = dataclasses.asdict(self)
         d["lambda"] = d.pop("lam")
         return d
-
-    def encoder_config(self, vocab_size: int) -> EncoderConfig:
-        return EncoderConfig(vocab_size=vocab_size, d=self.d, layers=self.layers,
-                             heads=self.heads, max_len=self.max_len,
-                             emb_dropout=self.emb_dropout,
-                             hidden_dropout=self.hidden_dropout)
 
 
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8   # moment decays, denominator offset
@@ -160,7 +156,6 @@ class Checkpoint:
     params: EncoderParams
     epoch: int
     best_valid_hr5: float
-    train_config: TrainConfig
 
 
 def evaluate(params: EncoderParams, ids: np.ndarray, targets: np.ndarray,
@@ -224,15 +219,14 @@ def train(config: TrainConfig, data: SplitDataset, *, dtype=np.float32) -> Train
     if data.max_len != config.max_len:
         raise ConfigError(f"split max_len {data.max_len} != config max_len {config.max_len}")
     root = RngStream(config.seed, "run")
-    enc_cfg = config.encoder_config(data.vocab.size)
-    params = _as_dtype(init_params(enc_cfg, root), dtype, enc_cfg)
+    params = _as_dtype(init_params(config, data.vocab.size, root), dtype, config)
     optimizer = Adam(params, lr=config.lr)
     index = build_target_index(data.items[data.train])
     data_stream = root.child("data")
 
     curves: list[dict] = []
     best_hr5 = -1.0
-    best_params = _as_dtype(params, np.float64, enc_cfg)
+    best_params = _as_dtype(params, np.float64, config)
     best_epoch = 0
     stale = 0
     diverged = False
@@ -269,7 +263,7 @@ def train(config: TrainConfig, data: SplitDataset, *, dtype=np.float32) -> Train
         })
         if valid_hr5 > best_hr5:
             best_hr5 = valid_hr5
-            best_params = _as_dtype(params, np.float64, enc_cfg)
+            best_params = _as_dtype(params, np.float64, config)
             best_epoch = epoch
             stale = 0
         else:
@@ -278,13 +272,13 @@ def train(config: TrainConfig, data: SplitDataset, *, dtype=np.float32) -> Train
                 break
 
     ckpt = Checkpoint(params=best_params, epoch=best_epoch,
-                      best_valid_hr5=max(best_hr5, 0.0), train_config=config)
-    final_params = _as_dtype(params, np.float64, enc_cfg)
+                      best_valid_hr5=max(best_hr5, 0.0))
+    final_params = _as_dtype(params, np.float64, config)
     return TrainResult(checkpoint=ckpt, curves=curves, diverged=diverged,
                        final_params=final_params)
 
 
-def _as_dtype(params: EncoderParams, dtype, config: EncoderConfig) -> EncoderParams:
+def _as_dtype(params: EncoderParams, dtype, config: TrainConfig) -> EncoderParams:
     """A copy of ``params`` in ``dtype`` (exact when widening), under ``config``."""
     return EncoderParams(config, {name: Tensor(t.data.astype(dtype), requires_grad=True)
                                   for name, t in params.named()})
@@ -306,8 +300,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     entries = [(name, ckpt.params[name].data) for name in sorted(ckpt.params.tensors)]
 
     trailer = json.dumps({
-        "config": ckpt.train_config.to_dict(),
-        "vocab_size": ckpt.params.config.vocab_size,
+        "config": ckpt.params.config.to_dict(),
+        "vocab_size": ckpt.params.vocab_size,
         "epoch": ckpt.epoch,
         "best_valid_hr5": ckpt.best_valid_hr5,
     }, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -366,13 +360,12 @@ def load_checkpoint(path) -> Checkpoint:
         if pos != len(blob):
             raise IOError(f"{path}: {len(blob) - pos} bytes after the trailer")
         config = TrainConfig.from_dict(trailer["config"])
-        enc_cfg = config.encoder_config(trailer["vocab_size"])
-        shapes = param_shapes(enc_cfg)
+        shapes = param_shapes(config, trailer["vocab_size"])
         if len(manifest) != len(shapes) or dict(manifest) != shapes:
             raise IOError(f"{path}: tensor names or shapes do not match the config")
-        params = EncoderParams(enc_cfg, {name: Tensor(buffers[name], requires_grad=True)
-                                         for name in shapes})
+        params = EncoderParams(config, {name: Tensor(buffers[name], requires_grad=True)
+                                        for name in shapes})
         return Checkpoint(params=params, epoch=trailer["epoch"],
-                          best_valid_hr5=trailer["best_valid_hr5"], train_config=config)
+                          best_valid_hr5=trailer["best_valid_hr5"])
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise IOError(f"{path}: malformed checkpoint ({exc!r})") from exc

@@ -17,8 +17,9 @@ from duorec import autodiff as ad
 from duorec.autodiff import Tensor
 from duorec.contrastive import assemble, nce_regularizer
 from duorec.data import make_collision_mask
-from duorec.encoder import EncoderConfig, encode_sequence, init_params
+from duorec.encoder import encode_sequence, init_params
 from duorec.rng import RngStream
+from duorec.trainer import TrainConfig
 
 
 @contextlib.contextmanager
@@ -117,10 +118,9 @@ def test_eval_encoder_pass_peak():
     # [12800, 256] hidden rows are 26 MB each. Measured: 203 MB when every op
     # made its throwaway arrays and the attention's locals lived through the
     # FFN, 104 MB while gelu held two of those rows, 78 MB now.
-    cfg = EncoderConfig(vocab_size=3400, d=64, layers=2, heads=2, max_len=50,
-                        emb_dropout=0.0, hidden_dropout=0.0)
-    params = init_params(cfg, RngStream(0, "init"))
-    ids = np.random.default_rng(1).integers(1, cfg.vocab_size, size=(256, cfg.max_len))
+    cfg = TrainConfig(d=64, layers=2, heads=2, max_len=50, emb_dropout=0.0, hidden_dropout=0.0)
+    params = init_params(cfg, 3400, RngStream(0, "init"))
+    ids = np.random.default_rng(1).integers(1, 3400, size=(256, cfg.max_len))
     with ad.no_grad(), traced() as mem:
         encode_sequence(ids, params, RngStream(0, "eval"))
     assert mem.peak <= 90e6

@@ -255,8 +255,7 @@ class TestLayerNorm:
         np.testing.assert_allclose(out.data, 0.0, atol=1e-3)
 
     def test_already_normalized_row(self):
-        out = ad.layer_norm(Tensor([[1.0, -1.0]]), Tensor(np.ones(2)),
-                            Tensor(np.zeros(2)), eps=1e-14)
+        out = ad.layer_norm(Tensor([[1.0, -1.0]]), Tensor(np.ones(2)), Tensor(np.zeros(2)))
         np.testing.assert_allclose(out.data, [[1.0, -1.0]], atol=1e-6)
 
     def test_gradient_vs_finite_differences(self, rng):
@@ -267,7 +266,7 @@ class TestLayerNorm:
         tx = Tensor(x.copy(), requires_grad=True)
         tg = Tensor(gain.copy(), requires_grad=True)
         tb = Tensor(bias.copy(), requires_grad=True)
-        ad.sum_all(ad.mul(ad.layer_norm(tx, tg, tb, eps=1e-8), v)).backward()
+        ad.sum_all(ad.mul(ad.layer_norm(tx, tg, tb), v)).backward()
 
         def f_of(which):
             def f(z):
@@ -283,8 +282,14 @@ class TestLayerNorm:
         assert_grad_close(tg.grad, finite_difference_grad(f_of("gain"), gain.copy()))
         assert_grad_close(tb.grad, finite_difference_grad(f_of("bias"), bias.copy()))
 
+    def test_signature_has_one_form(self):
+        # the variance offset is a constant, not a knob
+        assert list(inspect.signature(ad.layer_norm).parameters) == ["x", "gain", "bias"]
+
 
 class TestGatherRows:
+    INDICES = [[0, 2, 3, 7], [3], [[1, 4], [5, 6]], [2, 2, 0, 7, 2], [[0, 0], [3, 0]]]
+
     def test_first_row(self, rng):
         t = rng.standard_normal((6, 4))
         out = ad.gather_rows(Tensor(t), [0])
@@ -306,8 +311,7 @@ class TestGatherRows:
         with pytest.raises(IndexError, match="7"):
             ad.gather_rows(Tensor(np.zeros((5, 2))), [0, 7])
 
-    @pytest.mark.parametrize("indices", [[0, 2, 3, 7], [3], [[1, 4], [5, 6]],
-                                         [2, 2, 0, 7, 2], [[0, 0], [3, 0]]])
+    @pytest.mark.parametrize("indices", INDICES)
     def test_backward_bytes_match_add_at(self, rng, indices):
         # unique and repeated rows must give np.add.at's bytes, signed zeros
         # included
@@ -319,6 +323,21 @@ class TestGatherRows:
         want = np.zeros((8, 3))
         np.add.at(want, np.asarray(indices), g)
         assert t.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("indices", INDICES + [[0, 1, 0, 2] * 50])
+    def test_float32_backward_is_the_float64_sum_rounded_once(self, rng, indices):
+        # in float32 the rows still sum in float64: a float64 np.add.at, then
+        # one cast, signed zeros included; with a row repeated 100 times a
+        # float32 np.add.at, which rounds after every add, differs
+        t = Tensor(rng.standard_normal((8, 3)).astype(np.float32), requires_grad=True)
+        out = ad.gather_rows(t, indices)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        g.flat[::4] = -0.0
+        out._backward(g)
+        want = np.zeros((8, 3))
+        np.add.at(want, np.asarray(indices), g.astype(np.float64))
+        assert t.grad.dtype == np.float32
+        assert t.grad.tobytes() == want.astype(np.float32).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_flat_pairs_give_the_take_pairs_bytes(self, rng, dtype):

@@ -9,7 +9,7 @@ import duorec.cli
 from duorec.cli import load_dataset_dir, main
 from duorec.data import ParseError
 from duorec.synthetic import make_clustered_corpus
-from duorec.trainer import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
+from duorec.trainer import Checkpoint, load_checkpoint, save_checkpoint
 
 from test_encoder import make_params
 from test_trainer import MISTYPED_CONFIG_VALUES
@@ -199,9 +199,8 @@ class TestTrainEvalDiagnose:
         # column offset makes the centered spectrum differ.
         params = make_params(vocab_size=31, d=8, layers=1, max_len=10)
         params["item_emb"].data[1:] += 0.05 * np.arange(8)
-        save_checkpoint(tmp_path / "ckpt.duo", Checkpoint(
-            params=params, epoch=0, best_valid_hr5=0.0,
-            train_config=TrainConfig(d=8, layers=1, heads=2, max_len=10)))
+        save_checkpoint(tmp_path / "ckpt.duo",
+                        Checkpoint(params=params, epoch=0, best_valid_hr5=0.0))
         diag_dir = tmp_path / "diag"
         rc = main(["diagnose", "--checkpoint", str(tmp_path / "ckpt.duo"),
                    "--data", str(dataset_dir), "--out", str(diag_dir), "--no-center"])
@@ -227,13 +226,21 @@ class TestTrainEvalDiagnose:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_config_that_is_not_an_object_is_runtime_error(self, dataset_dir, tmp_path, capsys):
+        # a [] file used to train the defaults, 100 epochs of them
+        path = tmp_path / "bad.json"
+        path.write_text("[]")
+        rc = main(["train", "--data", str(dataset_dir), "--config", str(path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "object of keys and values" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 def untrained_checkpoint(path, n_items):
     """A checkpoint of initial weights over ``n_items`` items (no training needed)."""
-    config = TrainConfig(d=8, layers=1, heads=2, max_len=10)
     params = make_params(vocab_size=n_items + 1, d=8, layers=1, max_len=10)
-    save_checkpoint(path, Checkpoint(params=params, epoch=0, best_valid_hr5=0.0,
-                                     train_config=config))
+    save_checkpoint(path, Checkpoint(params=params, epoch=0, best_valid_hr5=0.0))
     return str(path)
 
 

@@ -2,22 +2,21 @@ import numpy as np
 import pytest
 
 from duorec import autodiff as ad
-from duorec.autodiff import ConfigError, no_grad
+from duorec.autodiff import no_grad
 from duorec.data import PAD_INDEX, Batch, make_collision_mask
-from duorec.encoder import (NEG_INF, EncoderConfig, EncoderParams, _lane_mask, _lanes,
-                            _last_row_mask, _packed_rows, embed, encode, encode_sequence,
-                            encode_twins, init_params)
+from duorec.encoder import (NEG_INF, _lane_mask, _lanes, _last_row_mask, _packed_rows,
+                            embed, encode, encode_sequence, encode_twins, init_params)
 from duorec.rng import RngStream
+from duorec.trainer import TrainConfig
 
 from conftest import assert_grad_close, finite_difference_grad
 
 
 def make_params(vocab_size=12, d=8, layers=1, heads=2, max_len=6,
                 emb_dropout=0.0, hidden_dropout=0.0, seed=0):
-    cfg = EncoderConfig(vocab_size=vocab_size, d=d, layers=layers, heads=heads,
-                        max_len=max_len, emb_dropout=emb_dropout,
-                        hidden_dropout=hidden_dropout)
-    return init_params(cfg, RngStream(seed, "init"))
+    cfg = TrainConfig(d=d, layers=layers, heads=heads, max_len=max_len,
+                      emb_dropout=emb_dropout, hidden_dropout=hidden_dropout)
+    return init_params(cfg, vocab_size, RngStream(seed, "init"))
 
 
 def make_batch(rows, max_len=6, positives=None, targets=None):
@@ -161,15 +160,6 @@ def embed_packed(item_ids, params, stream):
 
 
 class TestConfig:
-    def test_head_divisibility(self):
-        with pytest.raises(ConfigError):
-            EncoderConfig(vocab_size=5, d=10, heads=3)
-
-    @pytest.mark.parametrize("d, heads", [(8, 0), (8, -2), (0, 1), (-4, 2)])
-    def test_nonpositive_width_or_heads_rejected(self, d, heads):
-        with pytest.raises(ConfigError):
-            EncoderConfig(vocab_size=5, d=d, heads=heads)
-
     def test_pad_row_zero_after_init(self):
         params = make_params()
         np.testing.assert_array_equal(params["item_emb"].data[PAD_INDEX], 0.0)

@@ -12,7 +12,7 @@ import duorec.cli  # noqa: F401  (loads every module the tracer patches)
 import duorec.synthetic  # noqa: F401
 from duorec.autodiff import Tensor
 from duorec.rng import RngStream
-from duorec.trainer import Adam
+from duorec.trainer import Adam, TrainConfig
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -44,8 +44,7 @@ def test_install_wraps_every_name_and_restore_puts_it_back():
         assert duorec.encoder.encode_sequence is not before[("duorec.encoder",
                                                              "encode_sequence")]
         params = duorec.encoder.init_params(
-            duorec.encoder.EncoderConfig(vocab_size=6, d=4, layers=1, heads=1, max_len=3),
-            RngStream(0, "init"))
+            TrainConfig(d=4, layers=1, heads=1, max_len=3), 6, RngStream(0, "init"))
         duorec.encoder.encode_sequence(np.array([[0, 1, 2]]), params, RngStream(0, "s"))
         assert tracer.counts["encoder.passes"] == 1
         assert tracer.counts["autodiff.gelu.calls"] == 1

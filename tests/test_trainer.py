@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from duorec import autodiff as ad
 from duorec.autodiff import ConfigError, Tensor
 from duorec.data import (PAD_INDEX, EmptyDatasetError, build_target_index, iter_epoch,
                          split_leave_one_out)
+from duorec.encoder import init_params
 from duorec.metrics import EvalReport
 from duorec.rng import RngStream
 from duorec.synthetic import make_clustered_corpus
@@ -36,6 +38,9 @@ def tiny_data(n_sequences=40, seed=0):
                                         max_len=10, seed=seed)
     return split_leave_one_out(seqs, vocab, max_len=10)
 
+
+# JSON documents that are not an object of keys and values
+NOT_A_CONFIG_OBJECT = [[], [["lr", 0.1]], "lr", None, 5]
 
 # (key, value) pairs of the wrong type: each names its key in a ConfigError
 MISTYPED_CONFIG_VALUES = [("seed", 1.5), ("epochs", 2.5), ("batch_size", 2.5), ("d", "64"),
@@ -74,6 +79,7 @@ class TestConfig:
         ("lr", float("nan")), ("lr", float("inf")), ("tau", 0.0), ("tau", -1.0),
         ("epochs", 0), ("batch_size", 0), ("max_len", 0), ("early_stop_patience", 0),
         ("heads", 3),                  # 64 is not divisible by 3
+        ("d", -4), ("heads", -2),
     ])
     def test_degenerate_shapes_and_rates_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -86,6 +92,12 @@ class TestConfig:
         # to raise TypeError here
         with pytest.raises(ConfigError, match=key):
             TrainConfig.from_dict({key: value})
+
+    @pytest.mark.parametrize("doc", NOT_A_CONFIG_OBJECT)
+    def test_non_object_rejected(self, doc):
+        # [] used to train the defaults and [["lr", 0.1]] to raise TypeError
+        with pytest.raises(ConfigError, match="object of keys and values"):
+            TrainConfig.from_dict(doc)
 
     def test_integers_are_numbers(self):
         cfg = TrainConfig.from_dict({"lambda": 0, "lr": 1, "tau": 2})
@@ -402,11 +414,22 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.duo"
         save_checkpoint(path, res.checkpoint)
         loaded = load_checkpoint(path)
-        assert loaded.train_config == res.checkpoint.train_config
+        assert loaded.params.config == res.checkpoint.params.config
         assert loaded.epoch == res.checkpoint.epoch
         assert loaded.best_valid_hr5 == res.checkpoint.best_valid_hr5
         for name, t in res.checkpoint.params.named():
             np.testing.assert_array_equal(loaded.params[name].data, t.data)
+
+    def test_bytes_are_pinned(self, tmp_path):
+        # initial weights are Philox draws with no BLAS in them, so this
+        # digest pins the file format: manifest, float64 buffers, trailer
+        cfg = TrainConfig(d=8, layers=2, heads=2, max_len=6, emb_dropout=0.2,
+                          hidden_dropout=0.3, seed=3)
+        params = init_params(cfg, 12, RngStream(cfg.seed, "run"))
+        path = tmp_path / "ckpt.duo"
+        save_checkpoint(path, Checkpoint(params=params, epoch=3, best_valid_hr5=0.25))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "68140c97a9275c52a2c78dda6ec6f8276249647255302c22b5e386339d2b2a9b")
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.duo"
@@ -423,10 +446,9 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @staticmethod
-    def _checkpoint(**config):
-        cfg = tiny_config(max_len=6, **config)
+    def _checkpoint():
         params = make_params(vocab_size=12, d=8, max_len=6)
-        return Checkpoint(params=params, epoch=2, best_valid_hr5=0.5, train_config=cfg)
+        return Checkpoint(params=params, epoch=2, best_valid_hr5=0.5)
 
     def test_torn_or_padded_file_raises_ioerror(self, tmp_path):
         ckpt = self._checkpoint()
@@ -451,7 +473,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("config", [dict(layers=2), dict(d=16), dict(max_len=7)])
     def test_tensors_disagreeing_with_config_raise_ioerror(self, tmp_path, config):
         ckpt = self._checkpoint()
-        ckpt.train_config = dataclasses.replace(ckpt.train_config, **config)
+        ckpt.params.config = dataclasses.replace(ckpt.params.config, **config)
         path = tmp_path / "ckpt.duo"
         save_checkpoint(path, ckpt)
         with pytest.raises(IOError, match="do not match the config"):
