@@ -551,18 +551,22 @@ def cross_entropy_from_logits(logits: Tensor, targets) -> Tensor:
     return _make(out_data, (logits,), backward)
 
 
+NEG_INF = -1e30                    # additive mask of a disallowed slot
+
+
 def nce_rows(reps: Tensor, allowed: np.ndarray, tau: float) -> Tensor:
     """Symmetric NCE over 2B rows whose positive pairs are rows 2i and 2i+1.
 
-    Row i's logits are ``reps[i] . reps[j] / tau``; its denominator holds
-    the slots j where ``allowed[i, j]`` is True, and its positive is slot
-    i^1. Returns sum_i (log-sum-exp_j - logit[i, i^1]) / B.
+    Row i's logits are ``reps[i] . reps[j] / tau``; its positive is slot
+    i^1, and its denominator holds that slot and the negatives j where
+    ``allowed[i, j]`` is True, so ``allowed[i, i^1]`` is not read. Returns
+    sum_i (log-sum-exp_j - logit[i, i^1]) / B.
 
     The values and gradients are those of the graph
     ``sim = mul(matmul(reps, transpose(reps)), 1/tau)``, then
     ``mul(sum_all(add(logsumexp_rows(add(sim, penalty)), mul(pos, -1))), 1/B)``
-    with ``penalty`` 0 where allowed and -1e30 (the encoder's ``NEG_INF``)
-    elsewhere, and ``pos`` the gather of sim[i, i^1]. Its operations run in
+    with ``penalty`` 0 at the admitted slots and ``NEG_INF`` elsewhere, and
+    ``pos`` the gather of sim[i, i^1]. Its operations run in
     that order inside one [2B, 2B] array, the only one the backward keeps:
     it turns the exponentials into sim's gradient in place.
     """
@@ -579,7 +583,8 @@ def nce_rows(reps: Tensor, allowed: np.ndarray, tau: float) -> Tensor:
     e *= inv_tau
     pos = e[rows, partner]
     penalty = np.subtract(allowed, 1.0, dtype=dtype)     # 0.0 allowed, -1.0 not
-    penalty *= dtype.type(1e30)
+    penalty[rows, partner] = 0.0
+    penalty *= dtype.type(-NEG_INF)
     e += penalty
     mx = e.max(axis=-1, keepdims=True)
     e -= mx

@@ -83,7 +83,7 @@ def load_dataset_dir(path) -> tuple[list[UserSequence], ItemVocab]:
     repeats an ``item_id``, or a sequence item outside [1, V), raises
     ParseError naming the file and line."""
     path = Path(path)
-    id_of, item_of, freqs = {}, ["<pad>"], [0]
+    index_of, item_of, freqs = {}, ["<pad>"], [0]
     vocab_csv = path / "vocab.csv"
     with open(vocab_csv, newline="") as f:
         rows = csv.DictReader(f)
@@ -96,10 +96,10 @@ def load_dataset_dir(path) -> tuple[list[UserSequence], ItemVocab]:
             if index != len(item_of):
                 raise ParseError(f"{vocab_csv}:{rows.line_num}: index {index}, "
                                  f"expected {len(item_of)}")
-            if row["item_id"] in id_of:
+            if row["item_id"] in index_of:
                 raise ParseError(f"{vocab_csv}:{rows.line_num}: item_id {row['item_id']!r} "
-                                 f"repeats index {id_of[row['item_id']]}")
-            id_of[row["item_id"]] = len(item_of)
+                                 f"repeats index {index_of[row['item_id']]}")
+            index_of[row["item_id"]] = len(item_of)
             item_of.append(row["item_id"])
             freqs.append(freq)
     size = len(item_of)
@@ -114,9 +114,8 @@ def load_dataset_dir(path) -> tuple[list[UserSequence], ItemVocab]:
                 bad = next(i for i in items if not 1 <= i < size)
                 raise ParseError(f"{path / 'sequences.txt'}:{u + 1}: item {bad} "
                                  f"outside [1, {size})")
-            sequences.append(UserSequence(user=u, items=items))
-    return sequences, ItemVocab(id_of=id_of, item_of=item_of,
-                                frequency=np.array(freqs, dtype=np.int64))
+            sequences.append(UserSequence(items=items))
+    return sequences, ItemVocab(item_of=item_of, frequency=np.array(freqs, dtype=np.int64))
 
 
 def _load_config(args) -> TrainConfig:

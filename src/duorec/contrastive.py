@@ -49,13 +49,10 @@ def nce_regularizer(cb: ContrastiveBatch) -> Tensor:
 
     Each slot's denominator holds its partner plus its admissible
     negatives; log-sum-exp stabilized. With no admissible negatives the
-    contribution is exactly zero. The admissible slots are the collision
-    mask's plus each slot's partner; ``autodiff.nce_rows`` does the rest.
+    contribution is exactly zero. ``autodiff.nce_rows`` admits each slot's
+    partner and the collision mask's negatives.
     """
-    slots = np.arange(cb.reps.shape[0])
-    allowed = cb.collision_mask.copy()
-    allowed[slots, slots ^ 1] = True
-    return ad.nce_rows(cb.reps, allowed, cb.tau)
+    return ad.nce_rows(cb.reps, cb.collision_mask, cb.tau)
 
 
 def combined_loss(rec: Tensor, reg: Tensor, lam: float) -> LossBundle:

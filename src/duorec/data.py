@@ -54,7 +54,6 @@ class EventLog(NamedTuple):
 
 @dataclass
 class ItemVocab:
-    id_of: dict[str, int]
     item_of: list[str]          # index -> external id; item_of[0] is the pad slot
     frequency: np.ndarray       # per-index occurrence count in the training split
 
@@ -73,7 +72,6 @@ class ItemVocab:
 
 @dataclass
 class UserSequence:
-    user: int
     items: list[int]            # time-ascending dense item indices
 
 
@@ -86,7 +84,6 @@ class SplitDataset:
     test: np.ndarray            # [U] int64
     vocab: ItemVocab
     max_len: int
-    dropped_short: int = 0
 
     def window(self, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Left-padded inputs [len(pos), max_len] and targets for positions."""
@@ -185,10 +182,11 @@ def _factorize(ids: list[str]) -> tuple[list[str], np.ndarray]:
 def build_sequences(log: EventLog, min_count: int = 5, max_len: int = 50):
     """k-core filter users and items to a fixpoint, then build truncated sequences.
 
-    Users are numbered in Python string order of their ids, and each user's
-    events ordered by timestamp, ties by file order. Items are numbered from
-    1 in order of first appearance over that traversal. A sequence keeps its
-    user's last ``max_len`` items; ``frequency`` counts every kept event.
+    Sequences are listed in Python string order of their users' ids, and
+    each user's events ordered by timestamp, ties by file order. Items are
+    numbered from 1 in order of first appearance over that traversal. A
+    sequence keeps its user's last ``max_len`` items; ``frequency`` counts
+    every kept event.
     """
     if min_count < 1:
         raise ConfigError("min_count must be >= 1")
@@ -217,14 +215,12 @@ def build_sequences(log: EventLog, min_count: int = 5, max_len: int = 50):
     mapped = index_of[items]
 
     item_of = ["<pad>", *map(item_names.__getitem__, by_first.tolist())]
-    id_of = dict(zip(item_of[1:], range(1, len(item_of))))
     frequency = np.bincount(mapped, minlength=len(item_of)).astype(np.int64)
     ends = np.append(np.flatnonzero(np.diff(users)) + 1, len(users))
     starts = np.maximum(np.append(0, ends[:-1]), ends - max_len)
     flat = mapped.tolist()
-    sequences = [UserSequence(user=u, items=flat[s:e])
-                 for u, (s, e) in enumerate(zip(starts.tolist(), ends.tolist()))]
-    return sequences, ItemVocab(id_of=id_of, item_of=item_of, frequency=frequency)
+    sequences = [UserSequence(items=flat[s:e]) for s, e in zip(starts.tolist(), ends.tolist())]
+    return sequences, ItemVocab(item_of=item_of, frequency=frequency)
 
 
 def split_leave_one_out(sequences: list[UserSequence], vocab: ItemVocab, max_len: int = 50) -> SplitDataset:
@@ -241,8 +237,7 @@ def split_leave_one_out(sequences: list[UserSequence], vocab: ItemVocab, max_len
     first = np.repeat(ends - lengths + 1, n_train)
     within = np.arange(n_train.sum()) - np.repeat(np.cumsum(n_train) - n_train, n_train)
     return SplitDataset(items=items, train=first + within, valid=ends - 2, test=ends - 1,
-                        vocab=vocab, max_len=max_len,
-                        dropped_short=len(sequences) - len(kept))
+                        vocab=vocab, max_len=max_len)
 
 
 def build_target_index(targets: np.ndarray) -> TargetIndex:

@@ -50,14 +50,12 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import NEG_INF, ShapeError, Tensor
 from .data import PAD_INDEX, Batch
 from .rng import RngStream
 
 if TYPE_CHECKING:                   # trainer imports this module
     from .trainer import TrainConfig
-
-NEG_INF = -1e30
 
 
 @dataclass
@@ -204,8 +202,6 @@ def encode(h: Tensor, item_ids: np.ndarray, rows: np.ndarray, params: EncoderPar
     cfg = params.config
     b, n = item_ids.shape
     last = np.searchsorted(rows, np.arange(n - 1, b * n, n))   # each window's last row of h
-    if cfg.layers == 0:
-        return ad.gather_rows(h, last)
     dtype = h.data.dtype
     if cfg.layers > 1:
         slots, owner = _lanes(rows, b, n)
@@ -280,7 +276,14 @@ def _attention(h: Tensor, hq: Tensor, n: int, layout: _Layout, cfg: TrainConfig,
 
 def encode_sequence(item_ids: np.ndarray, params: EncoderParams,
                     stream: RngStream) -> Tensor:
-    """Full embed + encode pass under one dropout stream; returns [B, d]."""
+    """Full embed + encode pass under one dropout stream; returns [B, d].
+
+    ``item_ids`` must be [B, max_len]: position j of a window reads
+    positional row j, so any other width would misplace or overrun them.
+    """
+    if np.ndim(item_ids) != 2 or np.shape(item_ids)[1] != params.config.max_len:
+        raise ShapeError(f"windows must be [B, max_len={params.config.max_len}], "
+                         f"got {np.shape(item_ids)}")
     rows = _packed_rows(item_ids)
     h0 = embed(item_ids, rows, params, stream)
     return encode(h0, item_ids, rows, params, stream.child("trm"))

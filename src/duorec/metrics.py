@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .data import PAD_INDEX, Batch, ItemVocab
 from .encoder import EncoderParams, encode_sequence
 from .rng import RngStream

@@ -38,18 +38,15 @@ def make_clustered_corpus(n_items: int = 200, n_clusters: int = 10,
 
     sequences: list[UserSequence] = []
     frequency = np.zeros(n_items + 1, dtype=np.int64)
-    for u in range(n_sequences):
+    for _ in range(n_sequences):
         c = int(np.searchsorted(ccdf, stream.uniform(1)[0]))
         length = int(stream.integers(min_len, max_len + 1, 1)[0])
         draws = np.searchsorted(cdf, stream.uniform(length))
         items = cluster_items[c][draws].tolist()
         for it in items:
             frequency[it] += 1
-        sequences.append(UserSequence(user=u, items=items))
+        sequences.append(UserSequence(items=items))
 
-    vocab = ItemVocab(
-        id_of={str(i): i for i in range(1, n_items + 1)},
-        item_of=["<pad>"] + [str(i) for i in range(1, n_items + 1)],
-        frequency=frequency,
-    )
+    vocab = ItemVocab(item_of=["<pad>"] + [str(i) for i in range(1, n_items + 1)],
+                      frequency=frequency)
     return sequences, vocab

@@ -80,10 +80,10 @@ class TrainConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 0.5:
                 raise ConfigError(f"{name} must be in [0, 0.5], got {v}")
-        for name, low in (("d", 1), ("heads", 1), ("layers", 0), ("epochs", 1),
-                          ("batch_size", 1), ("max_len", 1), ("early_stop_patience", 1)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("d", "heads", "layers", "epochs", "batch_size", "max_len",
+                     "early_stop_patience"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.d % self.heads:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
         if not (math.isfinite(self.lr) and self.lr > 0):
@@ -135,15 +135,12 @@ class Adam:
                 g = np.zeros_like(tensor.data)
             if g.shape != tensor.data.shape:
                 raise ValueError(f"gradient shape mismatch for {name}")
-            if name == "item_emb":
-                g = g.copy()
-                g[PAD_INDEX] = 0.0
             self.m[name] = ADAM_B1 * self.m[name] + (1 - ADAM_B1) * g
             self.v[name] = ADAM_B2 * self.v[name] + (1 - ADAM_B2) * g * g
             m_hat = self.m[name] / (1 - ADAM_B1 ** self.t)
             v_hat = self.v[name] / (1 - ADAM_B2 ** self.t)
             tensor.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            if name == "item_emb":
+            if name == "item_emb":      # elementwise: the pad row's moments move it alone
                 tensor.data[PAD_INDEX] = 0.0
 
     def zero_grad(self, params: EncoderParams) -> None:

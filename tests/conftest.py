@@ -214,8 +214,8 @@ def ingest_reference(path, fmt: str) -> list[tuple[str, str, int]]:
 
 def build_sequences_reference(events, min_count: int, max_len: int):
     """Counter-based reference for ``data.build_sequences`` over
-    ``ingest_reference``'s events: (sequences as lists, item_of, id_of,
-    frequency list)."""
+    ``ingest_reference``'s events: (sequences as lists in user order,
+    item_of, frequency list)."""
     kept = list(range(len(events)))
     while True:
         user_count = Counter(events[i][0] for i in kept)
@@ -228,20 +228,20 @@ def build_sequences_reference(events, min_count: int, max_len: int):
     per_user = defaultdict(list)
     for i in kept:
         per_user[events[i][0]].append(i)
-    id_of, item_of, freq = {}, ["<pad>"], Counter()
+    index_of, item_of, freq = {}, ["<pad>"], Counter()
     sequences = []
     for _, idxs in sorted(per_user.items()):
         idxs.sort(key=lambda i: (events[i][2], i))
         items = []
         for i in idxs:
             ext = events[i][1]
-            if ext not in id_of:
-                id_of[ext] = len(item_of)
+            if ext not in index_of:
+                index_of[ext] = len(item_of)
                 item_of.append(ext)
-            items.append(id_of[ext])
-            freq[id_of[ext]] += 1
+            items.append(index_of[ext])
+            freq[index_of[ext]] += 1
         sequences.append(items[-max_len:])
-    return sequences, item_of, id_of, [freq[i] for i in range(len(item_of))]
+    return sequences, item_of, [freq[i] for i in range(len(item_of))]
 
 
 @pytest.fixture

@@ -470,6 +470,24 @@ class TestNceRows:
                    for i in range(6)) / 3
         assert abs(ad.nce_rows(Tensor(xv), allowed, 0.7).item() - want) < 1e-12
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_partner_admitted_whatever_the_mask_holds(self, rng, dtype):
+        # the collision mask leaves partners out; the op puts them back
+        xv = rng.standard_normal((8, 3)).astype(dtype)
+        xv[2] = -0.0
+        with_partner = _nce_allowed(rng, 8)
+        without = with_partner.copy()
+        slots = np.arange(8)
+        without[slots, slots ^ 1] = False
+        results = []
+        for allowed in (with_partner, without):
+            x = Tensor(xv.copy(), requires_grad=True)
+            loss = ad.nce_rows(x, allowed, 0.7)
+            loss.backward()
+            results.append((loss.data, x.grad))
+        for a, b in zip(*results):
+            assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("shape, mask_shape", [((5, 3), (5, 5)), ((6, 3), (6, 5)),
                                                    ((6,), (6, 6))])
     def test_shapes_rejected(self, shape, mask_shape):

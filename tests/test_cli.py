@@ -315,8 +315,7 @@ class TestDatasetChecks:
         assert f"{name}:" in capsys.readouterr().err
 
     def test_repeated_item_id_names_its_line(self, dataset_dir, tmp_path, capsys):
-        # rows 1,a,3 and 2,a,4 used to load as item_of [..., 'a', 'a'] with
-        # id_of {'a': 2}
+        # rows 1,a,3 and 2,a,4 used to load as item_of [..., 'a', 'a']
         path = dataset_dir / "vocab.csv"
         header, *rows = path.read_text().splitlines()
         first = rows[0].split(",")[1]

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import defaultdict
 
 import numpy as np
@@ -7,7 +8,7 @@ from duorec.autodiff import ConfigError
 from duorec.data import (PAD_INDEX, Batch, EmptyDatasetError, EventLog, ParseError,
                          build_sequences, build_target_index, ingest,
                          iter_epoch, make_collision_mask, split_leave_one_out,
-                         UserSequence, ItemVocab)
+                         ItemVocab, SplitDataset, UserSequence)
 from duorec.rng import RngStream
 from duorec.synthetic import make_clustered_corpus
 
@@ -130,19 +131,21 @@ class TestBuildSequences:
         assert names == ["c", "a", "b", "a", "b"]
 
     def test_pad_index_reserved(self):
-        _, vocab = build_sequences(_corpus(), min_count=5)
+        sequences, vocab = build_sequences(_corpus(), min_count=5)
         assert vocab.item_of[PAD_INDEX] == "<pad>"
-        assert PAD_INDEX not in vocab.id_of.values()
+        assert all(PAD_INDEX not in s.items for s in sequences)
 
     def test_frequency_sums_to_actions(self):
         sequences, vocab = build_sequences(_corpus(), min_count=5)
         assert vocab.frequency.sum() == sum(len(s.items) for s in sequences)
 
     def test_users_in_string_order(self):
-        log = _log([(u, "i", t) for t, u in enumerate(["b", "a", "B", "é", "a", "b", "é", "B"])])
-        sequences, _ = build_sequences(log, min_count=2)
-        assert [s.user for s in sequences] == [0, 1, 2, 3]
-        assert [len(s.items) for s in sequences] == [2, 2, 2, 2]   # B, a, b, é
+        # each user has an item of its own, so the sequences name their users
+        log = _log([(u, "i" + u, t)
+                    for t, u in enumerate(["b", "a", "B", "é", "a", "b", "é", "B"])])
+        sequences, vocab = build_sequences(log, min_count=2)
+        assert [[vocab.item_of[i] for i in s.items] for s in sequences] == [
+            ["iB", "iB"], ["ia", "ia"], ["ib", "ib"], ["ié", "ié"]]
 
 
 def _write_random_log(path, fmt, rng, n_events, users, items, stamp_range):
@@ -164,8 +167,8 @@ def _write_random_log(path, fmt, rng, n_events, users, items, stamp_range):
 
 class TestPrepAgainstReference:
     """``ingest`` + ``build_sequences`` against the line-by-line, Counter-based
-    reference in conftest: identical sequences, ``item_of``, ``id_of`` and
-    ``frequency``, or the same ParseError."""
+    reference in conftest: identical sequences in the same user order,
+    ``item_of`` and ``frequency``, or the same ParseError."""
 
     def _check(self, path, fmt, min_count, max_len):
         try:
@@ -177,15 +180,14 @@ class TestPrepAgainstReference:
             return False
         log = ingest(path, fmt)
         assert list(zip(log.users, log.items, log.timestamps.tolist())) == events
-        seqs, item_of, id_of, freq = build_sequences_reference(events, min_count, max_len)
+        seqs, item_of, freq = build_sequences_reference(events, min_count, max_len)
         if not seqs:
             with pytest.raises(EmptyDatasetError):
                 build_sequences(log, min_count=min_count, max_len=max_len)
             return True
         sequences, vocab = build_sequences(log, min_count=min_count, max_len=max_len)
         assert [s.items for s in sequences] == seqs
-        assert [s.user for s in sequences] == list(range(len(seqs)))
-        assert vocab.item_of == item_of and vocab.id_of == id_of
+        assert vocab.item_of == item_of
         assert vocab.frequency.dtype == np.int64 and vocab.frequency.tolist() == freq
         return True
 
@@ -233,10 +235,21 @@ class TestPrepAgainstReference:
             assert vocab.item_of == ["<pad>", "w"] and vocab.frequency.tolist() == [0, m]
 
 
+@pytest.mark.parametrize("cls, names", [
+    (ItemVocab, ["item_of", "frequency"]),
+    (UserSequence, ["items"]),
+    (SplitDataset, ["items", "train", "valid", "test", "vocab", "max_len"]),
+])
+def test_fields_have_one_form(cls, names):
+    # a user is its sequence's position, an item's index its place in
+    # item_of, and the short users' count len(sequences) - len(split.test)
+    assert [f.name for f in dataclasses.fields(cls)] == names
+
+
 class TestSplitLeaveOneOut:
     def test_protocol_walkthrough(self):
-        vocab = ItemVocab({}, ["<pad>"], np.zeros(5, dtype=np.int64))
-        seqs = [UserSequence(0, [1, 2, 3, 4])]
+        vocab = ItemVocab(["<pad>"], np.zeros(5, dtype=np.int64))
+        seqs = [UserSequence([1, 2, 3, 4])]
         split = split_leave_one_out(seqs, vocab, max_len=5)
         for pos, prefix, target in ((split.test, [0, 0, 1, 2, 3], 4),
                                     (split.valid, [0, 0, 0, 1, 2], 3),
@@ -247,8 +260,8 @@ class TestSplitLeaveOneOut:
     def test_window_stays_inside_its_user(self):
         # the pad run before each sequence keeps a full-width window from
         # reading the previous user's items
-        vocab = ItemVocab({}, ["<pad>"], np.zeros(10, dtype=np.int64))
-        seqs = [UserSequence(0, [1, 2, 3, 4, 5, 6]), UserSequence(1, [7, 8, 9])]
+        vocab = ItemVocab(["<pad>"], np.zeros(10, dtype=np.int64))
+        seqs = [UserSequence([1, 2, 3, 4, 5, 6]), UserSequence([7, 8, 9])]
         split = split_leave_one_out(seqs, vocab, max_len=3)
         ids, targets = split.window(split.test)
         assert ids.tolist() == [[3, 4, 5], [0, 7, 8]]
@@ -257,23 +270,25 @@ class TestSplitLeaveOneOut:
     def test_length_three_contributes_eval_only(self):
         # shortest admissible sequence: valid and test pairs but no train
         # prefix ends before the validation position
-        vocab = ItemVocab({}, ["<pad>"], np.zeros(4, dtype=np.int64))
-        split = split_leave_one_out([UserSequence(0, [1, 2, 3])], vocab, max_len=10)
+        vocab = ItemVocab(["<pad>"], np.zeros(4, dtype=np.int64))
+        split = split_leave_one_out([UserSequence([1, 2, 3])], vocab, max_len=10)
         assert len(split.train) == 0
         assert len(split.valid) == 1 and len(split.test) == 1
 
     def test_short_sequences_dropped_with_count(self):
-        vocab = ItemVocab({}, ["<pad>"], np.zeros(4, dtype=np.int64))
-        split = split_leave_one_out([UserSequence(0, [1, 2])], vocab, max_len=10)
-        assert split.dropped_short == 1 and len(split.train) == 0
+        vocab = ItemVocab(["<pad>"], np.zeros(4, dtype=np.int64))
+        split = split_leave_one_out([UserSequence([1, 2]), UserSequence([1, 2, 3])],
+                                    vocab, max_len=10)
+        assert len(split.valid) == len(split.test) == 1 and len(split.train) == 0
+        assert split.window(split.test)[1].tolist() == [3]
 
     def test_counting_oracle(self, rng):
         # one train example per prefix position strictly before the
         # validation target: sum over users of (len - 3)
-        vocab = ItemVocab({}, ["<pad>"], np.zeros(30, dtype=np.int64))
+        vocab = ItemVocab(["<pad>"], np.zeros(30, dtype=np.int64))
         lengths = rng.integers(3, 12, size=10)
-        seqs = [UserSequence(u, (1 + rng.integers(0, 29, size=n)).tolist())
-                for u, n in enumerate(lengths)]
+        seqs = [UserSequence((1 + rng.integers(0, 29, size=n)).tolist())
+                for n in lengths]
         split = split_leave_one_out(seqs, vocab, max_len=20)
         assert len(split.train) == int((lengths - 3).sum())
 
@@ -385,10 +400,10 @@ class TestBatching:
             np.testing.assert_array_equal(batch.targets, batch.positive_targets)
 
     def test_singleton_target_falls_back_to_self(self):
-        vocab = ItemVocab({}, ["<pad>"] + ["x"] * 9, np.zeros(10, dtype=np.int64))
+        vocab = ItemVocab(["<pad>"] + ["x"] * 9, np.zeros(10, dtype=np.int64))
         # training targets 2, 3, 5 and 6, one example each
-        split = split_leave_one_out([UserSequence(0, [1, 2, 3, 4, 5]),
-                                     UserSequence(1, [4, 5, 6, 7, 8])], vocab, max_len=5)
+        split = split_leave_one_out([UserSequence([1, 2, 3, 4, 5]),
+                                     UserSequence([4, 5, 6, 7, 8])], vocab, max_len=5)
         index = build_target_index(split.items[split.train])
         stream = RngStream(4, "ep")
         (batch,) = iter_epoch(split, index, 4, stream)
@@ -455,10 +470,10 @@ def _oracle_corpora():
     yield make_clustered_corpus(n_items=50, n_clusters=5, n_sequences=40, seed=3), 20
     yield make_clustered_corpus(n_items=30, n_clusters=3, n_sequences=30,
                                 min_len=8, max_len=20, seed=4, zipf=1.5), 5
-    seqs = [UserSequence(u, [1 + (7 * u + 3 * t) % 97 for t in range(3 + u % 6)])
+    seqs = [UserSequence([1 + (7 * u + 3 * t) % 97 for t in range(3 + u % 6)])
             for u in range(30)]
-    seqs += [UserSequence(30, [1, 2]), UserSequence(31, [4, 4, 4, 4, 4, 4])]
-    yield (seqs, ItemVocab({}, ["<pad>"] + ["x"] * 97, np.zeros(98, dtype=np.int64))), 4
+    seqs += [UserSequence([1, 2]), UserSequence([4, 4, 4, 4, 4, 4])]
+    yield (seqs, ItemVocab(["<pad>"] + ["x"] * 97, np.zeros(98, dtype=np.int64))), 4
 
 
 BATCH_FIELDS = ("item_ids", "lengths", "targets", "positive_ids",
@@ -490,7 +505,8 @@ class TestAgainstListOracle:
         for (seqs, vocab), max_len in _oracle_corpora():
             split = split_leave_one_out(seqs, vocab, max_len=max_len)
             _, valid, test = _reference_split(seqs)
-            assert split.dropped_short == sum(len(s.items) < 3 for s in seqs)
+            kept = sum(len(s.items) >= 3 for s in seqs)
+            assert len(split.valid) == len(split.test) == kept
             for pos, examples in ((split.valid, valid), (split.test, test)):
                 ids, targets = split.window(pos)
                 want = np.array([_left_pad(p, max_len)[0] for p, _ in examples],

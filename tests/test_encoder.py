@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from duorec import autodiff as ad
-from duorec.autodiff import no_grad
+from duorec.autodiff import ShapeError, no_grad
 from duorec.data import PAD_INDEX, Batch, make_collision_mask
 from duorec.encoder import (NEG_INF, _lane_mask, _lanes, _last_row_mask, _packed_rows,
                             embed, encode, encode_sequence, encode_twins, init_params)
@@ -394,12 +394,13 @@ class TestEncode:
             same = np.allclose(h_all[(None, i)], h_all[(2, i)])
             assert same == (i < 2), f"position {i}"
 
-    def test_zero_layers_returns_embedding(self):
-        params = make_params(layers=0)
-        ids = np.array([[1, 2, 3, 4, 5, 6]])
-        h = encode_sequence(ids, params, RngStream(0, "s"))
-        h0 = embed_packed(ids, params, RngStream(0, "s"))
-        np.testing.assert_array_equal(h.data, h0.data[-1:])
+    @pytest.mark.parametrize("ids", [[[4, 5, 6]], [[1, 2, 3, 4, 5, 6, 7, 8]],
+                                     [1, 2, 3, 4, 5, 6]])
+    def test_window_width_must_be_max_len(self, ids):
+        # a 3-wide window used to read positional rows 0-2, not those of the
+        # last three positions, and an 8-wide one to fail in gather_rows
+        with pytest.raises(ShapeError, match="max_len=6"):
+            encode_sequence(np.array(ids), make_params(), RngStream(0, "s"))
 
     def test_deterministic_without_dropout(self):
         params = make_params()

@@ -61,7 +61,7 @@ def _gram(rng, rows, d):
 
 def _vocab(n_items, freq=None):
     frequency = np.asarray(freq) if freq is not None else np.ones(n_items + 1, dtype=np.int64)
-    return ItemVocab({}, ["<pad>"] + [str(i) for i in range(1, n_items + 1)], frequency)
+    return ItemVocab(["<pad>"] + [str(i) for i in range(1, n_items + 1)], frequency)
 
 
 class TestRanking:

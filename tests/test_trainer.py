@@ -9,7 +9,7 @@ import pytest
 import duorec.contrastive
 import duorec.trainer
 from duorec import autodiff as ad
-from duorec.autodiff import ConfigError, Tensor
+from duorec.autodiff import ConfigError, ShapeError, Tensor
 from duorec.data import (PAD_INDEX, EmptyDatasetError, build_target_index, iter_epoch,
                          split_leave_one_out)
 from duorec.encoder import init_params
@@ -75,7 +75,7 @@ class TestConfig:
             TrainConfig(positive_mode="nope")
 
     @pytest.mark.parametrize("field, value", [
-        ("d", 0), ("heads", 0), ("layers", -1), ("lr", -0.1), ("lr", 0.0),
+        ("d", 0), ("heads", 0), ("layers", 0), ("layers", -1), ("lr", -0.1), ("lr", 0.0),
         ("lr", float("nan")), ("lr", float("inf")), ("tau", 0.0), ("tau", -1.0),
         ("epochs", 0), ("batch_size", 0), ("max_len", 0), ("early_stop_patience", 0),
         ("heads", 3),                  # 64 is not divisible by 3
@@ -271,6 +271,16 @@ class TestEvaluate:
         params = make_params(vocab_size=12, d=8, max_len=10)
         with pytest.raises(EmptyDatasetError):
             evaluate(params, np.zeros((0, 10), dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("width", [3, 12])
+    def test_window_width_must_be_max_len(self, width):
+        # a narrower window used to be ranked from misplaced positional rows
+        data = tiny_data()
+        params = make_params(vocab_size=data.vocab.size, d=8, max_len=10)
+        ids, targets = data.window(data.test)
+        ids = np.pad(ids, ((0, 0), (max(0, width - 10), 0)))[:, -width:]
+        with pytest.raises(ShapeError, match="max_len=10"):
+            evaluate(params, ids, targets)
 
     def test_report_shapes_and_bounds(self):
         data = tiny_data()
