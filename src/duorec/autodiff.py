@@ -30,7 +30,9 @@ ops: ``matmul(a, b, bias)`` adds the bias into the product,
 ``softmax_rows(x, scale, mask)`` takes the softmax of ``x*scale + mask`` in
 one array, and ``nce_rows(reps, allowed, tau)`` runs the contrastive
 regularizer's graph (product, scale, penalty, log-sum-exp and positive
-logits) in one [2B, 2B] array that its backward reuses.
+logits) in one [2B, 2B] array that its backward reuses. Every softmax and
+log-sum-exp takes its exponentials from ``exp_rows``, and every index range
+is checked by ``check_index``; neither is a recorded op.
 
 Backward rule: a backward writes only into arrays it allocated itself, or
 into temporaries its forward kept for it alone. It never writes into the
@@ -331,6 +333,22 @@ def sum_all(x: Tensor) -> Tensor:
 # -- row-wise ops -------------------------------------------------------
 
 
+def exp_rows(x: np.ndarray, out: np.ndarray | None = None):
+    """``exp(x - rowmax)`` over the last axis, written into ``out`` (a new
+    array if None; it may be ``x``), with each row's max and sum, axis kept."""
+    m = x.max(axis=-1, keepdims=True)
+    e = np.subtract(x, m, out=out)
+    np.exp(e, out=e)
+    return e, m, e.sum(axis=-1, keepdims=True)
+
+
+def check_index(idx: np.ndarray, lo: int, hi: int, what: str) -> None:
+    """Raise ``IndexError`` naming the first entry of ``idx`` outside [lo, hi)."""
+    if idx.size and (idx.min() < lo or idx.max() >= hi):
+        bad = idx[(idx < lo) | (idx >= hi)][0]
+        raise IndexError(f"{what} {bad} out of range [{lo}, {hi})")
+
+
 def softmax_rows(x: Tensor, scale: float | None = None, mask=None) -> Tensor:
     """Softmax over the last axis of ``x*scale + mask``, max-subtracted for stability.
 
@@ -347,9 +365,8 @@ def softmax_rows(x: Tensor, scale: float | None = None, mask=None) -> Tensor:
         mask = np.asarray(mask, dtype=y.dtype)
         _check_fits(mask, y.shape, "mask")
         y = np.add(y, mask, out=None if y is x.data else y)
-    y = np.subtract(y, y.max(axis=-1, keepdims=True), out=None if y is x.data else y)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y, _, s = exp_rows(y, out=None if y is x.data else y)
+    y /= s
 
     def backward(g):
         gx = g * y
@@ -365,10 +382,7 @@ def softmax_rows(x: Tensor, scale: float | None = None, mask=None) -> Tensor:
 
 def logsumexp_rows(x: Tensor) -> Tensor:
     """log(sum(exp(x))) over the last axis, stabilized."""
-    m = x.data.max(axis=-1, keepdims=True)
-    e = x.data - m
-    np.exp(e, out=e)
-    s = e.sum(axis=-1, keepdims=True)
+    e, m, s = exp_rows(x.data)
     out_data = (m + np.log(s)).squeeze(-1)
 
     def backward(g):
@@ -463,10 +477,7 @@ def dropout(x: Tensor, rate: float, stream: RngStream) -> Tensor:
 def gather_rows(table: Tensor, indices) -> Tensor:
     """Stack rows ``table[indices]``; backward scatter-adds into the table."""
     idx = np.asarray(indices, dtype=np.int64)
-    n_rows = table.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
-        bad = idx[(idx < 0) | (idx >= n_rows)][0]
-        raise IndexError(f"row index {bad} out of range [0, {n_rows})")
+    check_index(idx, 0, table.data.shape[0], "row index")
     out_data = table.data.take(idx, axis=0)
 
     def backward(g):
@@ -491,8 +502,7 @@ def scatter_rows(x: Tensor, rows, n_rows: int) -> Tensor:
     idx = np.asarray(rows, dtype=np.int64)
     if idx.shape != x.data.shape[:1]:
         raise ShapeError(f"{idx.shape} row indices for input {x.data.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= n_rows):
-        raise IndexError(f"rows must lie in [0, {n_rows})")
+    check_index(idx, 0, n_rows, "row")
     hit = np.zeros(n_rows, dtype=bool)
     hit[idx] = True
     if np.count_nonzero(hit) != idx.size:
@@ -530,13 +540,8 @@ def cross_entropy_from_logits(logits: Tensor, targets) -> Tensor:
     """Mean over rows of -log softmax(logits)[target], fused log-sum-exp."""
     t = np.asarray(targets, dtype=np.int64)
     m, v = logits.data.shape
-    if t.size and (t.min() < 0 or t.max() >= v):
-        bad = t[(t < 0) | (t >= v)][0]
-        raise IndexError(f"target {bad} out of range [0, {v})")
-    mx = logits.data.max(axis=-1, keepdims=True)
-    e = logits.data - mx
-    np.exp(e, out=e)
-    s = e.sum(axis=-1, keepdims=True)
+    check_index(t, 0, v, "target")
+    e, mx, s = exp_rows(logits.data)
     lse = (mx + np.log(s)).squeeze(-1)
     rows = np.arange(m)
     out_data = np.asarray((lse - logits.data[rows, t]).mean())
@@ -586,10 +591,7 @@ def nce_rows(reps: Tensor, allowed: np.ndarray, tau: float) -> Tensor:
     penalty[rows, partner] = 0.0
     penalty *= dtype.type(-NEG_INF)
     e += penalty
-    mx = e.max(axis=-1, keepdims=True)
-    e -= mx
-    np.exp(e, out=e)
-    s = e.sum(axis=-1, keepdims=True)
+    e, mx, s = exp_rows(e, out=e)
     lse = (mx + np.log(s)).squeeze(-1)
     out_data = (lse + pos * dtype.type(-1.0)).sum() * inv_b
 

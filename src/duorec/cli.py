@@ -79,14 +79,17 @@ def _write_dataset(out: Path, sequences: list[UserSequence], vocab: ItemVocab) -
 
 def load_dataset_dir(path) -> tuple[list[UserSequence], ItemVocab]:
     """Read a directory written by prep. A token that is not an integer, a
-    ``vocab.csv`` whose index column is not 1..V in file order or that
-    repeats an ``item_id``, or a sequence item outside [1, V), raises
-    ParseError naming the file and line."""
+    ``vocab.csv`` without an index, item_id or frequency column, whose index
+    column is not 1..V in file order or that repeats an ``item_id``, or a
+    sequence item outside [1, V), raises ParseError naming the file and line."""
     path = Path(path)
     index_of, item_of, freqs = {}, ["<pad>"], [0]
     vocab_csv = path / "vocab.csv"
     with open(vocab_csv, newline="") as f:
         rows = csv.DictReader(f)
+        missing = [c for c in ("index", "item_id", "frequency") if c not in (rows.fieldnames or ())]
+        if missing:
+            raise ParseError(f"{vocab_csv}:1: header lacks column(s) {', '.join(missing)}")
         for row in rows:
             try:
                 index, freq = int(row["index"]), int(row["frequency"])

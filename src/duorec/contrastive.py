@@ -10,6 +10,7 @@ whose forward and backward share one [2B, 2B] array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,10 @@ class LossBundle:
 
 def assemble(h_prime: Tensor, h_prime_s: Tensor, collision_mask: np.ndarray,
              tau: float) -> ContrastiveBatch:
-    """Interleave the two views into [h'_1, h'_1s, h'_2, h'_2s, ...]."""
-    if tau <= 0:
-        raise ConfigError(f"temperature must be positive, got {tau}")
+    """Interleave the two views into [h'_1, h'_1s, h'_2, h'_2s, ...]; an
+    infinite ``tau`` would scale every logit, and so the gradient, by 0."""
+    if not (math.isfinite(tau) and tau > 0):
+        raise ConfigError(f"temperature must be finite and positive, got {tau}")
     return ContrastiveBatch(reps=ad.interleave_rows(h_prime, h_prime_s),
                             collision_mask=collision_mask, tau=tau)
 

@@ -38,10 +38,14 @@ def rank_full_catalog(h: np.ndarray, item_emb: np.ndarray, targets) -> np.ndarra
     favor of the smaller item index, the target included in its tie group
     under the same rule. A score that is not finite (a diverged model)
     never yields a hit: such a target ranks last, such an item above every
-    finite target. A target outside [1, |V|) raises ``IndexError``.
+    finite target. A target outside [1, |V|) raises ``IndexError``, and
+    ``h`` that is not [B, d] for B targets raises ``ShapeError``.
     """
     t = np.asarray(targets, dtype=np.int64)
-    _check_items(t, item_emb.shape[0], "target")
+    if np.ndim(h) != 2 or t.shape != (len(h),):
+        raise ad.ShapeError(f"ranking needs [B, d] rows for B targets, got "
+                            f"{np.shape(h)} and {t.shape}")
+    ad.check_index(t, PAD_INDEX + 1, item_emb.shape[0], "target")
     scores = h @ item_emb.T                                    # [B, |V|]
     non_finite = ~np.isfinite(scores)
     non_finite[:, PAD_INDEX] = False
@@ -52,14 +56,6 @@ def rank_full_catalog(h: np.ndarray, item_emb: np.ndarray, targets) -> np.ndarra
                    & (np.arange(scores.shape[1])[None, :] < t[:, None])).sum(axis=1)
     n_items = scores.shape[1] - 1                              # pad row excluded
     return np.where(np.isfinite(target_scores), 1 + higher + tied_before, n_items)
-
-
-def _check_items(items: np.ndarray, n_rows: int, what: str) -> None:
-    """Raise ``IndexError`` naming the first item outside [1, n_rows): the pad
-    row 0 is no item, and a negative index would wrap to the catalog's end."""
-    bad = items[(items < 1) | (items >= n_rows)]
-    if bad.size:
-        raise IndexError(f"{what} {bad[0]} out of range [1, {n_rows})")
 
 
 def hr_at_k(ranks, k: int) -> float:
@@ -264,8 +260,8 @@ def gradient_degeneration_probe(params: EncoderParams, batch: Batch,
     autodiff-measured descent direction, the closed-form prediction, and
     their cosine. A probe item outside [1, |V|) raises ``IndexError``.
     """
-    _check_items(np.asarray(probe_items, dtype=np.int64), params["item_emb"].data.shape[0],
-                 "probe item")
+    ad.check_index(np.asarray(probe_items, dtype=np.int64), PAD_INDEX + 1,
+                   params["item_emb"].data.shape[0], "probe item")
     appearing = set(batch.item_ids.ravel().tolist()) | set(batch.targets.tolist())
     for item in probe_items:
         if item in appearing:
@@ -278,7 +274,8 @@ def gradient_degeneration_probe(params: EncoderParams, batch: Batch,
         t.zero_grad()
     loss.backward()
 
-    probs = _softmax_np(logits.data)                           # [B, |V|]
+    probs, _, s = ad.exp_rows(logits.data)                     # [B, |V|] softmax
+    probs /= s
     results = []
     for item in probe_items:
         measured = -params["item_emb"].grad[item]              # descent direction
@@ -287,12 +284,6 @@ def gradient_degeneration_probe(params: EncoderParams, batch: Batch,
         cosine = float(measured @ predicted / (na * nb)) if na > 0 and nb > 0 else 0.0
         results.append((measured, predicted, cosine))
     return results
-
-
-def _softmax_np(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def report(ranks, ks=(5, 10)) -> EvalReport:

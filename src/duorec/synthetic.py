@@ -36,16 +36,13 @@ def make_clustered_corpus(n_items: int = 200, n_clusters: int = 10,
     cdf = np.cumsum(weights)
     ccdf = np.cumsum(np.ones(n_clusters) / n_clusters)
 
-    sequences: list[UserSequence] = []
-    frequency = np.zeros(n_items + 1, dtype=np.int64)
+    drawn = [np.empty(0, dtype=np.int64)]      # every sequence's items, for one count
     for _ in range(n_sequences):
         c = int(np.searchsorted(ccdf, stream.uniform(1)[0]))
         length = int(stream.integers(min_len, max_len + 1, 1)[0])
-        draws = np.searchsorted(cdf, stream.uniform(length))
-        items = cluster_items[c][draws].tolist()
-        for it in items:
-            frequency[it] += 1
-        sequences.append(UserSequence(items=items))
+        drawn.append(cluster_items[c][np.searchsorted(cdf, stream.uniform(length))])
+    sequences = [UserSequence(items=items.tolist()) for items in drawn[1:]]
+    frequency = np.bincount(np.concatenate(drawn), minlength=n_items + 1)
 
     vocab = ItemVocab(item_of=["<pad>"] + [str(i) for i in range(1, n_items + 1)],
                       frequency=frequency)

@@ -88,8 +88,8 @@ class TrainConfig:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if not self.tau > 0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":

@@ -117,6 +117,14 @@ def softmax_rows_reference(x):
     return ad._make(y, (x,), backward)
 
 
+def softmax_np_reference(logits):
+    """The gradient probe's softmax before it took ``autodiff.exp_rows``:
+    its byte oracle, and that of ``exp_rows`` followed by a division."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def scaled_masked_softmax_reference(x, scale, mask):
     """``mul`` -> ``add`` -> softmax, the attention's three ops before
     ``softmax_rows`` took ``scale`` and ``mask``."""

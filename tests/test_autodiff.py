@@ -11,8 +11,8 @@ from duorec.rng import RngStream
 from conftest import (assert_grad_close, cross_entropy_reference, finite_difference_grad,
                       gelu_reference, interleave_rows_reference, layer_norm_reference,
                       logsumexp_rows_reference, matmul_bias_reference,
-                      scaled_masked_softmax_reference, softmax_rows_reference,
-                      take_pairs_reference)
+                      scaled_masked_softmax_reference, softmax_np_reference,
+                      softmax_rows_reference, take_pairs_reference)
 
 
 def quantized_scale(rate):
@@ -117,6 +117,63 @@ class TestSoftmaxRows:
             return ((e / e.sum(axis=-1, keepdims=True)) * v).sum()
 
         assert_grad_close(tx.grad, finite_difference_grad(f, x.copy()))
+
+
+class TestExpRows:
+    """The stabilized exponential that every softmax and log-sum-exp takes."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_divided_gives_the_probe_softmax_bytes(self, rng, dtype):
+        # 400 draws with +-inf, NaN, +-0.0 and +-1e30 entries: exp_rows, then
+        # a division in place, against the probe's old softmax
+        specials = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e30, -1e30], dtype=dtype)
+        with np.errstate(all="ignore"):
+            for _ in range(400):
+                x = (rng.standard_normal(rng.integers(1, 6, size=2)) * 10).astype(dtype)
+                hit = rng.random(x.shape) < 0.3
+                x[hit] = rng.choice(specials, size=int(hit.sum()))
+                e, _, s = ad.exp_rows(x)
+                e /= s
+                want = softmax_np_reference(x)
+                assert e.dtype == want.dtype == dtype
+                assert e.tobytes() == want.tobytes()
+
+    def test_returns_row_max_and_sum(self, rng):
+        x = rng.standard_normal((2, 3, 4))
+        before = x.copy()
+        e, m, s = ad.exp_rows(x)
+        assert e is not x and x.tobytes() == before.tobytes()
+        assert m.shape == s.shape == (2, 3, 1)
+        np.testing.assert_array_equal(m, x.max(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(e, np.exp(x - m))
+        np.testing.assert_array_equal(s, e.sum(axis=-1, keepdims=True))
+
+    def test_out_may_be_the_input(self, rng):
+        x = rng.standard_normal((3, 5)).astype(np.float32)
+        want, _, _ = ad.exp_rows(x)
+        e, _, _ = ad.exp_rows(x, out=x)
+        assert e is x and e.tobytes() == want.tobytes()
+
+    def test_helpers_record_nothing(self, rng, monkeypatch):
+        # plain functions, not recorded ops: a tracer of ``_make`` sees nothing new
+        monkeypatch.setattr(ad, "_make", None)
+        ad.exp_rows(rng.standard_normal((2, 3)))
+        ad.check_index(np.array([0, 2]), 0, 3, "row")
+
+
+class TestCheckIndex:
+    @pytest.mark.parametrize("idx, bad", [([0, 3, 5, -2], 5), ([-1, 9], -1),
+                                          ([[1, 2], [7, 0]], 7)])
+    def test_names_the_first_entry_outside(self, idx, bad):
+        with pytest.raises(IndexError, match=rf"^item {bad} out of range \[0, 5\)$"):
+            ad.check_index(np.array(idx), 0, 5, "item")
+
+    def test_bounds_are_half_open(self):
+        ad.check_index(np.array([1, 4]), 1, 5, "item")
+        ad.check_index(np.array([], dtype=np.int64), 1, 1, "item")
+        for bad in (0, 5):
+            with pytest.raises(IndexError, match=f"item {bad} out of range"):
+                ad.check_index(np.array([1, bad]), 1, 5, "item")
 
 
 class TestDropout:
@@ -401,6 +458,11 @@ class TestScatterRows:
         out._backward(g)
         assert tx.grad.dtype == dtype
         assert tx.grad.tobytes() == np.stack([g[r] for r in rows]).tobytes()
+
+    @pytest.mark.parametrize("rows, bad", [([1, 6, 2], 6), ([-1, 0, 1], -1)])
+    def test_out_of_range_row_is_named(self, rows, bad):
+        with pytest.raises(IndexError, match=rf"row {bad} out of range \[0, 6\)"):
+            ad.scatter_rows(Tensor(np.ones((3, 2))), rows, 6)
 
     def test_one_index_per_row(self):
         with pytest.raises(ShapeError):

@@ -314,6 +314,33 @@ class TestDatasetChecks:
         assert rc == 2
         assert f"{name}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, missing", [
+        pytest.param(lambda header: header.replace("index", "idx"), "index", id="index"),
+        pytest.param(lambda header: header.replace("item_id", "item"), "item_id", id="item_id"),
+        pytest.param(lambda header: header.replace(",frequency", ""), "frequency",
+                     id="frequency"),
+        pytest.param(None, "index, item_id, frequency", id="empty-file"),
+    ])
+    def test_missing_vocab_columns_are_named(self, dataset_dir, edit, missing):
+        # a missing column used to raise KeyError('index') naming no file
+        path = dataset_dir / "vocab.csv"
+        if edit is None:
+            path.write_text("")
+        else:
+            header, *rows = path.read_text().splitlines()
+            path.write_text("\n".join([edit(header), *rows]) + "\n")
+        with pytest.raises(ParseError, match=rf"vocab.csv:1: header lacks column\(s\) {missing}$"):
+            load_dataset_dir(dataset_dir)
+
+    def test_missing_vocab_column_is_runtime_error(self, dataset_dir, tmp_path, capsys):
+        # the CLI used to print "error: 'index'"
+        path = dataset_dir / "vocab.csv"
+        path.write_text(path.read_text().replace("index", "idx", 1))
+        rc = main(["train", "--data", str(dataset_dir),
+                   "--config", tiny_config_file(tmp_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "vocab.csv:1: header lacks column(s) index" in capsys.readouterr().err
+
     def test_repeated_item_id_names_its_line(self, dataset_dir, tmp_path, capsys):
         # rows 1,a,3 and 2,a,4 used to load as item_of [..., 'a', 'a']
         path = dataset_dir / "vocab.csv"

@@ -112,6 +112,15 @@ class TestAssemble:
         with pytest.raises(ConfigError):
             assemble(a, b, mask, tau=0.0)
 
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_tau_must_be_finite(self, rng, tau):
+        # an infinite tau scaled every logit by 0, so the regularizer's
+        # gradient was exactly zero and a lambda > 0 run trained the plain model
+        a, b = reps_tensor(rng, 2, 4)
+        mask = make_collision_mask(np.array([1, 2]), np.array([1, 2]))
+        with pytest.raises(ConfigError, match="finite and positive"):
+            assemble(a, b, mask, tau=tau)
+
 
 class TestNceRegularizer:
     def test_no_negatives_gives_zero(self, rng):

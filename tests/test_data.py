@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from collections import defaultdict
 
 import numpy as np
@@ -513,3 +514,22 @@ class TestAgainstListOracle:
                                 dtype=np.int64).reshape(-1, max_len)
                 assert ids.dtype == want.dtype and ids.tobytes() == want.tobytes()
                 assert targets.tolist() == [t for _, t in examples]
+
+
+class TestClusteredCorpus:
+    def test_frequency_counts_the_sequences(self):
+        seqs, vocab = make_clustered_corpus(n_items=60, n_clusters=4, n_sequences=50, seed=7)
+        assert vocab.frequency.dtype == np.int64
+        np.testing.assert_array_equal(
+            vocab.frequency, np.bincount(np.concatenate([s.items for s in seqs]), minlength=61))
+        _, empty = make_clustered_corpus(n_items=60, n_clusters=4, n_sequences=0)
+        assert empty.frequency.dtype == np.int64 and empty.frequency.tolist() == [0] * 61
+
+    def test_draws_are_pinned(self):
+        # the digest the per-item counting loop gave for the same seed
+        seqs, vocab = make_clustered_corpus(n_items=60, n_clusters=4, n_sequences=50, seed=7)
+        h = hashlib.sha256()
+        for s in seqs:
+            h.update(np.asarray(s.items, dtype=np.int64).tobytes() + b"|")
+        h.update(vocab.frequency.tobytes())
+        assert h.hexdigest() == "08c1f710c8e79dfb77075ccab14cff711bd801448ffbe8c9aa8e2db7dd1ad28a"

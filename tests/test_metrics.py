@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from duorec import metrics
+from duorec.autodiff import ShapeError
 from duorec.data import PAD_INDEX, ItemVocab
+from duorec.encoder import encode_sequence
 from duorec.metrics import (alignment, gradient_degeneration_probe, hr_at_k,
                             jacobi_eigh, ndcg_at_k, project_2d,
                             rank_full_catalog, report, singular_spectrum,
@@ -10,6 +12,7 @@ from duorec.metrics import (alignment, gradient_degeneration_probe, hr_at_k,
 from duorec.rng import RngStream
 from duorec.trainer import evaluate
 
+from conftest import softmax_np_reference
 from test_encoder import make_batch, make_params
 
 
@@ -119,6 +122,17 @@ class TestRanking:
         h = rng.standard_normal((3, 4))
         with pytest.raises(IndexError, match=f"target {bad} out of range"):
             rank_full_catalog(h, emb, [2, bad, 5])
+
+    @pytest.mark.parametrize("rows, targets", [
+        pytest.param((4, 6), [3], id="4-rows-1-target"),          # ranked as [2 2 2 4]
+        pytest.param((4, 6), [3, 5], id="4-rows-2-targets"),      # a broadcast error
+        pytest.param((1, 6), [3, 5, 7], id="1-row-3-targets"),    # an IndexError
+        pytest.param((6,), [3], id="1-d-rows"),
+    ])
+    def test_rows_and_targets_must_pair_up(self, rng, rows, targets):
+        emb = rng.standard_normal((10, 6))
+        with pytest.raises(ShapeError, match="B targets"):
+            rank_full_catalog(rng.standard_normal(rows), emb, targets)
 
     def test_nan_model_scores_zero(self):
         params = make_params(vocab_size=12, d=8, max_len=6)
@@ -480,12 +494,25 @@ class TestGradientProbe:
         # with one example the probe gradient is exactly -p * h, so the
         # measured update direction is antiparallel to the representation
         params, batch = self._setup()
-        from duorec.encoder import encode_sequence
         (measured, _pred, _c), = gradient_degeneration_probe(
             params, batch, [4], RngStream(0, "probe"))
         h = encode_sequence(batch.item_ids, params, RngStream(0, "probe")).data[0]
         cos = measured @ (-h) / (np.linalg.norm(measured) * np.linalg.norm(h))
         assert cos > 1 - 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_prediction_keeps_the_numpy_softmax_bytes(self, dtype):
+        # the closed form from ``exp_rows``, against the probe's old softmax
+        params = make_params(vocab_size=8, d=4, layers=1, heads=2, max_len=4)
+        for t in params.tensors.values():
+            t.data = t.data.astype(dtype)
+        batch = make_batch([[1, 2], [2, 1]], max_len=4, targets=[3, 3])
+        results = gradient_degeneration_probe(params, batch, [5, 7], RngStream(0, "probe"))
+        h = encode_sequence(batch.item_ids, params, RngStream(0, "probe")).data
+        probs = softmax_np_reference(np.matmul(h, params["item_emb"].data.T))
+        for item, (_, predicted, _) in zip([5, 7], results):
+            want = -(probs[:, item][:, None] * h).mean(axis=0)
+            assert predicted.dtype == dtype and predicted.tobytes() == want.tobytes()
 
     def test_multiple_probe_items(self):
         params = make_params(vocab_size=8, d=4, layers=1, heads=2, max_len=4)

@@ -77,6 +77,7 @@ class TestConfig:
     @pytest.mark.parametrize("field, value", [
         ("d", 0), ("heads", 0), ("layers", 0), ("layers", -1), ("lr", -0.1), ("lr", 0.0),
         ("lr", float("nan")), ("lr", float("inf")), ("tau", 0.0), ("tau", -1.0),
+        ("tau", float("inf")), ("tau", float("nan")),
         ("epochs", 0), ("batch_size", 0), ("max_len", 0), ("early_stop_patience", 0),
         ("heads", 3),                  # 64 is not divisible by 3
         ("d", -4), ("heads", -2),
@@ -98,6 +99,12 @@ class TestConfig:
         # [] used to train the defaults and [["lr", 0.1]] to raise TypeError
         with pytest.raises(ConfigError, match="object of keys and values"):
             TrainConfig.from_dict(doc)
+
+    def test_infinite_tau_in_a_config_file_rejected(self):
+        # json reads Infinity as inf: a tau that scales every NCE logit, and
+        # so the regularizer's gradient, by 0
+        with pytest.raises(ConfigError, match="tau must be finite"):
+            TrainConfig.from_dict(json.loads('{"tau": Infinity}'))
 
     def test_integers_are_numbers(self):
         cfg = TrainConfig.from_dict({"lambda": 0, "lr": 1, "tau": 2})
