@@ -28,11 +28,10 @@ keeps its floating-point operations and their order, so the bytes are
 those of the plain expression. Three fused forms save the arrays between
 ops: ``matmul(a, b, bias)`` adds the bias into the product,
 ``softmax_rows(x, scale, mask)`` takes the softmax of ``x*scale + mask`` in
-one array, and ``nce_rows(reps, allowed, tau)`` runs the contrastive
-regularizer's graph (product, scale, penalty, log-sum-exp and positive
-logits) in one [2B, 2B] array that its backward reuses. Every softmax and
-log-sum-exp takes its exponentials from ``exp_rows``, and every index range
-is checked by ``check_index``; neither is a recorded op.
+one array, and ``nce_rows`` runs the contrastive regularizer's graph on
+two interleaved views in one [2B, 2B] array that its backward reuses.
+Every softmax and log-sum-exp takes its exponentials from ``exp_rows``, and
+every index range is checked by ``check_index``; neither is a recorded op.
 
 Backward rule: a backward writes only into arrays it allocated itself, or
 into temporaries its forward kept for it alone. It never writes into the
@@ -516,29 +515,13 @@ def scatter_rows(x: Tensor, rows, n_rows: int) -> Tensor:
     return _make(out_data, (x,), backward)
 
 
-def interleave_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Rows of ``a`` and ``b`` alternated: row 2i is ``a[i]``, row 2i+1 is ``b[i]``."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"cannot interleave rows of {a.data.shape} and {b.data.shape}")
-    out_data = np.empty((2 * a.data.shape[0],) + a.data.shape[1:],
-                        dtype=np.result_type(a.data, b.data))
-    out_data[0::2] = a.data
-    out_data[1::2] = b.data
-
-    def backward(g):
-        # contiguous, as a block of rows would be, so what consumes these
-        # gradients (products, sums over rows) sees the usual layout
-        if a.requires_grad:
-            a._accumulate(np.ascontiguousarray(g[0::2]))
-        if b.requires_grad:
-            b._accumulate(np.ascontiguousarray(g[1::2]))
-
-    return _make(out_data, (a, b), backward)
-
-
 def cross_entropy_from_logits(logits: Tensor, targets) -> Tensor:
-    """Mean over rows of -log softmax(logits)[target], fused log-sum-exp."""
+    """Mean over the m rows of -log softmax(logits)[target], fused
+    log-sum-exp; ``logits`` must be [m, V] and ``targets`` [m]."""
     t = np.asarray(targets, dtype=np.int64)
+    if logits.data.ndim != 2 or t.shape != logits.data.shape[:1]:
+        raise ShapeError(f"cross-entropy needs [m, V] logits and [m] targets, got "
+                         f"{logits.data.shape} and {t.shape}")
     m, v = logits.data.shape
     check_index(t, 0, v, "target")
     e, mx, s = exp_rows(logits.data)
@@ -559,30 +542,36 @@ def cross_entropy_from_logits(logits: Tensor, targets) -> Tensor:
 NEG_INF = -1e30                    # additive mask of a disallowed slot
 
 
-def nce_rows(reps: Tensor, allowed: np.ndarray, tau: float) -> Tensor:
-    """Symmetric NCE over 2B rows whose positive pairs are rows 2i and 2i+1.
+def nce_rows(view_a: Tensor, view_b: Tensor, allowed: np.ndarray, tau: float) -> Tensor:
+    """Symmetric NCE over ``reps``, the [B, d] views interleaved: row 2i is
+    ``view_a[i]``, row 2i+1 is ``view_b[i]``, and row i pairs with row i^1.
 
-    Row i's logits are ``reps[i] . reps[j] / tau``; its positive is slot
-    i^1, and its denominator holds that slot and the negatives j where
-    ``allowed[i, j]`` is True, so ``allowed[i, i^1]`` is not read. Returns
-    sum_i (log-sum-exp_j - logit[i, i^1]) / B.
+    Row i's logits are ``reps[i] . reps[j] / tau``; its denominator holds
+    slot i^1 and the negatives j where ``allowed[i, j]`` is True, so
+    ``allowed[i, i^1]`` is not read. Returns sum_i (log-sum-exp_j -
+    logit[i, i^1]) / B. Unequal views, a mask that is not [2B, 2B] and a
+    ``tau`` that is not finite and positive raise (an infinite one would
+    scale every logit, and so the gradient, by 0).
 
-    The values and gradients are those of the graph
-    ``sim = mul(matmul(reps, transpose(reps)), 1/tau)``, then
+    The values and gradients are those of the graph that interleaves the
+    views, then ``sim = mul(matmul(reps, transpose(reps)), 1/tau)`` and
     ``mul(sum_all(add(logsumexp_rows(add(sim, penalty)), mul(pos, -1))), 1/B)``
     with ``penalty`` 0 at the admitted slots and ``NEG_INF`` elsewhere, and
     ``pos`` the gather of sim[i, i^1]. Its operations run in
     that order inside one [2B, 2B] array, the only one the backward keeps:
     it turns the exponentials into sim's gradient in place.
     """
-    x = reps.data
-    two_b = x.shape[0]
-    if x.ndim != 2 or two_b % 2 or np.shape(allowed) != (two_b, two_b):
-        raise ShapeError(f"NCE needs [2B, d] rows and a [2B, 2B] mask, got "
-                         f"{x.shape} and {np.shape(allowed)}")
+    a, b = view_a.data, view_b.data
+    if a.ndim != 2 or a.shape != b.shape or np.shape(allowed) != (2 * len(a),) * 2:
+        raise ShapeError(f"NCE needs two [B, d] views and a [2B, 2B] mask, got "
+                         f"{a.shape}, {b.shape} and {np.shape(allowed)}")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ConfigError(f"temperature must be finite and positive, got {tau}")
+    x = np.empty((2 * len(a), a.shape[1]), dtype=np.result_type(a, b))
+    x[0::2], x[1::2] = a, b
     dtype = x.dtype
-    inv_tau, inv_b = dtype.type(1.0 / tau), dtype.type(1.0 / (two_b // 2))
-    rows = np.arange(two_b)
+    inv_tau, inv_b = dtype.type(1.0 / tau), dtype.type(1.0 / len(a))
+    rows = np.arange(len(x))
     partner = rows ^ 1
     e = np.matmul(x, x.swapaxes(-1, -2))        # syrk, as the graph's product ran
     e *= inv_tau
@@ -605,7 +594,12 @@ def nce_rows(reps: Tensor, allowed: np.ndarray, tau: float) -> Tensor:
         p += 0.0
         p[rows, partner] -= gv
         p *= inv_tau
-        reps._accumulate(np.matmul(p, x))
-        reps._accumulate(np.matmul(x.swapaxes(-1, -2), p).swapaxes(-1, -2))
+        gx = np.matmul(p, x)
+        gx += np.matmul(x.swapaxes(-1, -2), p).swapaxes(-1, -2)
+        # each view's rows made contiguous, the layout their consumers expect
+        if view_a.requires_grad:
+            view_a._accumulate(np.ascontiguousarray(gx[0::2]))
+        if view_b.requires_grad:
+            view_b._accumulate(np.ascontiguousarray(gx[1::2]))
 
-    return _make(out_data, (reps,), backward)
+    return _make(out_data, (view_a, view_b), backward)

@@ -10,6 +10,7 @@ import csv
 import itertools
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -199,23 +200,25 @@ def _cmd_diagnose(args) -> None:
     print(f"wrote {out / 'spectrum.csv'} and {out / 'diagnostics.csv'}")
 
 
-_GRID_TYPES = {
-    "lambda": float, "tau": float, "emb_dropout": float, "hidden_dropout": float,
-    "lr": float, "batch_size": int, "seed": int, "d": int, "layers": int,
-    "heads": int, "epochs": int, "positive_mode": str,
-}
+def _grid_types() -> dict[str, type]:
+    """Each config key a sweep may vary, with the type its values are read
+    as: every key but max_len, since one split serves every run."""
+    hints = typing.get_type_hints(TrainConfig)
+    return {key: hints[f.name] for key, f in TrainConfig.fields_by_key().items()
+            if key != "max_len"}
 
 
 def _cmd_sweep(args) -> None:
     base = _load_config(args)
+    types = _grid_types()
     axes: list[tuple[str, list]] = []
     for axis in args.grid:
         key, _, values = axis.partition("=")
-        if key not in _GRID_TYPES or not values:
+        if key not in types or not values:
             raise _UsageError(f"bad grid axis {axis!r}")
         if key in dict(axes):
             raise _UsageError(f"grid key {key!r} given twice")
-        cast = _GRID_TYPES[key]
+        cast = types[key]
         try:
             axes.append((key, [cast(v) for v in values.split(",")]))
         except ValueError:

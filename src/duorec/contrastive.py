@@ -1,16 +1,16 @@
 """Contrastive regularizer over paired sequence representations.
 
-The 2B representation slots interleave each row's two augmented views;
-in-batch negatives are every other slot except the pair itself and any
-slot whose training target matches (same-target collision removal). The
-regularizer is the symmetric noise-contrastive objective with raw dot
-products and temperature tau, one recorded op (``autodiff.nce_rows``)
-whose forward and backward share one [2B, 2B] array.
+Each row of a batch has two augmented views, and the regularizer sees 2B
+slots that interleave them; in-batch negatives are every other slot
+except the pair itself and any slot whose training target matches
+(same-target collision removal). The regularizer is the symmetric
+noise-contrastive objective with raw dot products and temperature tau,
+one recorded op (``autodiff.nce_rows``) that interleaves the views itself
+and whose forward and backward share one [2B, 2B] array.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +24,8 @@ from .rng import RngStream
 
 @dataclass
 class ContrastiveBatch:
-    reps: Tensor                  # [2B, d], slot 2i pairs with slot 2i+1
+    view_a: Tensor                # [B, d]: slot 2i of the 2B slots
+    view_b: Tensor                # [B, d]: slot 2i+1, slot 2i's partner
     collision_mask: np.ndarray    # [2B, 2B] bool, True = admissible negative
     tau: float
 
@@ -36,14 +37,11 @@ class LossBundle:
     total: Tensor
 
 
-def assemble(h_prime: Tensor, h_prime_s: Tensor, collision_mask: np.ndarray,
+def assemble(view_a: Tensor, view_b: Tensor, collision_mask: np.ndarray,
              tau: float) -> ContrastiveBatch:
-    """Interleave the two views into [h'_1, h'_1s, h'_2, h'_2s, ...]; an
-    infinite ``tau`` would scale every logit, and so the gradient, by 0."""
-    if not (math.isfinite(tau) and tau > 0):
-        raise ConfigError(f"temperature must be finite and positive, got {tau}")
-    return ContrastiveBatch(reps=ad.interleave_rows(h_prime, h_prime_s),
-                            collision_mask=collision_mask, tau=tau)
+    """The slots [h'_1, h'_1s, h'_2, h'_2s, ...] as their two views, with
+    their mask and temperature; ``nce_regularizer`` checks them."""
+    return ContrastiveBatch(view_a, view_b, collision_mask, tau)
 
 
 def nce_regularizer(cb: ContrastiveBatch) -> Tensor:
@@ -54,7 +52,7 @@ def nce_regularizer(cb: ContrastiveBatch) -> Tensor:
     contribution is exactly zero. ``autodiff.nce_rows`` admits each slot's
     partner and the collision mask's negatives.
     """
-    return ad.nce_rows(cb.reps, cb.collision_mask, cb.tau)
+    return ad.nce_rows(cb.view_a, cb.view_b, cb.collision_mask, cb.tau)
 
 
 def combined_loss(rec: Tensor, reg: Tensor, lam: float) -> LossBundle:

@@ -8,19 +8,21 @@ independent dropout streams to produce the augmented views used by the
 contrastive regularizer.
 
 Inputs are left-padded windows, mostly padding, and no real position ever
-reads a pad position's result, so the pass computes only the packed rows
-(``_packed_rows``): the M real positions of the [B*N, d] layout plus each
-sequence's last position (an all-pad row still yields one vector).
-``embed`` gathers item and positional rows at those positions alone, and
-every layer runs on them: projections, residuals, layer norms and the
-feed-forward network take [M, d]. Only the last position leaves the stack,
-so the final layer's queries and everything after them run on B rows.
+reads a pad position's result, so a pass computes only the positions of
+one [B, N] bool mask that ``encode_sequence`` builds: every real position
+plus each window's last (an all-pad window still yields one vector). The
+rest of the layout comes from that mask. Its M positions, in row-major
+order, are the packed rows: ``embed`` gathers item and positional rows at
+those alone, and every layer runs on them: projections, residuals, layer
+norms and the feed-forward network take [M, d]. Only the last position
+leaves the stack, so the final layer's queries and everything after them
+run on B rows.
 
-Attention packs the rows into lanes (``_lanes``, built once per pass and
-shared by every layer but the last). A lane is one [N, N] attention block
-that holds one window, or a short and a long one whose packed rows fit in
-N slots together: windows are sorted by their number of packed rows and
-the shortest left is paired with the longest whenever the two fit.
+Attention packs the rows into lanes (``_lanes``, built once per pass from
+the window lengths and shared by every layer but the last). A lane is one
+[N, N] attention block that holds one window, or a short and a long one
+whose packed rows fit in N slots together: windows are sorted by length
+and the shortest left is paired with the longest whenever the two fit.
 ``autodiff.scatter_rows`` places keys, values and queries at each row's
 slot of an [n_lanes*N, d] table, with zeros at empty slots, and one
 [n_lanes, 1, N, N] mask lets a slot attend only its own window's slots
@@ -28,7 +30,7 @@ up to itself (``_lane_mask``). So scores, softmax and attention dropout run
 over [n_lanes, nh, N, N], about half of the padded [B, nh, N, N] when
 windows are half full, and the context is gathered back to the packed
 rows. The final layer keeps the padded [B, nh, N, dh] keys for its B
-last-position queries, under a [B, 1, 1, N] mask row (``_last_row_mask``).
+last-position queries, under the mask's [B, 1, 1, N] additive form.
 
 Every dropout draws its mask over the array it drops.
 
@@ -102,35 +104,23 @@ def init_params(config: TrainConfig, vocab_size: int, stream: RngStream) -> Enco
     return p
 
 
-def _packed_rows(item_ids: np.ndarray) -> np.ndarray:
-    """Flat [B*N] positions the stack computes, increasing: every real
-    position plus each sequence's last position."""
-    b, n = item_ids.shape
-    keep = (item_ids != PAD_INDEX).reshape(b * n)
-    keep[n - 1::n] = True
-    return np.flatnonzero(keep)
-
-
-def embed(item_ids: np.ndarray, rows: np.ndarray, params: EncoderParams,
+def embed(item_ids: np.ndarray, computed: np.ndarray, params: EncoderParams,
           stream: RngStream) -> Tensor:
-    """Item embedding + positional row at the packed ``rows``, then embedding dropout.
-
-    Returns [M, d], one row per flat [B*N] position in ``rows``; no other
-    position is gathered.
-    """
+    """Item embedding + positional row at the ``computed`` [B, N] positions
+    alone, then embedding dropout: [M, d], one row per position, row-major."""
     cfg = params.config
-    b, n = item_ids.shape
-    v = ad.gather_rows(params["item_emb"], item_ids.reshape(b * n)[rows])   # [M, d]
-    pos = ad.gather_rows(params["pos_emb"], rows % n)                         # [M, d]
+    v = ad.gather_rows(params["item_emb"], item_ids[computed])            # [M, d]
+    pos = ad.gather_rows(params["pos_emb"], np.nonzero(computed)[1])      # [M, d]
     return ad.dropout(ad.add(v, pos), cfg.emb_dropout, stream.child("emb"))
 
 
-def _lanes(rows: np.ndarray, b: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lane layout of the packed ``rows`` of B windows of N: (slots, owner).
+def _lanes(length: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lane layout of B windows of N with ``length`` [B] packed rows each,
+    held in window order: (slots, owner).
 
-    A window's length is its number of packed rows: its real positions and
-    its last one, so 1 for an all-pad window. Windows are sorted stably by
-    length and paired from both ends: while two are left, the longest is
+    A window's length counts its real positions and its last one, so it is
+    1 for an all-pad window. Windows are sorted stably by length and
+    paired from both ends: while two are left, the longest is
     paired with the shortest if their lengths sum to at most N, and takes a
     lane alone otherwise; a last one left takes a lane alone. That forms as
     many pairs as any pairing can. The pairs' lanes come first, the shorter
@@ -140,8 +130,8 @@ def _lanes(rows: np.ndarray, b: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     all distinct. ``owner`` [n_lanes, N] holds the window at each slot and
     a distinct negative number at each empty one.
     """
-    window = rows // n
-    length = np.bincount(window, minlength=b)
+    b = len(length)
+    window = np.repeat(np.arange(b), length)    # each packed row's window
     order = np.argsort(length, kind="stable")
     sorted_len = length[order].tolist()
     short, long, alone = [], [], []             # places in ``order``
@@ -161,7 +151,7 @@ def _lanes(rows: np.ndarray, b: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     lane[long] = np.arange(len(long))
     offset[long] = length[short]
     start = np.cumsum(length) - length          # each window's first packed row
-    slots = (lane * n + offset - start)[window] + np.arange(len(rows))
+    slots = (lane * n + offset - start)[window] + np.arange(len(window))
     owner = -1 - np.arange(len(first) * n)
     owner[slots] = window
     return slots, owner.reshape(len(first), n)
@@ -178,15 +168,6 @@ def _lane_mask(owner: np.ndarray, dtype=np.float64) -> np.ndarray:
     return np.where(allowed[:, None], dtype(0), dtype(NEG_INF))
 
 
-def _last_row_mask(item_ids: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """[B, 1, 1, N] additive mask in ``dtype`` of each window's last query:
-    pad keys removed, the last key, the query's own, always open."""
-    dtype = np.dtype(dtype).type
-    mask = np.where(item_ids == PAD_INDEX, dtype(NEG_INF), dtype(0))
-    mask[:, -1] = 0
-    return mask[:, None, None, :]
-
-
 class _Layout(NamedTuple):
     """Where an attention places the packed rows: at ``slots`` of a
     [groups*N, d] table, under the additive ``mask``."""
@@ -195,20 +176,24 @@ class _Layout(NamedTuple):
     mask: np.ndarray
 
 
-def encode(h: Tensor, item_ids: np.ndarray, rows: np.ndarray, params: EncoderParams,
+def encode(h: Tensor, computed: np.ndarray, params: EncoderParams,
            stream: RngStream) -> Tensor:
-    """Run the attention stack on the packed rows ``h`` [M, d] at the flat
-    positions ``rows``; return last-position vectors [B, d]."""
+    """Run the attention stack on the packed rows ``h`` [M, d] at the
+    ``computed`` [B, N] positions, which hold each window's last; return
+    last-position vectors [B, d]."""
     cfg = params.config
-    b, n = item_ids.shape
-    last = np.searchsorted(rows, np.arange(n - 1, b * n, n))   # each window's last row of h
-    dtype = h.data.dtype
+    b, n = computed.shape
+    rows = np.flatnonzero(computed)             # the packed rows' flat positions
+    length = np.count_nonzero(computed, axis=1)
+    last = np.cumsum(length) - 1                # each window's last row of h
+    dtype = h.data.dtype.type
     if cfg.layers > 1:
-        slots, owner = _lanes(rows, b, n)
+        slots, owner = _lanes(length, n)
         lanes = _Layout(slots, len(owner), _lane_mask(owner, dtype))
         for layer in range(cfg.layers - 1):
             h = _block(h, n, lanes, params, layer, stream.child(f"layer{layer}"), None)
-    final = _Layout(rows, b, _last_row_mask(item_ids, dtype))
+    final_mask = np.where(computed, dtype(0), dtype(NEG_INF))[:, None, None, :]
+    final = _Layout(rows, b, final_mask)
     layer = cfg.layers - 1
     return _block(h, n, final, params, layer, stream.child(f"layer{layer}"), last)
 
@@ -284,9 +269,10 @@ def encode_sequence(item_ids: np.ndarray, params: EncoderParams,
     if np.ndim(item_ids) != 2 or np.shape(item_ids)[1] != params.config.max_len:
         raise ShapeError(f"windows must be [B, max_len={params.config.max_len}], "
                          f"got {np.shape(item_ids)}")
-    rows = _packed_rows(item_ids)
-    h0 = embed(item_ids, rows, params, stream)
-    return encode(h0, item_ids, rows, params, stream.child("trm"))
+    computed = item_ids != PAD_INDEX
+    computed[:, -1] = True
+    h0 = embed(item_ids, computed, params, stream)
+    return encode(h0, computed, params, stream.child("trm"))
 
 
 def encode_twins(batch: Batch, params: EncoderParams, base_stream: RngStream):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .data import PAD_INDEX, Batch, ItemVocab
+from .data import PAD_INDEX, Batch, EmptyDatasetError, ItemVocab
 from .encoder import EncoderParams, encode_sequence
 from .rng import RngStream
 
@@ -58,14 +58,21 @@ def rank_full_catalog(h: np.ndarray, item_emb: np.ndarray, targets) -> np.ndarra
     return np.where(np.isfinite(target_scores), 1 + higher + tied_before, n_items)
 
 
+def _ranks(ranks) -> np.ndarray:
+    """``ranks`` as float64; a score of none is undefined, so it raises."""
+    r = np.asarray(ranks, dtype=np.float64)
+    if r.size == 0:
+        raise EmptyDatasetError("no ranks to score")
+    return r
+
+
 def hr_at_k(ranks, k: int) -> float:
-    r = np.asarray(ranks)
-    return float((r <= k).mean())
+    return float((_ranks(ranks) <= k).mean())
 
 
 def ndcg_at_k(ranks, k: int) -> float:
     """Single-relevant-item NDCG: 1/log2(rank+1) inside the cut, else 0."""
-    r = np.asarray(ranks, dtype=np.float64)
+    r = _ranks(ranks)
     gains = np.where(r <= k, 1.0 / np.log2(r + 1.0), 0.0)
     return float(gains.mean())
 
@@ -104,9 +111,11 @@ def uniformity(reps: np.ndarray) -> float:
     """log mean over distinct unordered pairs of exp(-2 ||x - y||^2), normalized vectors.
 
     Computed over row blocks of the Gram matrix, so memory grows as
-    block x U, not U x U x d.
+    block x U, not U x U x d. ``reps`` must be [U, d].
     """
-    if reps.shape[0] < 2:
+    if np.ndim(reps) != 2:
+        raise ad.ShapeError(f"uniformity needs [U, d] rows, got {np.shape(reps)}")
+    if len(reps) < 2:
         raise ValueError("uniformity needs at least 2 vectors")
     xn = _normalize_rows(reps)
     u = len(xn)
@@ -134,10 +143,12 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
     triangles a few ulps apart, and a lower entry just above the threshold
     with its upper twin just below would stall the solve.
     Returns (eigenvalues, eigenvectors-as-columns), unordered.
-    Raises ``ValueError`` on a non-finite input and
-    ``np.linalg.LinAlgError`` if ``max_sweeps`` sweeps do not converge.
+    Raises ``ShapeError`` unless ``a`` is [n, n], ``ValueError`` on a non-finite
+    input and ``np.linalg.LinAlgError`` if ``max_sweeps`` sweeps do not converge.
     """
     a = np.array(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ad.ShapeError(f"jacobi_eigh needs a square [n, n] matrix, got {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("jacobi_eigh needs a finite matrix")
     n = a.shape[0]

@@ -56,7 +56,7 @@ class TrainConfig:
     max_len: int = 50
     batch_size: int = 256
     lr: float = 0.001
-    lam: float = 0.2                # serialized as "lambda"
+    lam: float = 0.2                # "lambda" in a config (a Python keyword)
     tau: float = 1.0
     emb_dropout: float = 0.1
     hidden_dropout: float = 0.1
@@ -66,11 +66,10 @@ class TrainConfig:
     early_stop_patience: int = 10
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
+        for key, f in self.fields_by_key().items():
             v = getattr(self, f.name)
             want, noun = _FIELD_TYPES[f.type]
             if isinstance(v, bool) or not isinstance(v, want):
-                key = "lambda" if f.name == "lam" else f.name
                 raise ConfigError(f"{key} must be {noun}, got {v!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError(f"lambda must be in [0, 1], got {self.lam}")
@@ -92,27 +91,32 @@ class TrainConfig:
             raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
 
     @classmethod
+    def fields_by_key(cls) -> dict[str, dataclasses.Field]:
+        """Each field under its key in a config: its name, "lambda" for ``lam``."""
+        return {"lambda" if f.name == "lam" else f.name: f for f in dataclasses.fields(cls)}
+
+    @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         if not isinstance(d, dict):
             raise ConfigError(f"config must be an object of keys and values, got {d!r}")
-        keys = {f.name for f in dataclasses.fields(cls)} - {"lam"} | {"lambda"}
-        unknown = set(d) - keys
+        fields = cls.fields_by_key()
+        unknown = set(d) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        d = dict(d)
-        if "lambda" in d:
-            d["lam"] = d.pop("lambda")
-        return cls(**d)
+        return cls(**{fields[key].name: v for key, v in d.items()})
 
     @classmethod
     def from_json(cls, path) -> "TrainConfig":
+        """The config in the JSON file ``path``; malformed JSON raises ``ConfigError``."""
         with open(path) as f:
-            return cls.from_dict(json.load(f))
+            try:
+                return cls.from_dict(json.load(f))
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: "
+                                  f"{exc.msg}") from None
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["lambda"] = d.pop("lam")
-        return d
+        return {key: getattr(self, f.name) for key, f in self.fields_by_key().items()}
 
 
 ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8   # moment decays, denominator offset

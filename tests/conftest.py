@@ -154,8 +154,8 @@ def cross_entropy_reference(logits, targets):
 
 
 def interleave_rows_reference(a, b):
-    """Rows concatenated, then reshape, transpose and reshape: ``assemble``'s
-    four graph nodes before ``interleave_rows``."""
+    """Rows concatenated, then reshape, transpose and reshape: the four graph
+    nodes that interleaved the two views before ``nce_rows`` did it itself."""
     n, d = a.data.shape
 
     def concat_backward(g):
@@ -182,13 +182,22 @@ def take_pairs_reference(x, rows, cols):
     return ad._make(x.data[r, c], (x,), backward)
 
 
+def interleaved_reps(cb) -> np.ndarray:
+    """The 2B slots of a ``ContrastiveBatch`` as one array: row 2i is
+    ``view_a[i]``, row 2i+1 is ``view_b[i]``."""
+    a, b = cb.view_a.data, cb.view_b.data
+    return np.stack([a, b], axis=1).reshape(2 * len(a), a.shape[1])
+
+
 def nce_regularizer_reference(cb):
     """``contrastive.nce_regularizer`` as the composed graph it was before
-    ``autodiff.nce_rows`` fused it: sim = reps·repsᵀ/τ, a penalty of -1e30
-    off the mask, ``logsumexp_rows`` and sim[i, i^1] read by
+    ``autodiff.nce_rows`` fused it: the views interleaved by
+    ``interleave_rows_reference`` into reps, sim = reps·repsᵀ/τ, a penalty
+    of -1e30 off the mask, ``logsumexp_rows`` and sim[i, i^1] read by
     ``take_pairs_reference``. The byte oracle of the fused op."""
-    two_b = cb.reps.shape[0]
-    sim = ad.mul(ad.matmul(cb.reps, ad.transpose(cb.reps, (1, 0))), 1.0 / cb.tau)
+    reps = interleave_rows_reference(cb.view_a, cb.view_b)
+    two_b = reps.shape[0]
+    sim = ad.mul(ad.matmul(reps, ad.transpose(reps, (1, 0))), 1.0 / cb.tau)
     slots = np.arange(two_b)
     allowed = cb.collision_mask.copy()
     allowed[slots, slots ^ 1] = True

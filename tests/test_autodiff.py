@@ -6,11 +6,13 @@ import pytest
 
 from duorec import autodiff as ad
 from duorec.autodiff import ConfigError, ShapeError, Tensor
+from duorec.contrastive import ContrastiveBatch
+from duorec.data import make_collision_mask
 from duorec.rng import RngStream
 
 from conftest import (assert_grad_close, cross_entropy_reference, finite_difference_grad,
-                      gelu_reference, interleave_rows_reference, layer_norm_reference,
-                      logsumexp_rows_reference, matmul_bias_reference,
+                      gelu_reference, layer_norm_reference, logsumexp_rows_reference,
+                      matmul_bias_reference, nce_regularizer_reference,
                       scaled_masked_softmax_reference, softmax_np_reference,
                       softmax_rows_reference, take_pairs_reference)
 
@@ -482,6 +484,17 @@ class TestCrossEntropy:
         with pytest.raises(IndexError):
             ad.cross_entropy_from_logits(Tensor(np.zeros((2, 3))), [0, 3])
 
+    @pytest.mark.parametrize("shape, targets", [
+        pytest.param((4, 6), [3], id="4-rows-1-target"),       # broadcast over every row
+        pytest.param((4, 6), [3, 5], id="4-rows-2-targets"),
+        pytest.param((2, 6), [[1, 2]], id="2-d-targets"),
+        pytest.param((6,), [3], id="1-d-logits"),
+        pytest.param((2, 3, 6), [1, 2], id="3-d-logits"),
+    ])
+    def test_logits_and_targets_must_pair_up(self, shape, targets):
+        with pytest.raises(ShapeError, match=r"\[m, V\] logits and \[m\] targets"):
+            ad.cross_entropy_from_logits(Tensor(np.zeros(shape)), targets)
+
     def test_gradient_is_softmax_minus_onehot(self, rng):
         logits = rng.standard_normal((4, 6))
         targets = [1, 0, 5, 2]
@@ -512,49 +525,95 @@ def _nce_allowed(rng, two_b):
 _NCE_ALLOWED = _nce_allowed(np.random.default_rng(0), 6)
 
 
+def _pairs(a, b):
+    """The rows of ``a`` and ``b`` alternated, one pair at a time."""
+    return np.array([row for pair in zip(a, b) for row in pair])
+
+
 class TestNceRows:
     def test_gradient_vs_finite_differences(self, rng):
-        xv = rng.standard_normal((8, 3))
+        av, bv = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
         allowed = _nce_allowed(rng, 8)
-        x = Tensor(xv.copy(), requires_grad=True)
-        ad.mul(ad.nce_rows(x, allowed, 0.7), 1.3).backward()
+        a, b = Tensor(av.copy(), requires_grad=True), Tensor(bv.copy(), requires_grad=True)
+        ad.mul(ad.nce_rows(a, b, allowed, 0.7), 1.3).backward()
 
-        def f(z):
-            return 1.3 * ad.nce_rows(Tensor(z), allowed, 0.7).item()
+        def f(x, y):
+            return 1.3 * ad.nce_rows(Tensor(x), Tensor(y), allowed, 0.7).item()
 
-        assert_grad_close(x.grad, finite_difference_grad(f, xv.copy()), rtol=1e-6)
+        assert_grad_close(a.grad, finite_difference_grad(lambda x: f(x, bv), av.copy()),
+                          rtol=1e-6)
+        assert_grad_close(b.grad, finite_difference_grad(lambda y: f(av, y), bv.copy()),
+                          rtol=1e-6)
+        assert a.grad.flags.c_contiguous and b.grad.flags.c_contiguous
 
     def test_value_is_the_mean_pair_loss(self, rng):
-        xv = rng.standard_normal((6, 4))
+        av, bv = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+        xv = _pairs(av, bv)
         allowed = _nce_allowed(rng, 6)
         sim = xv @ xv.T / 0.7
         want = sum(np.log(np.exp(sim[i][allowed[i]]).sum()) - sim[i, i ^ 1]
                    for i in range(6)) / 3
-        assert abs(ad.nce_rows(Tensor(xv), allowed, 0.7).item() - want) < 1e-12
+        assert abs(ad.nce_rows(Tensor(av), Tensor(bv), allowed, 0.7).item() - want) < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_match_the_composed_graph(self, dtype):
+        # the views interleaved by interleave_rows_reference, then
+        # nce_regularizer_reference: the same loss and gradient bytes of both
+        # views, over random batches with -0.0 rows and, from three targets,
+        # same-target collisions
+        rng = np.random.default_rng(21)
+        for _ in range(150):
+            b, d = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+            views = [rng.standard_normal((b, d)).astype(dtype) for _ in range(2)]
+            for v in views:
+                v[rng.random(b) < 0.25] = -0.0
+            mask = make_collision_mask(rng.integers(1, 4, b), rng.integers(1, 4, b))
+            tau, g = float(rng.uniform(0.3, 3.0)), float(rng.standard_normal())
+            results = []
+            for fused in (True, False):
+                a, c = (Tensor(v.copy(), requires_grad=True) for v in views)
+                loss = (ad.nce_rows(a, c, mask, tau) if fused else
+                        nce_regularizer_reference(ContrastiveBatch(a, c, mask, tau)))
+                ad.mul(loss, g).backward()
+                results.append([loss.data, a.grad, c.grad])
+            for x, y in zip(*results):
+                assert x.dtype == y.dtype == dtype
+                assert x.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_partner_admitted_whatever_the_mask_holds(self, rng, dtype):
         # the collision mask leaves partners out; the op puts them back
-        xv = rng.standard_normal((8, 3)).astype(dtype)
-        xv[2] = -0.0
+        av, bv = (rng.standard_normal((4, 3)).astype(dtype) for _ in range(2))
+        av[1] = -0.0
         with_partner = _nce_allowed(rng, 8)
         without = with_partner.copy()
         slots = np.arange(8)
         without[slots, slots ^ 1] = False
         results = []
         for allowed in (with_partner, without):
-            x = Tensor(xv.copy(), requires_grad=True)
-            loss = ad.nce_rows(x, allowed, 0.7)
+            a, b = Tensor(av.copy(), requires_grad=True), Tensor(bv.copy(), requires_grad=True)
+            loss = ad.nce_rows(a, b, allowed, 0.7)
             loss.backward()
-            results.append((loss.data, x.grad))
-        for a, b in zip(*results):
-            assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
+            results.append((loss.data, a.grad, b.grad))
+        for x, y in zip(*results):
+            assert x.dtype == y.dtype == dtype and x.tobytes() == y.tobytes()
 
-    @pytest.mark.parametrize("shape, mask_shape", [((5, 3), (5, 5)), ((6, 3), (6, 5)),
-                                                   ((6,), (6, 6))])
+    @pytest.mark.parametrize("shape, mask_shape", [
+        (((3, 2), (2, 2)), (6, 6)), (((3, 2), (3, 3)), (6, 6)), (((3, 2), (3, 2)), (6, 5)),
+        (((3, 2), (3, 2)), (3, 3)), (((3,), (3,)), (6, 6))])
     def test_shapes_rejected(self, shape, mask_shape):
-        with pytest.raises(ShapeError):
-            ad.nce_rows(Tensor(np.ones(shape)), np.ones(mask_shape, dtype=bool), 1.0)
+        # the two views' shapes, then the mask's
+        with pytest.raises(ShapeError, match=r"\[2B, 2B\]"):
+            ad.nce_rows(Tensor(np.ones(shape[0])), Tensor(np.ones(shape[1])),
+                        np.ones(mask_shape, dtype=bool), 1.0)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.inf, np.nan])
+    def test_tau_must_be_finite_and_positive(self, rng, tau):
+        # an infinite tau scaled every logit by 0, so the regularizer's
+        # gradient was exactly zero and a lambda > 0 run trained the plain model
+        a, b = Tensor(rng.standard_normal((2, 4))), Tensor(rng.standard_normal((2, 4)))
+        with pytest.raises(ConfigError, match="finite and positive"):
+            ad.nce_rows(a, b, _nce_allowed(rng, 4), tau)
 
 
 class TestBackward:
@@ -797,8 +856,6 @@ def _rewrite_cases(rng, dtype):
         "logsumexp_rows": ([s(2, 4, 7)], ad.logsumexp_rows, logsumexp_rows_reference),
         "cross_entropy": ([s(6, 9)], lambda x: ad.cross_entropy_from_logits(x, targets),
                           lambda x: cross_entropy_reference(x, targets)),
-        "interleave_rows": ([s(4, 3), s(4, 3)], ad.interleave_rows,
-                            interleave_rows_reference),
     }
 
 
@@ -864,24 +921,6 @@ class TestRewrittenOps:
                 assert got.dtype == dtype and got.shape == view.shape
                 assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
-    def test_interleave_rows_gradient_vs_finite_differences(self, rng):
-        a, b = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
-        w = rng.standard_normal((8, 3))
-        ta, tb = Tensor(a.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
-        out = ad.interleave_rows(ta, tb)
-        ad.sum_all(ad.mul(ad.gelu(out), w)).backward()
-
-        def f(av, bv):
-            return (ad.gelu(ad.interleave_rows(Tensor(av), Tensor(bv))).data * w).sum()
-
-        assert_grad_close(ta.grad, finite_difference_grad(lambda x: f(x, b), a.copy()))
-        assert_grad_close(tb.grad, finite_difference_grad(lambda x: f(a, x), b.copy()))
-        assert ta.grad.flags.c_contiguous and tb.grad.flags.c_contiguous
-
-    def test_interleave_rows_shapes_must_agree(self):
-        with pytest.raises(ShapeError):
-            ad.interleave_rows(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2))))
-
     @pytest.mark.parametrize("bias_shape", [(4,), (3, 5), (1, 1, 5)])
     def test_bias_that_widens_the_product_is_rejected(self, bias_shape):
         with pytest.raises(ShapeError, match="bias"):
@@ -924,12 +963,11 @@ def _op_cases(rng):
         ("dropout_3d", [r(2, 3, 4)], lambda a: ad.dropout(a, 0.3, RngStream(0, "d"))),
         ("gather_rows", [r(3, 4)], lambda a: ad.gather_rows(a, idx)),
         ("scatter_rows", [r(3, 4)], lambda a: ad.scatter_rows(a, rows, 5)),
-        ("interleave_rows", [r(3, 4), r(3, 4)], lambda a, b: ad.interleave_rows(a, b)),
         # NCE's positive logits: distinct elements of the flat view
         ("gather_pairs", [r(3, 4)],
          lambda a: ad.gather_rows(ad.reshape(a, (12,)), [3, 9, 5])),
         ("cross_entropy", [r(3, 4)], lambda a: ad.cross_entropy_from_logits(a, [1, 0, 3])),
-        ("nce_rows", [r(6, 4)], lambda a: ad.nce_rows(a, _NCE_ALLOWED, 0.7)),
+        ("nce_rows", [r(3, 4), r(3, 4)], lambda a, b: ad.nce_rows(a, b, _NCE_ALLOWED, 0.7)),
     ]
 
 

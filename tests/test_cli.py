@@ -9,7 +9,7 @@ import duorec.cli
 from duorec.cli import load_dataset_dir, main
 from duorec.data import ParseError
 from duorec.synthetic import make_clustered_corpus
-from duorec.trainer import Checkpoint, load_checkpoint, save_checkpoint
+from duorec.trainer import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
 
 from test_encoder import make_params
 from test_trainer import MISTYPED_CONFIG_VALUES
@@ -226,6 +226,16 @@ class TestTrainEvalDiagnose:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_malformed_config_names_the_file(self, dataset_dir, tmp_path, capsys):
+        # the decoder's message named no file
+        path = tmp_path / "bad.json"
+        path.write_text('{"d": 8, ,}')
+        rc = main(["train", "--data", str(dataset_dir), "--config", str(path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{path}: line 1 column 10: Expecting property name" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_that_is_not_an_object_is_runtime_error(self, dataset_dir, tmp_path, capsys):
         # a [] file used to train the defaults, 100 epochs of them
         path = tmp_path / "bad.json"
@@ -402,6 +412,30 @@ class TestSweep:
                 assert (out / f"run_{i}" / name).read_bytes() == (single / name).read_bytes()
         with open(out / "summary.csv", newline="") as f:
             assert [r["lambda"] for r in csv.DictReader(f)] == ["0.0", "0.1", "0.2"]
+
+    def test_grid_keys_are_the_config_keys_but_max_len(self, dataset_dir, tmp_path, capsys):
+        # each key read as its default's type; one split serves every run, so
+        # max_len alone is refused
+        defaults = TrainConfig().to_dict()
+        types = {k: type(v) for k, v in defaults.items() if k != "max_len"}
+        assert duorec.cli._grid_types() == types
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--data", str(dataset_dir), "--config", tiny_config_file(tmp_path),
+                   "--grid", "max_len=5,10", "--out", str(out)])
+        assert rc == 1
+        assert "max_len" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_early_stop_patience_sweep(self, dataset_dir, tmp_path):
+        # a usage error while the grid's keys were a hand copy that left it out
+        out = tmp_path / "sweep"
+        rc = main(["sweep", "--data", str(dataset_dir), "--config", tiny_config_file(tmp_path),
+                   "--grid", "early_stop_patience=1,2", "--out", str(out)])
+        assert rc == 0
+        with open(out / "summary.csv", newline="") as f:
+            assert [r["early_stop_patience"] for r in csv.DictReader(f)] == ["1", "2"]
+        for i in range(2):
+            assert (out / f"run_{i}" / "checkpoint.duo").exists()
 
     def test_bad_grid_axis_is_usage_error(self, dataset_dir, tmp_path):
         rc = main(["sweep", "--data", str(dataset_dir),

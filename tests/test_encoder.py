@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from duorec import autodiff as ad
+from duorec import encoder
 from duorec.autodiff import ShapeError, no_grad
 from duorec.data import PAD_INDEX, Batch, make_collision_mask
-from duorec.encoder import (NEG_INF, _lane_mask, _lanes, _last_row_mask, _packed_rows,
-                            embed, encode, encode_sequence, encode_twins, init_params)
+from duorec.encoder import (NEG_INF, _lane_mask, _lanes, embed, encode, encode_sequence,
+                            encode_twins, init_params)
 from duorec.rng import RngStream
 from duorec.trainer import TrainConfig
 
@@ -30,7 +31,7 @@ def make_batch(rows, max_len=6, positives=None, targets=None):
 
 def reference_attention_mask(item_ids):
     """The padded [B, 1, N, N] mask built step by step (the full stack's
-    mask, whose last query row is the oracle for ``_last_row_mask``): causal
+    mask, whose last query row is the oracle for the final layer's): causal
     -inf above the diagonal, plus -inf at pad keys, then the diagonal
     reopened wherever it was masked."""
     b, n = item_ids.shape
@@ -43,11 +44,16 @@ def reference_attention_mask(item_ids):
     return mask
 
 
-def reference_packed_rows(item_ids):
-    """Flat [B*N] positions that reach the output: every real position and
-    each sequence's last one (test oracle for ``_packed_rows``)."""
+def reference_computed(item_ids):
+    """[B, N] positions that reach the output: every real position and each
+    sequence's last one (test oracle for the mask ``encode_sequence`` builds)."""
     n = item_ids.shape[1]
-    return np.flatnonzero(((item_ids != PAD_INDEX) | (np.arange(n) == n - 1)).ravel())
+    return (item_ids != PAD_INDEX) | (np.arange(n) == n - 1)
+
+
+def reference_packed_rows(item_ids):
+    """Flat [B*N] positions of ``reference_computed``: the packed rows."""
+    return np.flatnonzero(reference_computed(item_ids))
 
 
 def rows_dropout(x, rate, stream, rows):
@@ -74,8 +80,7 @@ def reference_embed(item_ids, params, stream):
 
 def window_lengths(item_ids):
     """Packed rows of each window: its real positions and its last one."""
-    n = item_ids.shape[1]
-    return ((item_ids != PAD_INDEX) | (np.arange(n) == n - 1)).sum(axis=1)
+    return reference_computed(item_ids).sum(axis=1)
 
 
 def lane_dropout(att, rate, stream, item_ids):
@@ -86,7 +91,7 @@ def lane_dropout(att, rate, stream, item_ids):
     queries, which nothing reads) pass unchanged."""
     b, nh, n, _ = att.shape
     packed = reference_packed_rows(item_ids)
-    slots, owner = _lanes(packed, b, n)
+    slots, owner = _lanes(window_lengths(item_ids), n)
     keep = ad.dropout(ad.Tensor(np.ones((len(owner), nh, n, n), att.data.dtype)),
                       rate, stream).data
     mask = np.ones(att.shape, att.data.dtype)
@@ -156,7 +161,28 @@ def full_stack_sequence(item_ids, params, stream):
 
 
 def embed_packed(item_ids, params, stream):
-    return embed(item_ids, _packed_rows(item_ids), params, stream)
+    return embed(item_ids, reference_computed(item_ids), params, stream)
+
+
+def pass_layouts(monkeypatch, ids, layers=1, dtype=np.float64):
+    """(layout, last) of each block of one ``encode_sequence`` pass on
+    ``ids``: what the pass derives from its mask of computed positions."""
+    params = make_params(vocab_size=int(ids.max()) + 1, d=4, layers=layers, heads=1,
+                         max_len=ids.shape[1])
+    for t in params.tensors.values():
+        t.data = t.data.astype(dtype)
+    seen = []
+    original = encoder._block
+
+    def recording_block(h, n, layout, params, layer, stream, last):
+        seen.append((layout, last))
+        return original(h, n, layout, params, layer, stream, last)
+
+    monkeypatch.setattr(encoder, "_block", recording_block)
+    with no_grad():
+        encode_sequence(ids, params, RngStream(0, "s"))
+    monkeypatch.undo()
+    return seen
 
 
 class TestConfig:
@@ -195,7 +221,7 @@ class TestEmbed:
     def test_dropout_draws_only_the_packed_rows(self, monkeypatch):
         # embed gathers and drops only the packed rows: one [M, d] draw
         ids = np.array([[0, 0, 0, 4, 5, 6], [0] * 6, [1, 2, 3, 4, 5, 6], [0, 0, 0, 0, 0, 7]])
-        rows = _packed_rows(ids)
+        rows = reference_packed_rows(ids)
         counters = []
         original = RngStream.lanes
 
@@ -210,12 +236,11 @@ class TestEmbed:
             for t in params.tensors.values():
                 t.data = t.data.astype(dtype)
             counters.clear()
-            out = embed(ids, rows, params, RngStream(2, "s"))
+            out = embed(ids, reference_computed(ids), params, RngStream(2, "s"))
             ref = reference_embed(ids, params, RngStream(2, "s"))
             assert out.data.dtype == ref.data.dtype == dtype
             assert out.data.tobytes() == ref.data.reshape(ids.size, 8)[rows].tobytes()
             assert counters == [("s.emb", -(-rows.size * 8 // 16))] * 2
-        np.testing.assert_array_equal(rows, reference_packed_rows(ids))
 
     def test_item_gradient_comes_from_the_packed_rows(self, monkeypatch):
         # the item table's gather, and so its backward scatter, covers the M
@@ -239,7 +264,7 @@ class TestEmbed:
         monkeypatch.setattr(ad, "gather_rows", recording_gather)
         h = encode_sequence(ids, params, RngStream(2, "s"))
         ad.sum_all(h).backward()
-        m = len(_packed_rows(ids))
+        m = len(reference_packed_rows(ids))
         assert m == 5 < ids.size
         assert grads == [(m, 8)]
 
@@ -249,25 +274,41 @@ class TestAttentionMask:
     IDS = np.array([[0, 0, 0, 0, 0], [0, 0, 3, 4, 5], [1, 2, 3, 4, 5], [0, 0, 0, 0, 9],
                     [0, 0, 0, 0, 0], [6, 7, 8, 9, 1]])
 
-    def test_matches_the_step_by_step_builder(self):
+    def test_matches_the_step_by_step_builder(self, monkeypatch):
         # the final layer's mask is the last query row of the padded mask
-        got = _last_row_mask(self.IDS)
+        (final, _), = pass_layouts(monkeypatch, self.IDS)
         want = reference_attention_mask(self.IDS)[:, :, -1:]
-        assert got.dtype == np.float64 and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        assert final.mask.dtype == np.float64 and final.mask.shape == want.shape
+        assert final.mask.tobytes() == want.tobytes()
 
-    def test_random_padding_patterns(self):
+    def test_random_padding_patterns(self, monkeypatch):
+        # the packed rows, each window's last row among them and the final
+        # mask, as one pass derives them from its mask, against the oracles
         rng = np.random.default_rng(3)
         for _ in range(20):
             ids = rng.integers(0, 4, size=(int(rng.integers(1, 6)), int(rng.integers(1, 9))))
-            want = reference_attention_mask(ids)[:, :, -1:]
-            assert _last_row_mask(ids).tobytes() == want.tobytes()
+            b, n = ids.shape
+            (final, last), = pass_layouts(monkeypatch, ids)
+            packed = reference_packed_rows(ids)
+            assert final.slots.tobytes() == packed.tobytes()
+            np.testing.assert_array_equal(packed[last], np.arange(n - 1, b * n, n))
+            assert final.mask.tobytes() == reference_attention_mask(ids)[:, :, -1:].tobytes()
 
-    def test_float32_is_the_float64_mask_rounded(self):
-        got = _last_row_mask(self.IDS, np.float32)
-        assert got.dtype == np.float32
+    def test_float32_is_the_float64_mask_rounded(self, monkeypatch):
+        (final, _), = pass_layouts(monkeypatch, self.IDS, dtype=np.float32)
+        assert final.mask.dtype == np.float32
         want = reference_attention_mask(self.IDS)[:, :, -1:].astype(np.float32)
-        assert got.tobytes() == want.tobytes()
+        assert final.mask.tobytes() == want.tobytes()
+
+    def test_lanes_come_from_the_window_lengths(self, monkeypatch):
+        # every layer but the last shares the lanes of the windows' lengths
+        (lanes, last0), (lanes1, last1), (final, _) = pass_layouts(monkeypatch, self.IDS,
+                                                                   layers=3)
+        assert lanes1 is lanes and last0 is last1 is None
+        slots, owner = _lanes(window_lengths(self.IDS), self.IDS.shape[1])
+        assert lanes.groups == len(owner) and lanes.slots.tobytes() == slots.tobytes()
+        assert lanes.mask.tobytes() == _lane_mask(owner).tobytes()
+        assert final.slots.tobytes() == reference_packed_rows(self.IDS).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_lane_mask_opens_each_window_up_to_the_query(self, dtype):
@@ -275,8 +316,8 @@ class TestAttentionMask:
         # j <= i; an empty slot attends itself alone
         ids = np.array([[0, 0, 0, 0, 0], [0, 0, 0, 4, 5], [0, 1, 2, 3, 4], [1, 2, 3, 4, 5],
                         [0, 0, 0, 0, 9], [0, 0, 7, 8, 9]])
-        b, n = ids.shape
-        _, owner = _lanes(_packed_rows(ids), b, n)
+        n = ids.shape[1]
+        _, owner = _lanes(window_lengths(ids), n)
         want = np.full((len(owner), 1, n, n), NEG_INF)
         for lane, i, j in np.ndindex(len(owner), n, n):
             if i == j or (j < i and owner[lane, i] == owner[lane, j] >= 0):
@@ -315,9 +356,9 @@ class TestLanes:
     @staticmethod
     def check(ids):
         b, n = ids.shape
-        rows = _packed_rows(ids)
-        slots, owner = _lanes(rows, b, n)
-        window, length = rows // n, window_lengths(ids)
+        rows, length = reference_packed_rows(ids), window_lengths(ids)
+        slots, owner = _lanes(length, n)
+        window = rows // n
         # distinct slots inside the table, named by owner; empty slots distinct
         assert owner.shape == (len(owner), n) and slots.shape == rows.shape
         assert len(np.unique(slots)) == len(slots)
@@ -338,7 +379,7 @@ class TestLanes:
         for ws in lanes.values():
             assert len(ws) in (1, 2) and length[ws].sum() <= n
         # the same input gives the same layout
-        again = _lanes(rows.copy(), b, n)
+        again = _lanes(length.copy(), n)
         assert again[0].tobytes() == slots.tobytes() and again[1].tobytes() == owner.tobytes()
         return length, len(owner)
 
@@ -415,12 +456,12 @@ class TestEncode:
         params = make_params(vocab_size=20, emb_dropout=0.3, hidden_dropout=0.3)
         ids = np.array([[0, 0, 0, 4, 5, 6]])
         junk = np.array([[9, 17, 2, 4, 5, 6]])
-        rows = _packed_rows(ids)
+        computed = reference_computed(ids)
         outs = []
         for x in (ids, junk):
             stream = RngStream(0, "s")
-            h0 = embed(x, rows, params, stream)
-            outs.append((h0.data, encode(h0, ids, rows, params, stream.child("trm")).data))
+            h0 = embed(x, computed, params, stream)
+            outs.append((h0.data, encode(h0, computed, params, stream.child("trm")).data))
         assert outs[0][0].tobytes() == outs[1][0].tobytes()
         assert outs[0][1].tobytes() == outs[1][1].tobytes()
         ref = full_stack_sequence(ids, params, RngStream(0, "s")).data
@@ -536,8 +577,8 @@ class TestLastPositionFinalLayer:
         """Size of each array the encoder drops, by stream label: [M, d] rows
         and [n_lanes, nh, N, N] weights, then [B, d] and [B, nh, 1, N] in the
         last layer."""
-        b, m, n, d, nh = len(ids), len(_packed_rows(ids)), self.MAX_LEN, 8, 2
-        n_lanes = len(_lanes(_packed_rows(ids), b, n)[1])
+        b, m, n, d, nh = len(ids), len(reference_packed_rows(ids)), self.MAX_LEN, 8, 2
+        n_lanes = len(_lanes(window_lengths(ids), n)[1])
         assert n_lanes < b
         sizes = {"enc.emb": m * d}
         for layer in range(layers):
@@ -592,7 +633,7 @@ class TestLastPositionFinalLayer:
         monkeypatch.setattr(ad, "dropout", recording_dropout)
         monkeypatch.setattr(RngStream, "lanes", recording_lanes)
         encode_sequence(ids, params, RngStream(3, "enc"))
-        assert len(_packed_rows(ids)) < ids.size
+        assert len(reference_packed_rows(ids)) < ids.size
         sizes = self.drop_sizes(ids, layers)
         assert dropped == {label: [size] for label, size in sizes.items()}
         assert drawn == {label: [(size, -(-size // 16))] for label, size in sizes.items()}
@@ -624,7 +665,7 @@ class TestPackedRows(TestLastPositionFinalLayer):
 
         monkeypatch.setattr(ad, "matmul", recording_matmul)
         encode_sequence(ids, params, RngStream(3, "enc"))
-        b, m = len(ids), len(_packed_rows(ids))
+        b, m = len(ids), len(reference_packed_rows(ids))
         assert m < b * self.MAX_LEN
         rows = {f"layer0.{w}": m for w in ("wq", "wk", "wv", "wo", "ffn_w1", "ffn_w2")}
         rows |= {f"layer1.{w}": b for w in ("wq", "wo", "ffn_w1", "ffn_w2")}
@@ -669,7 +710,7 @@ class TestLanePacking:
                                     emb_dropout=0.2, hidden_dropout=0.2, seed=6))
         ids = left_padded([0, 2, 5, 3, 1], 5, seed=2)
         ids[ids >= 10] = 9
-        assert len(_lanes(_packed_rows(ids), 5, 5)[1]) == 3
+        assert len(_lanes(window_lengths(ids), 5)[1]) == 3
         v = np.random.default_rng(8).standard_normal((5, 4))
 
         def loss():

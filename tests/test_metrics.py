@@ -3,7 +3,7 @@ import pytest
 
 from duorec import metrics
 from duorec.autodiff import ShapeError
-from duorec.data import PAD_INDEX, ItemVocab
+from duorec.data import PAD_INDEX, EmptyDatasetError, ItemVocab
 from duorec.encoder import encode_sequence
 from duorec.metrics import (alignment, gradient_degeneration_probe, hr_at_k,
                             jacobi_eigh, ndcg_at_k, project_2d,
@@ -158,6 +158,12 @@ class TestHrNdcg:
         expected = (1.0 + 0.0 + 1.0 / np.log2(3)) / 3
         assert abs(ndcg_at_k(ranks, 5) - expected) < 1e-15
 
+    @pytest.mark.parametrize("score", [hr_at_k, ndcg_at_k])
+    def test_no_ranks_raise(self, score):
+        # an empty rank list scored nan, with a RuntimeWarning
+        with pytest.raises(EmptyDatasetError):
+            score([], 5)
+
     def test_report_invariants(self, rng):
         ranks = rng.integers(1, 30, size=50)
         rep = report(ranks, ks=(5, 10))
@@ -213,6 +219,12 @@ class TestAlignmentUniformity:
     def test_single_vector_rejected(self):
         with pytest.raises(ValueError):
             uniformity(np.ones((1, 3)))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+    def test_rows_must_be_a_matrix(self, shape):
+        # a 1-D array died in "invalid index to scalar variable"
+        with pytest.raises(ShapeError, match=r"\[U, d\]"):
+            uniformity(np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape))
 
     def test_uniformity_rotation_invariant(self, rng):
         x = rng.standard_normal((15, 6))
@@ -346,6 +358,12 @@ class TestJacobi:
         a[2, 4] = a[4, 2] = bad
         with pytest.raises(ValueError, match="finite"):
             jacobi_eigh(a)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4,), (2, 2, 2)])
+    def test_non_square_input_rejected(self, shape):
+        # a [3, 4] array ran every sweep, then said it did not converge
+        with pytest.raises(ShapeError, match=r"square \[n, n\]"):
+            jacobi_eigh(np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape))
 
     def test_no_convergence_raises(self, rng):
         a = _gram(rng, 40, 16)

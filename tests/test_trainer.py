@@ -20,7 +20,7 @@ from duorec.trainer import (Adam, Checkpoint, TrainConfig, evaluate,
                             load_checkpoint, save_checkpoint, train, train_step,
                             write_curves_csv)
 
-from conftest import nce_regularizer_reference
+from conftest import interleaved_reps, nce_regularizer_reference
 from test_encoder import make_params
 
 
@@ -198,7 +198,7 @@ class TestTraining:
         composed_calls = []
 
         def composed(cb):
-            composed_calls.append(cb.reps.shape[0])
+            composed_calls.append(len(interleaved_reps(cb)))
             return nce_regularizer_reference(cb)
 
         written = []
