@@ -11,7 +11,8 @@ from duorec.data import make_collision_mask
 from duorec.rng import RngStream
 
 from conftest import (assert_grad_close, cross_entropy_reference, finite_difference_grad,
-                      gelu_reference, layer_norm_reference, logsumexp_rows_reference,
+                      gelu_reference, interleave_rows_reference, layer_norm_reference,
+                      logsumexp_rows_reference,
                       matmul_bias_reference, nce_regularizer_reference,
                       scaled_masked_softmax_reference, softmax_np_reference,
                       softmax_rows_reference, take_pairs_reference)
@@ -920,6 +921,29 @@ class TestRewrittenOps:
                 want = ad.gelu(Tensor(view, requires_grad=True)).data
                 assert got.dtype == dtype and got.shape == view.shape
                 assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_interleave_rows_gradient_vs_finite_differences(self, rng):
+        # the interleave that nce_rows' byte oracle starts with: row 2i from
+        # a, 2i+1 from b, each view handed its own rows back
+        a, b = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+        w = rng.standard_normal((8, 3))
+        ta, tb = Tensor(a.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
+        out = interleave_rows_reference(ta, tb)
+        assert np.array_equal(out.data[0::2], a) and np.array_equal(out.data[1::2], b)
+        ad.sum_all(ad.mul(ad.gelu(out), w)).backward()
+
+        def f(av, bv):
+            return (ad.gelu(interleave_rows_reference(Tensor(av), Tensor(bv))).data * w).sum()
+
+        assert_grad_close(ta.grad, finite_difference_grad(lambda x: f(x, b), a.copy()))
+        assert_grad_close(tb.grad, finite_difference_grad(lambda x: f(a, x), b.copy()))
+        assert ta.grad.flags.c_contiguous and tb.grad.flags.c_contiguous
+
+    def test_interleave_rows_shapes_must_agree(self):
+        # nce_rows interleaves its two views itself, so it refuses unequal ones
+        with pytest.raises(ShapeError):
+            ad.nce_rows(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 2))),
+                        np.ones((6, 6), dtype=bool), 1.0)
 
     @pytest.mark.parametrize("bias_shape", [(4,), (3, 5), (1, 1, 5)])
     def test_bias_that_widens_the_product_is_rejected(self, bias_shape):
