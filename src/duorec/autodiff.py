@@ -16,6 +16,19 @@ dropped, so the activations it held are freed while backward still runs.
 Call it once per forward pass; only leaf tensors (parameters and inputs
 created with ``requires_grad=True``) keep their ``grad`` afterwards.
 
+Retention rule: the graph holds what a backward reads and nothing else. A
+recorded op's output owns its ``data``; the graph links data-less nodes
+(each holds a gradient, a closure and its parents' nodes), and a closure
+captures its parents' nodes and the arrays its arithmetic reads, never a
+parent tensor. Those arrays are ``matmul``'s and ``mul``'s inputs,
+``softmax_rows``' output, ``gelu``'s derivative, ``layer_norm``'s ``xhat``
+and gain, dropout's keep pattern, the index arrays, and the exponentials
+that ``logsumexp_rows``, ``cross_entropy_from_logits`` and ``nce_rows``
+make. Every other output is freed as soon as the forward drops it, such as
+a sum, a residual, a dropout output or a pre-activation, though backward
+still runs through its node. A leaf is its own node, and no node points at
+itself, so freeing needs no garbage collection.
+
 Allocation rule: an op writes each intermediate into an array it already
 holds (``out=``, in place) wherever its arithmetic allows, so a forward
 allocates its output, the arrays its backward keeps, and as few other
@@ -78,17 +91,55 @@ class Tensor:
     """Dense float32 or float64 array with an optional gradient buffer.
 
     float32 data stays float32; any other input becomes float64.
+
+    A tensor is its own graph node unless a recorded op made it. Then its
+    gradient, backward closure and parent links live on a data-less node
+    (``_node``) that the graph links and the consumers' closures hold, and
+    ``grad``, ``_backward`` and ``_parents`` read and write that node. The
+    tensor alone owns ``data``, so the array is freed once the caller drops
+    it unless a backward reads it. A node never points at itself: a tensor
+    that is its own node has ``_node`` None, and one made under ``no_grad``
+    links to nothing.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_node", "_grad", "_fn", "_links")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
-        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad and _grad_enabled
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._node: Tensor | None = None
+        self._grad: np.ndarray | None = None
+        self._fn: Callable[[np.ndarray], None] | None = None
+        self._links: tuple[Tensor, ...] = ()
+
+    def _graph(self) -> Tensor:
+        """The node that holds this tensor's gradient, closure and parent links."""
+        return self if self._node is None else self._node
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._graph()._grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self._graph()._grad = g
+
+    @property
+    def _backward(self) -> Callable[[np.ndarray], None] | None:
+        return self._graph()._fn
+
+    @_backward.setter
+    def _backward(self, fn: Callable[[np.ndarray], None] | None) -> None:
+        self._graph()._fn = fn
+
+    @property
+    def _parents(self) -> tuple[Tensor, ...]:
+        return self._graph()._links
+
+    @_parents.setter
+    def _parents(self, links: tuple[Tensor, ...]) -> None:
+        self._graph()._links = links
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -100,10 +151,11 @@ class Tensor:
     def _accumulate(self, g: np.ndarray) -> None:
         # take the first gradient as is and sum out of place after it: the
         # same array may reach several tensors, so none may write into it
-        if self.grad is None:
-            self.grad = np.asarray(g)
+        node = self._graph()
+        if node._grad is None:
+            node._grad = np.asarray(g)
         else:
-            self.grad = self.grad + g
+            node._grad = node._grad + g
 
     def backward(self) -> None:
         """Populate grad buffers of every tracked leaf ancestor of this scalar.
@@ -116,7 +168,7 @@ class Tensor:
             raise ValueError(f"backward requires a scalar, got shape {self.data.shape}")
         order: list[Tensor] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Tensor, bool]] = [(self._graph(), False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -126,39 +178,45 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node._links:
                 if id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
         while order:
             node = order.pop()
-            if node._backward is None:
+            if node._fn is None:
                 continue                        # a leaf keeps its grad
-            if node.grad is not None:
-                node._backward(node.grad)
-            node.grad = None
-            node._backward = None
-            node._parents = ()
+            if node._grad is not None:
+                node._fn(node._grad)
+            node._grad = None
+            node._fn = None
+            node._links = ()
 
     def item(self) -> float:
         return float(self.data)
 
     def __repr__(self) -> str:
+        if self.data is None:
+            return "Tensor(graph node)"
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _records(*parents) -> bool:
-    """Whether an op on ``parents`` records its backward (``_make``'s test)."""
-    return _grad_enabled and any(isinstance(p, Tensor) and p.requires_grad for p in parents)
+def _grad_node(t) -> Tensor | None:
+    """The graph node a backward passes ``t``'s gradient to: None unless
+    ``t`` is a tensor that takes one."""
+    return t._graph() if isinstance(t, Tensor) and t.requires_grad else None
 
 
 def _make(data: np.ndarray, parents: Iterable[Tensor], backward) -> Tensor:
+    """The op output ``data``; recorded, it links ``backward`` into the
+    nodes of the ``parents`` that take a gradient."""
     out = Tensor(data)
-    parents = tuple(p for p in parents if isinstance(p, Tensor))
-    if _records(*parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+    links = tuple(n for n in map(_grad_node, parents) if n is not None)
+    if _grad_enabled and links:
+        node = Tensor.__new__(Tensor)           # data-less: the graph's part of ``out``
+        node.data, node.requires_grad, node._node = None, True, None
+        node._grad, node._fn, node._links = None, backward, links
+        out.requires_grad, out._node = True, node
     return out
 
 
@@ -178,25 +236,28 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b) -> Tensor:
     bd = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=a.data.dtype)
     out_data = a.data + bd
+    na, nb, a_shape, b_shape = _grad_node(a), _grad_node(b), a.data.shape, bd.shape
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if isinstance(b, Tensor) and b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+        if na is not None:
+            na._accumulate(_unbroadcast(g, a_shape))
+        if nb is not None:
+            nb._accumulate(_unbroadcast(g, b_shape))
 
     return _make(out_data, (a, b), backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
-    bd = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=a.data.dtype)
-    out_data = a.data * bd
+    ad = a.data
+    bd = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=ad.dtype)
+    out_data = ad * bd
+    na, nb = _grad_node(a), _grad_node(b)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * bd, a.data.shape))
-        if isinstance(b, Tensor) and b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if na is not None:
+            na._accumulate(_unbroadcast(g * bd, ad.shape))
+        if nb is not None:
+            nb._accumulate(_unbroadcast(g * ad, bd.shape))
 
     return _make(out_data, (a, b), backward)
 
@@ -209,18 +270,21 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} vs {b.data.shape}")
-    out_data = np.matmul(a.data, b.data)
+    ad, bd = a.data, b.data
+    out_data = np.matmul(ad, bd)
     if bias is not None:
         _check_fits(bias.data, out_data.shape, "bias")
         out_data += bias.data
+    na, nb, nbias = _grad_node(a), _grad_node(b), _grad_node(bias)
+    bias_shape = None if bias is None else bias.data.shape
 
     def backward(g):
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.data.shape))
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(_product(g, b.data.swapaxes(-1, -2)), a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(_product(a.data.swapaxes(-1, -2), g), b.data.shape))
+        if nbias is not None:
+            nbias._accumulate(_unbroadcast(g, bias_shape))
+        if na is not None:
+            na._accumulate(_unbroadcast(_product(g, bd.swapaxes(-1, -2)), ad.shape))
+        if nb is not None:
+            nb._accumulate(_unbroadcast(_product(ad.swapaxes(-1, -2), g), bd.shape))
 
     return _make(out_data, (a, b, bias), backward)
 
@@ -248,9 +312,10 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out_data = x.data.reshape(shape)
+    nx, x_shape = _grad_node(x), x.data.shape
 
     def backward(g):
-        x._accumulate(g.reshape(x.data.shape))
+        nx._accumulate(g.reshape(x_shape))
 
     return _make(out_data, (x,), backward)
 
@@ -258,9 +323,10 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     out_data = x.data.transpose(axes)
     inv = np.argsort(axes)
+    nx = _grad_node(x)
 
     def backward(g):
-        x._accumulate(g.transpose(inv))
+        nx._accumulate(g.transpose(inv))
 
     return _make(out_data, (x,), backward)
 
@@ -283,7 +349,7 @@ def gelu(x: Tensor) -> Tensor:
     """
     xd = np.ascontiguousarray(x.data)
     c = xd.dtype.type(np.sqrt(2.0 / np.pi))
-    recorded = _records(x)
+    recorded = _grad_enabled and x.requires_grad
     out_data = np.empty_like(xd)
     deriv = np.empty_like(xd) if recorded else None
     buf = np.empty(min(xd.size, _GELU_BLOCK), dtype=xd.dtype)
@@ -313,18 +379,20 @@ def gelu(x: Tensor) -> Tensor:
         # (0.5*x)*(1 + t) in that operand order: a NaN result takes its
         # sign from the first operand
         np.multiply(half_x, tb, out=tb)
+    nx = _grad_node(x)
 
     def backward(g):
-        x._accumulate(g * deriv)
+        nx._accumulate(g * deriv)
 
     return _make(out_data, (x,), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
     out_data = np.asarray(x.data.sum())
+    nx, x_shape, dtype = _grad_node(x), x.data.shape, x.data.dtype
 
     def backward(g):
-        x._accumulate(np.full_like(x.data, float(g)))
+        nx._accumulate(np.full(x_shape, float(g), dtype=dtype))
 
     return _make(out_data, (x,), backward)
 
@@ -366,6 +434,7 @@ def softmax_rows(x: Tensor, scale: float | None = None, mask=None) -> Tensor:
         y = np.add(y, mask, out=None if y is x.data else y)
     y, _, s = exp_rows(y, out=None if y is x.data else y)
     y /= s
+    nx = _grad_node(x)
 
     def backward(g):
         gx = g * y
@@ -374,7 +443,7 @@ def softmax_rows(x: Tensor, scale: float | None = None, mask=None) -> Tensor:
         gx *= y
         if scale is not None:
             gx *= scale
-        x._accumulate(gx)
+        nx._accumulate(gx)
 
     return _make(y, (x,), backward)
 
@@ -383,12 +452,13 @@ def logsumexp_rows(x: Tensor) -> Tensor:
     """log(sum(exp(x))) over the last axis, stabilized."""
     e, m, s = exp_rows(x.data)
     out_data = (m + np.log(s)).squeeze(-1)
+    nx = _grad_node(x)
 
     def backward(g):
         p = e                                   # e is this op's own: g * (e / s)
         p /= s
         p *= g[..., None]
-        x._accumulate(p)
+        nx._accumulate(p)
 
     return _make(out_data, (x,), backward)
 
@@ -410,15 +480,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat *= inv
     np.multiply(xhat, gain.data, out=out_data)
     out_data += bias.data
+    nx, ngain, nbias = _grad_node(x), _grad_node(gain), _grad_node(bias)
+    gd, bias_shape = gain.data, bias.data.shape
 
     def backward(g):
-        if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.data.shape))
-        if x.requires_grad:
+        if ngain is not None:
+            ngain._accumulate(_unbroadcast(g * xhat, gd.shape))
+        if nbias is not None:
+            nbias._accumulate(_unbroadcast(g, bias_shape))
+        if nx is not None:
             # (gx - mean(gx) - xhat*mean(gx*xhat)) * inv in two arrays
-            gx = g * gain.data
+            gx = g * gd
             gx_mean = gx.mean(axis=-1, keepdims=True)
             tmp = gx * xhat
             tmp_mean = tmp.mean(axis=-1, keepdims=True)
@@ -426,7 +498,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             np.multiply(xhat, tmp_mean, out=tmp)
             gx -= tmp
             gx *= inv
-            x._accumulate(gx)
+            nx._accumulate(gx)
 
     return _make(out_data, (x, gain, bias), backward)
 
@@ -464,11 +536,12 @@ def dropout(x: Tensor, rate: float, stream: RngStream) -> Tensor:
     out_data = keep.astype(dtype)
     out_data *= scale
     np.multiply(x.data, out_data, out=out_data)
+    nx = _grad_node(x)
 
     def backward(g):
         gx = keep.astype(dtype)
         gx *= scale
-        x._accumulate(np.multiply(g, gx, out=gx))
+        nx._accumulate(np.multiply(g, gx, out=gx))
 
     return _make(out_data, (x,), backward)
 
@@ -478,17 +551,18 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     check_index(idx, 0, table.data.shape[0], "row index")
     out_data = table.data.take(idx, axis=0)
+    node, shape, dtype = _grad_node(table), table.data.shape, table.data.dtype
 
     def backward(g):
         # each element starts at 0 and adds its gradients in index order, in
         # float64, then rounds once to the table's dtype: the bytes of a
         # float64 np.add.at and a cast (in float32 not those of a float32
         # np.add.at, which rounds after every add)
-        width = math.prod(table.data.shape[1:])
+        width = math.prod(shape[1:])
         flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
-        acc = np.bincount(flat, weights=g.ravel(), minlength=table.data.size)
-        acc = acc.astype(table.data.dtype, copy=False).reshape(table.data.shape)
-        table._accumulate(acc)
+        acc = np.bincount(flat, weights=g.ravel(), minlength=math.prod(shape))
+        acc = acc.astype(dtype, copy=False).reshape(shape)
+        node._accumulate(acc)
 
     return _make(out_data, (table,), backward)
 
@@ -508,19 +582,20 @@ def scatter_rows(x: Tensor, rows, n_rows: int) -> Tensor:
         raise IndexError("rows must be distinct")
     out_data = np.zeros((n_rows,) + x.data.shape[1:], dtype=x.data.dtype)
     out_data[idx] = x.data
+    nx = _grad_node(x)
 
     def backward(g):
-        x._accumulate(g[idx])
+        nx._accumulate(g[idx])
 
     return _make(out_data, (x,), backward)
 
 
 def cross_entropy_from_logits(logits: Tensor, targets) -> Tensor:
     """Mean over the m rows of -log softmax(logits)[target], fused
-    log-sum-exp; ``logits`` must be [m, V] and ``targets`` [m]."""
+    log-sum-exp; ``logits`` must be [m, V] and ``targets`` [m], with m >= 1."""
     t = np.asarray(targets, dtype=np.int64)
-    if logits.data.ndim != 2 or t.shape != logits.data.shape[:1]:
-        raise ShapeError(f"cross-entropy needs [m, V] logits and [m] targets, got "
+    if logits.data.ndim != 2 or t.shape != logits.data.shape[:1] or not len(t):
+        raise ShapeError(f"cross-entropy needs [m, V] logits and [m] targets, m >= 1, got "
                          f"{logits.data.shape} and {t.shape}")
     m, v = logits.data.shape
     check_index(t, 0, v, "target")
@@ -528,13 +603,14 @@ def cross_entropy_from_logits(logits: Tensor, targets) -> Tensor:
     lse = (mx + np.log(s)).squeeze(-1)
     rows = np.arange(m)
     out_data = np.asarray((lse - logits.data[rows, t]).mean())
+    node = _grad_node(logits)
 
     def backward(g):
         p = e                                   # e is this op's own: p = e / s
         p /= s
         p[rows, t] -= 1.0
         p *= float(g) / m
-        logits._accumulate(p)
+        node._accumulate(p)
 
     return _make(out_data, (logits,), backward)
 
@@ -549,9 +625,9 @@ def nce_rows(view_a: Tensor, view_b: Tensor, allowed: np.ndarray, tau: float) ->
     Row i's logits are ``reps[i] . reps[j] / tau``; its denominator holds
     slot i^1 and the negatives j where ``allowed[i, j]`` is True, so
     ``allowed[i, i^1]`` is not read. Returns sum_i (log-sum-exp_j -
-    logit[i, i^1]) / B. Unequal views, a mask that is not [2B, 2B] and a
-    ``tau`` that is not finite and positive raise (an infinite one would
-    scale every logit, and so the gradient, by 0).
+    logit[i, i^1]) / B. Unequal or empty views, a mask that is not
+    [2B, 2B] and a ``tau`` that is not finite and positive raise (an
+    infinite one would scale every logit, and so the gradient, by 0).
 
     The values and gradients are those of the graph that interleaves the
     views, then ``sim = mul(matmul(reps, transpose(reps)), 1/tau)`` and
@@ -562,8 +638,9 @@ def nce_rows(view_a: Tensor, view_b: Tensor, allowed: np.ndarray, tau: float) ->
     it turns the exponentials into sim's gradient in place.
     """
     a, b = view_a.data, view_b.data
-    if a.ndim != 2 or a.shape != b.shape or np.shape(allowed) != (2 * len(a),) * 2:
-        raise ShapeError(f"NCE needs two [B, d] views and a [2B, 2B] mask, got "
+    if (a.ndim != 2 or a.shape != b.shape or not len(a)
+            or np.shape(allowed) != (2 * len(a),) * 2):
+        raise ShapeError(f"NCE needs two [B, d] views, B >= 1, and a [2B, 2B] mask, got "
                          f"{a.shape}, {b.shape} and {np.shape(allowed)}")
     if not (math.isfinite(tau) and tau > 0):
         raise ConfigError(f"temperature must be finite and positive, got {tau}")
@@ -583,6 +660,7 @@ def nce_rows(view_a: Tensor, view_b: Tensor, allowed: np.ndarray, tau: float) ->
     e, mx, s = exp_rows(e, out=e)
     lse = (mx + np.log(s)).squeeze(-1)
     out_data = (lse + pos * dtype.type(-1.0)).sum() * inv_b
+    na, nb = _grad_node(view_a), _grad_node(view_b)
 
     def backward(g):
         gv = dtype.type(float(g * inv_b))       # each row's share of the mean
@@ -597,9 +675,9 @@ def nce_rows(view_a: Tensor, view_b: Tensor, allowed: np.ndarray, tau: float) ->
         gx = np.matmul(p, x)
         gx += np.matmul(x.swapaxes(-1, -2), p).swapaxes(-1, -2)
         # each view's rows made contiguous, the layout their consumers expect
-        if view_a.requires_grad:
-            view_a._accumulate(np.ascontiguousarray(gx[0::2]))
-        if view_b.requires_grad:
-            view_b._accumulate(np.ascontiguousarray(gx[1::2]))
+        if na is not None:
+            na._accumulate(np.ascontiguousarray(gx[0::2]))
+        if nb is not None:
+            nb._accumulate(np.ascontiguousarray(gx[1::2]))
 
     return _make(out_data, (view_a, view_b), backward)

@@ -94,10 +94,13 @@ def alignment(pairs_x: np.ndarray, pairs_y: np.ndarray) -> float:
 
     Row i of ``pairs_x`` pairs with row i of ``pairs_y``; the two must have
     the same shape, since a broadcast would pair rows that are no pair.
+    Zero pairs raise ``EmptyDatasetError``: their mean is no number.
     """
     if np.shape(pairs_x) != np.shape(pairs_y):
         raise ValueError(f"alignment pairs rows of equal shapes, got "
                          f"{np.shape(pairs_x)} and {np.shape(pairs_y)}")
+    if np.shape(pairs_x)[:1] == (0,):
+        raise EmptyDatasetError("alignment needs at least one pair")
     xn = _normalize_rows(pairs_x)
     yn = _normalize_rows(pairs_y)
     return float((np.linalg.norm(xn - yn, axis=-1) ** 2).mean())
@@ -143,12 +146,14 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
     triangles a few ulps apart, and a lower entry just above the threshold
     with its upper twin just below would stall the solve.
     Returns (eigenvalues, eigenvectors-as-columns), unordered.
-    Raises ``ShapeError`` unless ``a`` is [n, n], ``ValueError`` on a non-finite
-    input and ``np.linalg.LinAlgError`` if ``max_sweeps`` sweeps do not converge.
+    Raises ``ShapeError`` unless ``a`` is [n, n] with n >= 1, ``ValueError`` on
+    a non-finite input and ``np.linalg.LinAlgError`` if ``max_sweeps`` sweeps
+    do not converge.
     """
     a = np.array(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ad.ShapeError(f"jacobi_eigh needs a square [n, n] matrix, got {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise ad.ShapeError(f"jacobi_eigh needs a square [n, n] matrix, n >= 1, "
+                            f"got {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("jacobi_eigh needs a finite matrix")
     n = a.shape[0]
@@ -204,7 +209,12 @@ def _centered_embeddings(item_emb: np.ndarray, center: bool = True) -> np.ndarra
 
 
 def singular_spectrum(item_emb: np.ndarray, center: bool = True) -> np.ndarray:
-    """Descending singular values of the embedding matrix, scaled to [0, 1]."""
+    """Descending singular values of the embedding matrix, scaled to [0, 1].
+
+    A table with no row besides the pad row raises ``EmptyDatasetError``.
+    """
+    if len(item_emb) <= PAD_INDEX + 1:
+        raise EmptyDatasetError("no item embeddings besides the pad row")
     x = _centered_embeddings(item_emb, center)
     gram = x.T @ x
     eigvals, _ = jacobi_eigh(gram)

@@ -107,13 +107,18 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, path) -> "TrainConfig":
-        """The config in the JSON file ``path``; malformed JSON raises ``ConfigError``."""
+        """The config in the JSON file ``path``; malformed JSON, an unknown key
+        and a bad value raise ``ConfigError``, each naming ``path``."""
         with open(path) as f:
             try:
-                return cls.from_dict(json.load(f))
+                d = json.load(f)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: "
                                   f"{exc.msg}") from None
+        try:
+            return cls.from_dict(d)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def to_dict(self) -> dict:
         return {key: getattr(self, f.name) for key, f in self.fields_by_key().items()}

@@ -124,3 +124,19 @@ def test_eval_encoder_pass_peak():
     with ad.no_grad(), traced() as mem:
         encode_sequence(ids, params, RngStream(0, "eval"))
     assert mem.peak <= 90e6
+
+
+def test_recorded_encoder_pass_holds():
+    # B=128 full windows of N=50 at d=64, two layers, dropout 0.1, float32:
+    # what the graph holds once the forward returns. Measured: 74.8 MB while
+    # each closure held its input tensors, and so every op's output until
+    # backward; 39.1 MB now that it holds only the arrays a backward reads.
+    cfg = TrainConfig(d=64, layers=2, heads=2, max_len=50)
+    params = init_params(cfg, 3400, RngStream(0, "init"))
+    for t in params.tensors.values():
+        t.data = t.data.astype(np.float32)
+    ids = np.random.default_rng(1).integers(1, 3400, size=(128, cfg.max_len))
+    with traced() as mem:
+        h = encode_sequence(ids, params, RngStream(0, "train"))
+    assert h.requires_grad and h.data.dtype == np.float32
+    assert mem.current <= 45e6

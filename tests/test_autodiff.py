@@ -1,5 +1,7 @@
 import hashlib
 import inspect
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from duorec.autodiff import ConfigError, ShapeError, Tensor
 from duorec.contrastive import ContrastiveBatch
 from duorec.data import make_collision_mask
 from duorec.rng import RngStream
+from duorec.trainer import train_step
 
 from conftest import (assert_grad_close, cross_entropy_reference, finite_difference_grad,
                       gelu_reference, interleave_rows_reference, layer_norm_reference,
@@ -16,6 +19,7 @@ from conftest import (assert_grad_close, cross_entropy_reference, finite_differe
                       matmul_bias_reference, nce_regularizer_reference,
                       scaled_masked_softmax_reference, softmax_np_reference,
                       softmax_rows_reference, take_pairs_reference)
+from test_encoder import make_batch, make_params
 
 
 def quantized_scale(rate):
@@ -496,6 +500,13 @@ class TestCrossEntropy:
         with pytest.raises(ShapeError, match=r"\[m, V\] logits and \[m\] targets"):
             ad.cross_entropy_from_logits(Tensor(np.zeros(shape)), targets)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_rows_rejected(self, dtype):
+        # the mean over zero rows was nan, with RuntimeWarnings
+        with pytest.raises(ShapeError, match="m >= 1"):
+            ad.cross_entropy_from_logits(Tensor(np.zeros((0, 5), dtype=dtype)),
+                                         np.zeros(0, dtype=np.int64))
+
     def test_gradient_is_softmax_minus_onehot(self, rng):
         logits = rng.standard_normal((4, 6))
         targets = [1, 0, 5, 2]
@@ -608,6 +619,13 @@ class TestNceRows:
             ad.nce_rows(Tensor(np.ones(shape[0])), Tensor(np.ones(shape[1])),
                         np.ones(mask_shape, dtype=bool), 1.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_empty_views_rejected(self, dtype):
+        # B = 0 died in a ZeroDivisionError on the mean's 1/B
+        views = [Tensor(np.zeros((0, 4), dtype=dtype)) for _ in range(2)]
+        with pytest.raises(ShapeError, match="B >= 1"):
+            ad.nce_rows(*views, np.zeros((0, 0), dtype=bool), 1.0)
+
     @pytest.mark.parametrize("tau", [0.0, -1.0, np.inf, np.nan])
     def test_tau_must_be_finite_and_positive(self, rng, tau):
         # an infinite tau scaled every logit by 0, so the regularizer's
@@ -693,6 +711,99 @@ class TestBackward:
         x = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         runs = [ad.softmax_rows(ad.matmul(x, x)).data for _ in range(2)]
         np.testing.assert_array_equal(runs[0], runs[1])
+
+
+def fed(out: Tensor, g: np.ndarray) -> Tensor:
+    """A scalar whose backward hands ``g`` to ``out``, holding ``out``'s graph
+    node but neither ``out`` nor its data."""
+    node = out._graph()
+    return ad._make(np.zeros((), dtype=g.dtype), (out,), lambda _: node._accumulate(g))
+
+
+_SOFTMAX_MASK = np.where(np.random.default_rng(4).random((3, 4)) < 0.3, ad.NEG_INF, 0.0)
+
+# op -> (input shapes, the op on intermediate tensors of those shapes, the
+# inputs whose data its backward reads)
+RETENTION_CASES = {
+    "add": ([(3, 4), (1, 4)], ad.add, ()),
+    "mul": ([(3, 4), (1, 4)], ad.mul, (0, 1)),
+    "matmul": ([(2, 3, 4), (4, 5), (5,)], ad.matmul, (0, 1)),      # the bias is not read
+    "sum_all": ([(3, 4)], ad.sum_all, ()),
+    "reshape": ([(3, 4)], lambda x: ad.reshape(x, (2, 6)), ()),
+    "transpose": ([(2, 3, 4)], lambda x: ad.transpose(x, (2, 0, 1)), ()),
+    "gelu": ([(3, 4)], ad.gelu, ()),
+    "softmax_rows": ([(2, 3, 4)], lambda x: ad.softmax_rows(x, 0.5, _SOFTMAX_MASK), ()),
+    "logsumexp_rows": ([(3, 5)], ad.logsumexp_rows, ()),
+    "layer_norm": ([(3, 4)], lambda x: ad.layer_norm(
+        x, Tensor(np.full(4, 1.5), requires_grad=True), Tensor(np.ones(4), requires_grad=True)),
+        ()),
+    "dropout": ([(3, 4)], lambda x: ad.dropout(x, 0.3, RngStream(1, "d")), ()),
+    "gather_rows": ([(6, 4)], lambda t: ad.gather_rows(t, [5, 0, 5, 2]), ()),
+    "scatter_rows": ([(3, 4)], lambda x: ad.scatter_rows(x, [5, 0, 2], 6), ()),
+    "cross_entropy_from_logits": (
+        [(5, 7)], lambda x: ad.cross_entropy_from_logits(x, [0, 6, 3, 3, 1]), ()),
+    "nce_rows": ([(3, 4), (3, 4)], lambda a, b: ad.nce_rows(a, b, _NCE_ALLOWED, 0.5), ()),
+}
+
+
+class TestRetention:
+    """The graph holds a node per recorded tensor and the arrays each backward
+    reads, never a tensor that owns data: an input a backward does not read
+    dies once the caller drops it, and no cycle is needed to free it."""
+
+    @staticmethod
+    def run(name, drop):
+        """The leaves' gradients through one op on intermediate inputs, each
+        input checked for being dropped (``drop``) or held until backward."""
+        shapes, op, read = RETENTION_CASES[name]
+        rng = np.random.default_rng(7)
+        leaves = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+        xs = [ad.add(leaf, 0.0) for leaf in leaves]              # each owns its data
+        counts = [sys.getrefcount(x) for x in xs]
+        out = op(*xs)
+        assert [sys.getrefcount(x) for x in xs] == counts       # no link or closure holds one
+        refs = [weakref.ref(x.data) for x in xs]
+        loss = out if out.shape == () else fed(out, rng.standard_normal(out.shape))
+        if drop:
+            del xs, out
+            assert [r() is not None for r in refs] == [i in read for i in range(len(refs))]
+        loss.backward()
+        if drop:
+            assert all(r() is None for r in refs)
+        return [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("name", sorted(RETENTION_CASES))
+    def test_inputs_live_only_as_long_as_a_backward_reads_them(self, name):
+        # ... and the gradient is that of the same op with every input held
+        for held, dropped in zip(self.run(name, drop=False), self.run(name, drop=True)):
+            assert held.dtype == dropped.dtype and held.shape == dropped.shape
+            assert held.tobytes() == dropped.tobytes()
+
+    def test_no_closure_holds_a_tensor_that_owns_data(self):
+        # a recorded duo step: three two-layer passes with dropout, NCE and
+        # cross-entropy. Every closure cell and parent link that is a tensor
+        # is a data-less node or a leaf.
+        params = make_params(vocab_size=12, d=8, layers=2, max_len=6,
+                             emb_dropout=0.2, hidden_dropout=0.2)
+        batch = make_batch([[1, 2, 3], [4, 5, 6, 7, 8], [9], [2, 3, 4, 5]],
+                           positives=[[0, 0, 0, 1, 2, 3], [0, 0, 3, 4, 5, 6],
+                                      [0, 0, 0, 0, 7, 9], [0, 0, 1, 2, 4, 5]])
+        bundle, *_ = train_step(batch, params, params.config, RngStream(0, "step"))
+        ops, seen, stack = set(), set(), [bundle.total]
+        while stack:
+            t = stack.pop()
+            if id(t) in seen or t._backward is None:
+                continue
+            seen.add(id(t))
+            ops.add(t._backward.__qualname__.split(".")[0])
+            held = [c.cell_contents for c in t._backward.__closure__ or ()]
+            for obj in held + list(t._parents):
+                if isinstance(obj, Tensor):
+                    assert obj.data is None or obj._backward is None, t._backward.__qualname__
+            stack.extend(t._parents)
+        assert ops >= {"add", "mul", "matmul", "reshape", "transpose", "gelu", "softmax_rows",
+                       "layer_norm", "dropout", "gather_rows", "scatter_rows",
+                       "cross_entropy_from_logits", "nce_rows"}
 
 
 class TestRngStream:

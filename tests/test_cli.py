@@ -226,6 +226,18 @@ class TestTrainEvalDiagnose:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("doc, message", [({"learning_rate": 0.1}, "unknown config keys"),
+                                              ({"seed": 1.5}, "seed must be an integer")])
+    def test_config_errors_name_the_file(self, dataset_dir, tmp_path, capsys, doc, message):
+        # an unknown key or a mistyped value was reported without the file
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["train", "--data", str(dataset_dir), "--config", str(path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_config_names_the_file(self, dataset_dir, tmp_path, capsys):
         # the decoder's message named no file
         path = tmp_path / "bad.json"

@@ -194,6 +194,12 @@ class TestAlignmentUniformity:
         with pytest.raises(ValueError):
             alignment(np.zeros((1, 3)), np.ones((1, 3)))
 
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_no_pairs_rejected(self, d):
+        # the mean over zero pairs was nan, with RuntimeWarnings
+        with pytest.raises(EmptyDatasetError, match="at least one pair"):
+            alignment(np.zeros((0, d)), np.zeros((0, d)))
+
     @pytest.mark.parametrize("shape_y", [(1, 3), (4, 3), (5, 2)])
     def test_unpaired_shapes_rejected(self, rng, shape_y):
         # [5, d] against [1, d] used to broadcast into a number
@@ -258,6 +264,12 @@ class TestAlignmentUniformity:
 
 class TestJacobi:
     SIZES = (1, 2, 3, 5, 16, 17, 64)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_empty_matrix_rejected(self, dtype):
+        # a 0x0 matrix died in "zero-size array to reduction operation maximum"
+        with pytest.raises(ShapeError, match="n >= 1"):
+            jacobi_eigh(np.zeros((0, 0), dtype=dtype))
 
     @staticmethod
     def assert_eigvals_close(got, want, scale):
@@ -382,6 +394,12 @@ class TestSingularSpectrum:
                                        atol=1e-10)
             np.testing.assert_allclose(eigvecs @ np.diag(eigvals) @ eigvecs.T, sym,
                                        atol=1e-10)
+
+    @pytest.mark.parametrize("center", [True, False])
+    def test_pad_row_alone_rejected(self, center):
+        # a table of the pad row alone died in an IndexError on sv[0]
+        with pytest.raises(EmptyDatasetError, match="besides the pad row"):
+            singular_spectrum(np.zeros((PAD_INDEX + 1, 4)), center=center)
 
     def test_isotropic_rows_all_ones(self):
         emb = np.zeros((9, 4))
