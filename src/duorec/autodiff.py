@@ -22,11 +22,12 @@ recorded op's output owns its ``data``; the graph links data-less nodes
 captures its parents' nodes and the arrays its arithmetic reads, never a
 parent tensor. Those arrays are ``matmul``'s and ``mul``'s inputs,
 ``softmax_rows``' output, ``gelu``'s derivative, ``layer_norm``'s ``xhat``
-and gain, dropout's keep pattern, the index arrays, and the exponentials
-that ``logsumexp_rows``, ``cross_entropy_from_logits`` and ``nce_rows``
-make. Every other output is freed as soon as the forward drops it, such as
-a sum, a residual, a dropout output or a pre-activation, though backward
-still runs through its node. A leaf is its own node, and no node points at
+and gain, dropout's keep pattern, the index arrays (``gather_rows``'
+rows, the slots of ``split_heads`` and ``merge_heads``), and the
+exponentials that ``logsumexp_rows``, ``cross_entropy_from_logits`` and
+``nce_rows`` make. Every other output is freed as soon as the forward
+drops it, such as a sum, a residual, a dropout output or a pre-activation,
+though backward still runs through its node. A leaf is its own node, and no node points at
 itself, so freeing needs no garbage collection.
 
 Allocation rule: an op writes each intermediate into an array it already
@@ -38,11 +39,15 @@ is one array in all for ``gelu`` and ``softmax_rows`` and two for
 keeps. ``gelu`` makes both in one loop over fixed-size blocks, so its
 other intermediates take a block each, not an array. Each expression
 keeps its floating-point operations and their order, so the bytes are
-those of the plain expression. Three fused forms save the arrays between
+those of the plain expression. Five fused forms save the arrays between
 ops: ``matmul(a, b, bias)`` adds the bias into the product,
 ``softmax_rows(x, scale, mask)`` takes the softmax of ``x*scale + mask`` in
-one array, and ``nce_rows`` runs the contrastive regularizer's graph on
-two interleaved views in one [2B, 2B] array that its backward reuses.
+one array, ``nce_rows`` runs the contrastive regularizer's graph on
+two interleaved views in one [2B, 2B] array that its backward reuses, and
+``split_heads`` and ``merge_heads`` move an attention's rows into and out
+of its [G, heads, n, dh] heads, one [G*n, d] table each way and no copy in
+between, with the values and strides of the scatter, reshape, transpose
+and gather ops they stand for.
 Every softmax and log-sum-exp takes its exponentials from ``exp_rows``, and
 every index range is checked by ``check_index``; neither is a recorded op.
 
@@ -554,38 +559,108 @@ def gather_rows(table: Tensor, indices) -> Tensor:
     node, shape, dtype = _grad_node(table), table.data.shape, table.data.dtype
 
     def backward(g):
-        # each element starts at 0 and adds its gradients in index order, in
-        # float64, then rounds once to the table's dtype: the bytes of a
-        # float64 np.add.at and a cast (in float32 not those of a float32
-        # np.add.at, which rounds after every add)
-        width = math.prod(shape[1:])
-        flat = (idx.reshape(-1, 1) * width + np.arange(width)).ravel()
-        acc = np.bincount(flat, weights=g.ravel(), minlength=math.prod(shape))
-        acc = acc.astype(dtype, copy=False).reshape(shape)
+        rows = idx.reshape(-1)
+        if (rows[1:] > rows[:-1]).all():
+            # strictly increasing rows: each element is 0 plus one gradient,
+            # in the table's dtype, the bytes of the sum below (-0.0 becomes
+            # +0.0 in both)
+            acc = np.zeros(shape, dtype=dtype)
+            acc[rows] += g.reshape(rows.shape + shape[1:])
+        else:
+            # each element starts at 0 and adds its gradients in index order,
+            # in float64, then rounds once to the table's dtype: the bytes of
+            # a float64 np.add.at and a cast (in float32 not those of a
+            # float32 np.add.at, which rounds after every add)
+            width = math.prod(shape[1:])
+            flat = (rows.reshape(-1, 1) * width + np.arange(width)).ravel()
+            acc = np.bincount(flat, weights=g.ravel(), minlength=math.prod(shape))
+            acc = acc.astype(dtype, copy=False).reshape(shape)
         node._accumulate(acc)
 
     return _make(out_data, (table,), backward)
 
 
-def scatter_rows(x: Tensor, rows, n_rows: int) -> Tensor:
-    """[n_rows, ...] zeros with row i of ``x`` placed at ``rows[i]``, for
-    distinct ``rows`` in any order; the inverse of ``gather_rows``, whose
-    gather is its backward. A repeated or out-of-range row raises
-    ``IndexError``, since it would lose one of ``x``'s rows."""
-    idx = np.asarray(rows, dtype=np.int64)
-    if idx.shape != x.data.shape[:1]:
-        raise ShapeError(f"{idx.shape} row indices for input {x.data.shape}")
-    check_index(idx, 0, n_rows, "row")
+def _check_slots(slots, n_rows: int, count: int) -> np.ndarray:
+    """``slots`` as int64, checked to be ``count`` distinct rows of [0, n_rows)."""
+    idx = np.asarray(slots, dtype=np.int64)
+    if idx.shape != (count,):
+        raise ShapeError(f"{idx.shape} slots for {count} rows")
+    check_index(idx, 0, n_rows, "slot")
     hit = np.zeros(n_rows, dtype=bool)
     hit[idx] = True
-    if np.count_nonzero(hit) != idx.size:
-        raise IndexError("rows must be distinct")
-    out_data = np.zeros((n_rows,) + x.data.shape[1:], dtype=x.data.dtype)
-    out_data[idx] = x.data
+    if np.count_nonzero(hit) != count:
+        raise IndexError("slots must be distinct")
+    return idx
+
+
+def split_heads(x: Tensor, heads: int, groups: int, n: int, slots=None,
+                keys: bool = False) -> Tensor:
+    """The rows of ``x`` [M, d] as ``heads`` attention heads over ``groups``
+    blocks of ``n`` rows: [G, heads, n, d/heads], or [G, heads, d/heads, n]
+    with ``keys``, the layout a product with the queries reads.
+
+    With ``slots`` (M distinct rows of [0, G*n), in any order), row i of
+    ``x`` sits at row ``slots[i]`` of a zeroed [G*n, d] table; without,
+    ``x`` is the table (M = G*n). The output is the table viewed as
+    [G, n, heads, d/heads] with its axes permuted, so its values and strides,
+    and its gradient's, are those of rows placed between zeros, reshaped and
+    transposed (then transposed again for ``keys``) by separate ops. Only
+    ``slots`` is kept for the backward, which reads each row's gradient
+    straight from the 4-D gradient.
+    """
+    m, d = x.data.shape
+    if d % heads or (slots is None and m != groups * n):
+        raise ShapeError(f"[{m}, {d}] rows do not split into {heads} heads "
+                         f"over {groups} blocks of {n}")
+    dh = d // heads
+    axes = (0, 2, 3, 1) if keys else (0, 2, 1, 3)
+    if slots is None:
+        idx, table = None, x.data
+    else:
+        idx = _check_slots(slots, groups * n, m)
+        table = np.zeros((groups * n, d), dtype=x.data.dtype)
+        table[idx] = x.data
+    out_data = table.reshape(groups, n, heads, dh).transpose(axes)
+    nx, inv = _grad_node(x), tuple(np.argsort(axes))
+
+    def backward(g):
+        g = g.transpose(inv)                    # [G, n, heads, dh]
+        if idx is not None:
+            g = g[np.divmod(idx, n)]            # [M, heads, dh]
+        nx._accumulate(g.reshape(m, d))
+
+    return _make(out_data, (x,), backward)
+
+
+def merge_heads(x: Tensor, slots=None) -> Tensor:
+    """The heads of ``x`` [G, heads, n, dh] merged back into rows of width
+    d = heads*dh: row i is row ``slots[i]`` of the [G*n, d] table that
+    ``split_heads`` lays out (M distinct slots), or without ``slots`` the
+    whole table, [G*n, d].
+
+    The values are those of transposing, reshaping and gathering by separate
+    ops, with no [G*n, d] copy in between: the rows are read straight from
+    the 4-D array. The backward places the rows' gradient into a zeroed
+    [G*n, d] table with ``+=`` (so a -0.0 becomes +0.0, as in
+    ``gather_rows``' backward) and passes it on as that table's 4-D view;
+    only ``slots`` is kept for it.
+    """
+    groups, heads, n, dh = x.data.shape
+    d = heads * dh
+    rows = x.data.transpose(0, 2, 1, 3)         # [G, n, heads, dh]
+    if slots is None:
+        idx, out_data = None, rows.reshape(groups * n, d)
+    else:
+        idx = _check_slots(slots, groups * n, np.size(slots))
+        out_data = rows[np.divmod(idx, n)].reshape(len(idx), d)
     nx = _grad_node(x)
 
     def backward(g):
-        nx._accumulate(g[idx])
+        if idx is not None:
+            table = np.zeros((groups * n, d), dtype=g.dtype)
+            table[idx] += g
+            g = table
+        nx._accumulate(g.reshape(groups, n, heads, dh).transpose(0, 2, 1, 3))
 
     return _make(out_data, (x,), backward)
 

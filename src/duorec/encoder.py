@@ -23,22 +23,31 @@ the window lengths and shared by every layer but the last). A lane is one
 [N, N] attention block that holds one window, or a short and a long one
 whose packed rows fit in N slots together: windows are sorted by length
 and the shortest left is paired with the longest whenever the two fit.
-``autodiff.scatter_rows`` places keys, values and queries at each row's
-slot of an [n_lanes*N, d] table, with zeros at empty slots, and one
-[n_lanes, 1, N, N] mask lets a slot attend only its own window's slots
+One recorded op per projection, ``autodiff.split_heads``, places its rows
+at each row's slot of a zeroed [n_lanes*N, d] table and views that table
+as [n_lanes, nh, N, dh] heads ([n_lanes, nh, dh, N] for the keys), and
+one [n_lanes, 1, N, N] mask lets a slot attend only its own window's slots
 up to itself (``_lane_mask``). So scores, softmax and attention dropout run
 over [n_lanes, nh, N, N], about half of the padded [B, nh, N, N] when
-windows are half full, and the context is gathered back to the packed
-rows. The final layer keeps the padded [B, nh, N, dh] keys for its B
-last-position queries, under the mask's [B, 1, 1, N] additive form.
+windows are half full, and ``autodiff.merge_heads`` reads the context's
+packed rows straight from its heads. The final layer keeps the padded
+[B, nh, N, dh] keys for its B last-position queries, under the mask's
+[B, 1, 1, N] additive form.
 
 Every dropout draws its mask over the array it drops.
 
-The attention of a block (``_attention``) returns only its output rows,
-so under ``no_grad`` its scattered key, value and query tables, scores,
-weights and context are freed before the feed-forward network runs. The
-feed-forward products add their biases in place (``matmul``'s ``bias``),
-and the scores are scaled and masked inside ``softmax_rows``.
+A block is two halves, ``_attend`` (attention, dropout, residual and layer
+norm) and ``_feed_forward``, and under ``no_grad`` each array is freed after
+its last reader. ``encode_sequence`` hands the embedding to ``encode``
+without keeping it; ``encode`` drops each block's input once its attention
+half returns, and the lanes once the last lane layer's attention has run;
+the attention drops its query and key heads with the scores' product, the
+scores with the softmax and the weights with the context's product; the
+context and the attention half's output die when the half returns. So a
+feed-forward network runs beside its input alone, and an eval pass peaks
+at the FFN's two [M, 4d] arrays and that input. The feed-forward products
+add their biases in place (``matmul``'s ``bias``), and the scores are
+scaled and masked inside ``softmax_rows``.
 
 The encoder runs in its weights' dtype: float32 weights give float32
 activations, attention mask included.
@@ -180,83 +189,99 @@ def encode(h: Tensor, computed: np.ndarray, params: EncoderParams,
            stream: RngStream) -> Tensor:
     """Run the attention stack on the packed rows ``h`` [M, d] at the
     ``computed`` [B, N] positions, which hold each window's last; return
-    last-position vectors [B, d]."""
+    last-position vectors [B, d].
+
+    Each layer's input is dropped once its attention half has read it, and
+    the lanes once the last lane layer's attention has, so under ``no_grad``
+    neither lives through a feed-forward network.
+    """
     cfg = params.config
     b, n = computed.shape
-    rows = np.flatnonzero(computed)             # the packed rows' flat positions
     length = np.count_nonzero(computed, axis=1)
-    last = np.cumsum(length) - 1                # each window's last row of h
     dtype = h.data.dtype.type
     if cfg.layers > 1:
         slots, owner = _lanes(length, n)
         lanes = _Layout(slots, len(owner), _lane_mask(owner, dtype))
-        for layer in range(cfg.layers - 1):
-            h = _block(h, n, lanes, params, layer, stream.child(f"layer{layer}"), None)
-    final_mask = np.where(computed, dtype(0), dtype(NEG_INF))[:, None, None, :]
-    final = _Layout(rows, b, final_mask)
+    for layer in range(cfg.layers - 1):
+        layer_stream = stream.child(f"layer{layer}")
+        h = _attend(h, None, n, lanes, params, layer, layer_stream)
+        if layer == cfg.layers - 2:
+            del lanes                       # its mask's last reader has run
+        h = _feed_forward(h, params, layer, layer_stream)
     layer = cfg.layers - 1
-    return _block(h, n, final, params, layer, stream.child(f"layer{layer}"), last)
+    layer_stream = stream.child(f"layer{layer}")
+    final_mask = np.where(computed, dtype(0), dtype(NEG_INF))[:, None, None, :]
+    final = _Layout(np.flatnonzero(computed), b, final_mask)
+    h = _attend(h, np.cumsum(length) - 1, n, final, params, layer, layer_stream)
+    return _feed_forward(h, params, layer, layer_stream)
 
 
-def _block(h: Tensor, n: int, layout: _Layout, params: EncoderParams, layer: int,
-           stream: RngStream, last: np.ndarray | None) -> Tensor:
-    """One post-norm attention + feed-forward block on packed rows.
+def _attend(h: Tensor, last: np.ndarray | None, n: int, layout: _Layout,
+            params: EncoderParams, layer: int, stream: RngStream) -> Tensor:
+    """The attention half of one post-norm block on packed rows:
+    ``layer_norm(hq + dropout(attention))``.
 
     ``h`` [M, d] holds the packed rows and ``layout`` the attention's
-    placement of them. Returns the packed rows, or, given ``last`` (the
-    index in ``h`` of each sequence's last position), those positions'
-    rows, [B, d]: then the queries and everything after them run on those
-    B rows only.
+    placement of them. ``hq`` is ``h``, or, given ``last`` (the index in
+    ``h`` of each sequence's last position), those positions' rows, [B, d]:
+    then the queries and everything after them run on those B rows only.
+    The attention's output is dropped when this returns.
+    """
+    hq = h if last is None else ad.gather_rows(h, last)
+    att = _attention(h, hq, n, layout, params, layer, stream, last is not None)
+    att = ad.dropout(att, params.config.hidden_dropout, stream.child("attout"))
+    return ad.layer_norm(ad.add(hq, att), params[f"layer{layer}.ln1_gain"],
+                         params[f"layer{layer}.ln1_bias"])
+
+
+def _feed_forward(x: Tensor, params: EncoderParams, layer: int, stream: RngStream) -> Tensor:
+    """The feed-forward half of one post-norm block: ``layer_norm(x +
+    dropout(ffn(x)))``, with ``x`` the attention half's output."""
+    def w(name: str) -> Tensor:
+        return params[f"layer{layer}.{name}"]
+
+    f2 = ad.matmul(ad.gelu(ad.matmul(x, w("ffn_w1"), w("ffn_b1"))), w("ffn_w2"), w("ffn_b2"))
+    f2 = ad.dropout(f2, params.config.hidden_dropout, stream.child("ffn"))
+    return ad.layer_norm(ad.add(x, f2), w("ln2_gain"), w("ln2_bias"))
+
+
+def _attention(h: Tensor, hq: Tensor, n: int, layout: _Layout, params: EncoderParams,
+               layer: int, stream: RngStream, last_only: bool) -> Tensor:
+    """Multi-head self-attention of ``_attend``, through the output projection.
+
+    Keys and values come from the packed rows ``h``, split into heads at
+    ``layout.slots`` of the [G, nh, N, dh] layout (``autodiff.split_heads``):
+    G lanes in every layer but the last (``_lanes``), the B padded windows
+    in the last. Queries come from ``hq``: with ``last_only`` each window's
+    last row, [B, nh, 1, dh]; otherwise ``h``, split like the keys, and the
+    context's rows are merged back from the slots (``autodiff.merge_heads``).
+    Returns one row per row of ``hq``. The attention dropout draws over the
+    [G, nh, N, N] weights, or with ``last_only`` over the [B, nh, 1, N] ones.
+
+    Each array is dropped after its last reader: the queries and keys with
+    the scores' product, the scores with the softmax, the weights with the
+    context's product.
     """
     cfg = params.config
-    rate = cfg.hidden_dropout
+    nh, g = cfg.heads, layout.groups
 
     def w(name: str) -> Tensor:
         return params[f"layer{layer}.{name}"]
 
-    hq = h if last is None else ad.gather_rows(h, last)
-    # the attention's tables, scores and weights are the helper's locals,
-    # so under no_grad they are freed before the feed-forward network runs
-    att = _attention(h, hq, n, layout, cfg, w, stream, last is not None)
-    att = ad.dropout(att, rate, stream.child("attout"))
-    x = ad.layer_norm(ad.add(hq, att), w("ln1_gain"), w("ln1_bias"))
-    f2 = ad.matmul(ad.gelu(ad.matmul(x, w("ffn_w1"), w("ffn_b1"))), w("ffn_w2"), w("ffn_b2"))
-    f2 = ad.dropout(f2, rate, stream.child("ffn"))
-    return ad.layer_norm(ad.add(x, f2), w("ln2_gain"), w("ln2_bias"))
+    def heads(name: str, keys: bool = False) -> Tensor:     # [G, nh, N, dh] or [G, nh, dh, N]
+        return ad.split_heads(ad.matmul(h, w(name)), nh, g, n, layout.slots, keys)
 
+    def queries() -> Tensor:
+        if last_only:
+            return ad.split_heads(ad.matmul(hq, w("wq")), nh, g, 1)
+        return heads("wq")
 
-def _attention(h: Tensor, hq: Tensor, n: int, layout: _Layout, cfg: TrainConfig, w,
-               stream: RngStream, last_only: bool) -> Tensor:
-    """Multi-head self-attention of ``_block``, through the output projection.
-
-    Keys and values come from the packed rows ``h``, scattered to
-    ``layout.slots`` of the [G, nh, N, dh] layout: G lanes in every layer
-    but the last (``_lanes``), the B padded windows in the last. Queries
-    come from ``hq``: with ``last_only`` each window's last row, [B, nh, 1,
-    dh]; otherwise ``h``, scattered like the keys, and the context is
-    gathered back from the slots. Returns one row per row of ``hq``. The
-    attention dropout draws over the [G, nh, N, N] weights, or with
-    ``last_only`` over the [B, nh, 1, N] ones.
-    """
-    d, nh = cfg.d, cfg.heads
-    dh = d // nh
-    g = layout.groups
-
-    def split_heads(x: Tensor, m: int) -> Tensor:             # [G*m, d] -> [G, nh, m, dh]
-        return ad.transpose(ad.reshape(x, (g, m, nh, dh)), (0, 2, 1, 3))
-
-    def projected(name: str) -> Tensor:                        # [G, nh, N, dh]
-        return split_heads(ad.scatter_rows(ad.matmul(h, w(name)), layout.slots, g * n), n)
-
-    q = split_heads(ad.matmul(hq, w("wq")), 1) if last_only else projected("wq")
-    scores = ad.matmul(q, ad.transpose(projected("wk"), (0, 1, 3, 2)))
-    att = ad.softmax_rows(scores, 1.0 / np.sqrt(dh), layout.mask)   # [G, nh, 1 or N, N]
-    att = ad.dropout(att, cfg.hidden_dropout, stream.child("att"))
-    ctx = ad.transpose(ad.matmul(att, projected("wv")), (0, 2, 1, 3))   # [G, 1 or N, nh, dh]
-    ctx = ad.reshape(ctx, (g * ctx.shape[1], d))
-    if not last_only:
-        ctx = ad.gather_rows(ctx, layout.slots)
-    return ad.matmul(ctx, w("wo"))
+    scale = 1.0 / np.sqrt(cfg.d // nh)
+    att = ad.softmax_rows(ad.matmul(queries(), heads("wk", keys=True)), scale, layout.mask)
+    att = ad.dropout(att, cfg.hidden_dropout, stream.child("att"))  # [G, nh, 1 or N, N]
+    ctx = ad.matmul(att, heads("wv"))                                # [G, nh, 1 or N, dh]
+    del att
+    return ad.matmul(ad.merge_heads(ctx, None if last_only else layout.slots), w("wo"))
 
 
 def encode_sequence(item_ids: np.ndarray, params: EncoderParams,
@@ -271,8 +296,9 @@ def encode_sequence(item_ids: np.ndarray, params: EncoderParams,
                          f"got {np.shape(item_ids)}")
     computed = item_ids != PAD_INDEX
     computed[:, -1] = True
-    h0 = embed(item_ids, computed, params, stream)
-    return encode(h0, computed, params, stream.child("trm"))
+    # no name holds the embedding, so encode drops it after the first attention
+    return encode(embed(item_ids, computed, params, stream), computed, params,
+                  stream.child("trm"))
 
 
 def encode_twins(batch: Batch, params: EncoderParams, base_stream: RngStream):

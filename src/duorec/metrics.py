@@ -235,7 +235,10 @@ def project_2d(item_emb: np.ndarray, vocab: ItemVocab, center: bool = True) -> n
     """Per-item (x, y, frequency) on the top-2 right singular directions.
 
     A d=1 embedding has one direction: y is 0, and (x, 0) is the embedding.
+    A table with no row besides the pad row raises ``EmptyDatasetError``.
     """
+    if len(item_emb) <= PAD_INDEX + 1:
+        raise EmptyDatasetError("no item embeddings besides the pad row")
     x = _centered_embeddings(item_emb, center)
     gram = x.T @ x
     eigvals, eigvecs = jacobi_eigh(gram)

@@ -20,10 +20,12 @@ position are not saved, so a checkpoint is read, not resumed.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 import numbers
+import os
 import struct
 from dataclasses import dataclass
 
@@ -302,7 +304,12 @@ def write_curves_csv(path, curves: list[dict]) -> None:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Binary layout: magic, manifest, raw float64 buffers, JSON trailer."""
+    """Binary layout: magic, manifest, raw float64 buffers, JSON trailer.
+
+    The file is written beside ``path`` under a temporary name, then moved
+    onto it, so a write that fails leaves any previous file at ``path`` as
+    it was and no temporary file behind.
+    """
     entries = [(name, ckpt.params[name].data) for name in sorted(ckpt.params.tensors)]
 
     trailer = json.dumps({
@@ -312,19 +319,26 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "best_valid_hr5": ckpt.best_valid_hr5,
     }, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<Q", len(entries)))
-        for name, arr in entries:
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<Q", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<Q", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        for _, arr in entries:
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        f.write(struct.pack("<Q", len(trailer)))
-        f.write(trailer)
+    tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<Q", len(entries)))
+            for name, arr in entries:
+                nb = name.encode("utf-8")
+                f.write(struct.pack("<Q", len(nb)))
+                f.write(nb)
+                f.write(struct.pack("<Q", arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+            for _, arr in entries:
+                f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            f.write(struct.pack("<Q", len(trailer)))
+            f.write(trailer)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

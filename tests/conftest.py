@@ -153,6 +153,72 @@ def cross_entropy_reference(logits, targets):
     return ad._make(out_data, (logits,), backward)
 
 
+def scatter_rows_reference(x, rows, n_rows):
+    """[n_rows, ...] zeros with row i of ``x`` placed at ``rows[i]``, for
+    distinct ``rows`` in any order, with a gather as its backward. A
+    repeated or out-of-range row raises ``IndexError``. The op that laid out
+    the attention's rows before ``split_heads`` did."""
+    idx = np.asarray(rows, dtype=np.int64)
+    if idx.shape != x.data.shape[:1]:
+        raise ad.ShapeError(f"{idx.shape} row indices for input {x.data.shape}")
+    ad.check_index(idx, 0, n_rows, "row")
+    hit = np.zeros(n_rows, dtype=bool)
+    hit[idx] = True
+    if np.count_nonzero(hit) != idx.size:
+        raise IndexError("rows must be distinct")
+    out_data = np.zeros((n_rows,) + x.data.shape[1:], dtype=x.data.dtype)
+    out_data[idx] = x.data
+    nx = ad._grad_node(x)
+
+    def backward(g):
+        nx._accumulate(g[idx])
+
+    return ad._make(out_data, (x,), backward)
+
+
+def split_heads_reference(x, heads, groups, n, slots=None, keys=False):
+    """``split_heads`` as the ops it fused: rows placed between zeros,
+    reshape, transpose, and for ``keys`` a second transpose."""
+    d = x.shape[1]
+    if slots is not None:
+        x = scatter_rows_reference(x, slots, groups * n)
+    out = ad.transpose(ad.reshape(x, (groups, n, heads, d // heads)), (0, 2, 1, 3))
+    return ad.transpose(out, (0, 1, 3, 2)) if keys else out
+
+
+def merge_heads_reference(x, slots=None):
+    """``merge_heads`` as the ops it fused: transpose, reshape, then a
+    ``gather_rows`` of the slots."""
+    groups, heads, n, dh = x.shape
+    rows = ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (groups * n, heads * dh))
+    return rows if slots is None else ad.gather_rows(rows, slots)
+
+
+def attention_reference(h, hq, n, layout, params, layer, stream, last_only):
+    """``encoder._attention`` as composed ops, before ``split_heads`` and
+    ``merge_heads``: each head's rows through scatter, reshape and
+    transpose (the keys transposed again), the context through transpose,
+    reshape and a gather of the slots. The byte oracle of the encoder's
+    attention, in values and gradients."""
+    cfg = params.config
+    nh, g = cfg.heads, layout.groups
+
+    def w(name):
+        return params[f"layer{layer}.{name}"]
+
+    def projected(name, keys=False):
+        return split_heads_reference(ad.matmul(h, w(name)), nh, g, n, layout.slots, keys)
+
+    q = (split_heads_reference(ad.matmul(hq, w("wq")), nh, g, 1) if last_only
+         else projected("wq"))
+    scores = ad.matmul(q, projected("wk", keys=True))
+    att = ad.softmax_rows(scores, 1.0 / np.sqrt(cfg.d // nh), layout.mask)
+    att = ad.dropout(att, cfg.hidden_dropout, stream.child("att"))
+    ctx = merge_heads_reference(ad.matmul(att, projected("wv")),
+                                None if last_only else layout.slots)
+    return ad.matmul(ctx, w("wo"))
+
+
 def interleave_rows_reference(a, b):
     """Rows concatenated, then reshape, transpose and reshape: the four graph
     nodes that interleaved the two views before ``nce_rows`` did it itself."""

@@ -15,10 +15,11 @@ from duorec.trainer import train_step
 
 from conftest import (assert_grad_close, cross_entropy_reference, finite_difference_grad,
                       gelu_reference, interleave_rows_reference, layer_norm_reference,
-                      logsumexp_rows_reference,
-                      matmul_bias_reference, nce_regularizer_reference,
-                      scaled_masked_softmax_reference, softmax_np_reference,
-                      softmax_rows_reference, take_pairs_reference)
+                      logsumexp_rows_reference, matmul_bias_reference,
+                      merge_heads_reference, nce_regularizer_reference,
+                      scaled_masked_softmax_reference, scatter_rows_reference,
+                      softmax_np_reference, softmax_rows_reference, split_heads_reference,
+                      take_pairs_reference)
 from test_encoder import make_batch, make_params
 
 
@@ -404,6 +405,23 @@ class TestGatherRows:
         assert t.grad.tobytes() == want.astype(np.float32).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("indices", [[0, 2, 3, 7], [5], [[1, 4], [5, 6]], []])
+    def test_increasing_rows_skip_the_float64_sum(self, rng, monkeypatch, dtype, indices):
+        # strictly increasing rows, as the final layer's last-row gather has:
+        # 0 plus one gradient per element in the table's dtype, the bytes of
+        # the float64 sum rounded once, signed zeros included
+        t = Tensor(rng.standard_normal((8, 3)).astype(dtype), requires_grad=True)
+        out = ad.gather_rows(t, indices)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        g.flat[::2] = -0.0
+        want = np.zeros((8, 3))
+        np.add.at(want, np.asarray(indices, dtype=np.int64), g.astype(np.float64))
+        monkeypatch.setattr(np, "bincount", None)           # the repeated-row path
+        out._backward(g)
+        assert t.grad.dtype == dtype
+        assert t.grad.tobytes() == want.astype(dtype).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_flat_pairs_give_the_take_pairs_bytes(self, rng, dtype):
         # x[rows[i], cols[i]] for distinct pairs, as NCE reads its positive
         # logits: a gather over the flat view, against the old take_pairs op
@@ -424,9 +442,12 @@ class TestGatherRows:
 
 
 class TestScatterRows:
+    """The oracle's scatter (``scatter_rows_reference``), which the byte
+    oracles of ``split_heads`` and the encoder's attention start from."""
+
     def test_places_rows_between_zeros(self, rng):
         x = rng.standard_normal((3, 2))
-        out = ad.scatter_rows(Tensor(x), [0, 2, 5], 6)
+        out = scatter_rows_reference(Tensor(x), [0, 2, 5], 6)
         want = np.zeros((6, 2))
         want[[0, 2, 5]] = x
         np.testing.assert_array_equal(out.data, want)
@@ -436,7 +457,7 @@ class TestScatterRows:
         v = rng.standard_normal((5, 4))
         rows = [4, 1, 2]
         tx = Tensor(x.copy(), requires_grad=True)
-        ad.sum_all(ad.mul(ad.scatter_rows(tx, rows, 5), v)).backward()
+        ad.sum_all(ad.mul(scatter_rows_reference(tx, rows, 5), v)).backward()
 
         def f(z):
             full = np.zeros((5, 4))
@@ -449,7 +470,7 @@ class TestScatterRows:
     def test_rows_must_be_distinct_and_in_range(self, rows):
         # a repeated row would silently lose one of x's rows
         with pytest.raises(IndexError):
-            ad.scatter_rows(Tensor(np.ones((3, 2))), rows, 6)
+            scatter_rows_reference(Tensor(np.ones((3, 2))), rows, 6)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rows_in_any_order(self, rng, dtype):
@@ -457,7 +478,7 @@ class TestScatterRows:
         x = rng.standard_normal((5, 3)).astype(dtype)
         rows = [7, 0, 4, 1, 6]
         tx = Tensor(x, requires_grad=True)
-        out = ad.scatter_rows(tx, rows, 8)
+        out = scatter_rows_reference(tx, rows, 8)
         want = np.zeros((8, 3), dtype)
         want[rows] = x
         assert out.data.dtype == dtype and out.data.tobytes() == want.tobytes()
@@ -469,11 +490,110 @@ class TestScatterRows:
     @pytest.mark.parametrize("rows, bad", [([1, 6, 2], 6), ([-1, 0, 1], -1)])
     def test_out_of_range_row_is_named(self, rows, bad):
         with pytest.raises(IndexError, match=rf"row {bad} out of range \[0, 6\)"):
-            ad.scatter_rows(Tensor(np.ones((3, 2))), rows, 6)
+            scatter_rows_reference(Tensor(np.ones((3, 2))), rows, 6)
 
     def test_one_index_per_row(self):
         with pytest.raises(ShapeError):
-            ad.scatter_rows(Tensor(np.ones((3, 2))), [0, 1], 6)
+            scatter_rows_reference(Tensor(np.ones((3, 2))), [0, 1], 6)
+
+
+# [5, 8] rows at 5 of the 12 rows of a [3*4, 8] table, in no order
+_SLOTS = np.array([7, 0, 11, 4, 2])
+
+
+def _head_cases():
+    """name -> (input shape, op, its composed oracle from conftest, every
+    argument after the input)."""
+    return {
+        "split": ((5, 8), ad.split_heads, split_heads_reference, (2, 3, 4, _SLOTS)),
+        "split_keys": ((5, 8), ad.split_heads, split_heads_reference, (2, 3, 4, _SLOTS, True)),
+        # the final layer's queries: one row per window, no table
+        "split_whole": ((6, 8), ad.split_heads, split_heads_reference, (2, 6, 1)),
+        "split_whole_blocks": ((12, 8), ad.split_heads, split_heads_reference, (4, 3, 4)),
+        "merge": ((3, 2, 4, 4), ad.merge_heads, merge_heads_reference, (_SLOTS,)),
+        "merge_whole": ((6, 2, 1, 4), ad.merge_heads, merge_heads_reference, ()),
+    }
+
+
+class TestHeads:
+    """``split_heads`` and ``merge_heads`` against the scatter, reshape,
+    transpose and gather ops they fuse: the same values and strides in the
+    output and in every gradient, so every product that reads them runs as
+    before."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(_head_cases()))
+    def test_values_and_strides_match_the_composed_ops(self, rng, case, dtype):
+        shape, op, ref, args = _head_cases()[case]
+        x = special_values(rng, shape, dtype)
+        got, want = Tensor(x.copy(), requires_grad=True), Tensor(x.copy(), requires_grad=True)
+        out, ref_out = op(got, *args), ref(want, *args)
+        assert out.data.dtype == ref_out.data.dtype == dtype
+        assert out.shape == ref_out.shape and out.data.strides == ref_out.data.strides
+        assert out.data.tobytes() == ref_out.data.tobytes()
+        g = special_values(rng, out.shape, dtype)              # signed zeros included
+        fed_g = g.copy()
+        feed(out, fed_g).backward()
+        feed(ref_out, g.copy()).backward()
+        assert fed_g.tobytes() == g.tobytes()                  # its gradient stays unwritten
+        # a leaf keeps the first gradient it receives as is, strides included
+        assert got.grad.dtype == want.grad.dtype == dtype
+        assert got.grad.shape == want.grad.shape == shape
+        assert got.grad.strides == want.grad.strides
+        assert got.grad.tobytes() == want.grad.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(_head_cases()))
+    def test_gradient_vs_finite_differences(self, rng, case):
+        shape, op, _, args = _head_cases()[case]
+        x = rng.standard_normal(shape)
+        tx = Tensor(x.copy(), requires_grad=True)
+        out = ad.gelu(op(tx, *args))
+        v = rng.standard_normal(out.shape)
+        ad.sum_all(ad.mul(out, v)).backward()
+
+        def f(z):
+            return (ad.gelu(op(Tensor(z), *args)).data * v).sum()
+
+        assert_grad_close(tx.grad, finite_difference_grad(f, x.copy()), rtol=1e-6)
+
+    def test_split_places_rows_between_zeros(self, rng):
+        x = rng.standard_normal((5, 8))
+        table = np.zeros((12, 8))
+        table[_SLOTS] = x
+        out = ad.split_heads(Tensor(x), 2, 3, 4, _SLOTS)
+        np.testing.assert_array_equal(out.data, table.reshape(3, 4, 2, 4).transpose(0, 2, 1, 3))
+        keys = ad.split_heads(Tensor(x), 2, 3, 4, _SLOTS, keys=True)
+        np.testing.assert_array_equal(keys.data, table.reshape(3, 4, 2, 4).transpose(0, 2, 3, 1))
+
+    def test_merge_inverts_split(self, rng):
+        x = rng.standard_normal((5, 8))
+        out = ad.merge_heads(ad.split_heads(Tensor(x), 2, 3, 4, _SLOTS), _SLOTS)
+        assert out.data.flags.c_contiguous
+        np.testing.assert_array_equal(out.data, x)
+
+    @pytest.mark.parametrize("op", ["split", "merge"])
+    @pytest.mark.parametrize("slots", [[0, 0, 1, 2, 3], [4, 1, 4, 2, 3], [1, 2, 12, 3, 4],
+                                       [-1, 0, 1, 2, 3]])
+    def test_slots_must_be_distinct_and_in_range(self, op, slots):
+        # a repeated slot would lose a row in the forward or its gradient
+        with pytest.raises(IndexError):
+            if op == "split":
+                ad.split_heads(Tensor(np.ones((5, 8))), 2, 3, 4, slots)
+            else:
+                ad.merge_heads(Tensor(np.ones((3, 2, 4, 4))), slots)
+
+    @pytest.mark.parametrize("args", [((5, 8), 3, 3, 4, _SLOTS), ((5, 8), 2, 3, 4, _SLOTS[:4]),
+                                      ((6, 8), 2, 4, 1, None)])
+    def test_split_shapes_must_agree(self, args):
+        # d must split into the heads, and the rows must fill the table or
+        # match the slots one to one
+        shape, *rest = args
+        with pytest.raises(ShapeError):
+            ad.split_heads(Tensor(np.ones(shape)), *rest)
+
+    def test_merge_slots_are_one_dimensional(self):
+        with pytest.raises(ShapeError):
+            ad.merge_heads(Tensor(np.ones((3, 2, 4, 4))), _SLOTS.reshape(5, 1))
 
 
 class TestCrossEntropy:
@@ -739,7 +859,8 @@ RETENTION_CASES = {
         ()),
     "dropout": ([(3, 4)], lambda x: ad.dropout(x, 0.3, RngStream(1, "d")), ()),
     "gather_rows": ([(6, 4)], lambda t: ad.gather_rows(t, [5, 0, 5, 2]), ()),
-    "scatter_rows": ([(3, 4)], lambda x: ad.scatter_rows(x, [5, 0, 2], 6), ()),
+    "split_heads": ([(3, 4)], lambda x: ad.split_heads(x, 2, 2, 3, [5, 0, 2], keys=True), ()),
+    "merge_heads": ([(2, 2, 3, 2)], lambda x: ad.merge_heads(x, [5, 0, 2]), ()),
     "cross_entropy_from_logits": (
         [(5, 7)], lambda x: ad.cross_entropy_from_logits(x, [0, 6, 3, 3, 1]), ()),
     "nce_rows": ([(3, 4), (3, 4)], lambda a, b: ad.nce_rows(a, b, _NCE_ALLOWED, 0.5), ()),
@@ -801,8 +922,10 @@ class TestRetention:
                 if isinstance(obj, Tensor):
                     assert obj.data is None or obj._backward is None, t._backward.__qualname__
             stack.extend(t._parents)
-        assert ops >= {"add", "mul", "matmul", "reshape", "transpose", "gelu", "softmax_rows",
-                       "layer_norm", "dropout", "gather_rows", "scatter_rows",
+        # the attention's layout moves are split_heads and merge_heads alone;
+        # the one transpose is the logits' item table
+        assert ops == {"add", "mul", "matmul", "transpose", "gelu", "softmax_rows",
+                       "layer_norm", "dropout", "gather_rows", "split_heads", "merge_heads",
                        "cross_entropy_from_logits", "nce_rows"}
 
 
@@ -1097,7 +1220,8 @@ def _op_cases(rng):
         ("dropout", [r(3, 4)], lambda a: ad.dropout(a, 0.3, RngStream(0, "d"))),
         ("dropout_3d", [r(2, 3, 4)], lambda a: ad.dropout(a, 0.3, RngStream(0, "d"))),
         ("gather_rows", [r(3, 4)], lambda a: ad.gather_rows(a, idx)),
-        ("scatter_rows", [r(3, 4)], lambda a: ad.scatter_rows(a, rows, 5)),
+        ("split_heads", [r(3, 4)], lambda a: ad.split_heads(a, 2, 1, 5, rows)),
+        ("merge_heads", [r(2, 2, 3, 2)], lambda a: ad.merge_heads(a, rows)),
         # NCE's positive logits: distinct elements of the flat view
         ("gather_pairs", [r(3, 4)],
          lambda a: ad.gather_rows(ad.reshape(a, (12,)), [3, 9, 5])),

@@ -10,7 +10,7 @@ from duorec.encoder import (NEG_INF, _lane_mask, _lanes, embed, encode, encode_s
 from duorec.rng import RngStream
 from duorec.trainer import TrainConfig
 
-from conftest import assert_grad_close, finite_difference_grad
+from conftest import assert_grad_close, attention_reference, finite_difference_grad
 
 
 def make_params(vocab_size=12, d=8, layers=1, heads=2, max_len=6,
@@ -165,20 +165,21 @@ def embed_packed(item_ids, params, stream):
 
 
 def pass_layouts(monkeypatch, ids, layers=1, dtype=np.float64):
-    """(layout, last) of each block of one ``encode_sequence`` pass on
-    ``ids``: what the pass derives from its mask of computed positions."""
+    """(layout, last) of each block's attention half in one
+    ``encode_sequence`` pass on ``ids``: what the pass derives from its mask
+    of computed positions."""
     params = make_params(vocab_size=int(ids.max()) + 1, d=4, layers=layers, heads=1,
                          max_len=ids.shape[1])
     for t in params.tensors.values():
         t.data = t.data.astype(dtype)
     seen = []
-    original = encoder._block
+    original = encoder._attend
 
-    def recording_block(h, n, layout, params, layer, stream, last):
+    def recording_attend(h, last, n, layout, params, layer, stream):
         seen.append((layout, last))
-        return original(h, n, layout, params, layer, stream, last)
+        return original(h, last, n, layout, params, layer, stream)
 
-    monkeypatch.setattr(encoder, "_block", recording_block)
+    monkeypatch.setattr(encoder, "_attend", recording_attend)
     with no_grad():
         encode_sequence(ids, params, RngStream(0, "s"))
     monkeypatch.undo()
@@ -724,3 +725,53 @@ class TestLanePacking:
             numeric = finite_difference_grad(lambda _: loss().item(), x)
             t.data = original
             assert_grad_close(t.grad, numeric, rtol=1e-6)
+
+
+class TestAttentionOracle:
+    """``encode_sequence`` against the same pass with conftest's composed
+    attention (``attention_reference``: scatter, reshape and transpose per
+    head, transpose, reshape and gather for the context) in place of
+    ``_attention``. Both run on the same BLAS, so the output and every
+    parameter's gradient must match byte for byte on any host."""
+
+    N = 9
+    # ragged windows, so every layer but the last pairs them into lanes
+    IDS = left_padded([0, 2, 9, 3, 7, 1, 5, 9, 4], N, seed=3)
+
+    def passes(self, monkeypatch, params, v=None):
+        """(output, parameter gradients) of the encoder's pass, then of the
+        oracle's; with ``v``, each pass is recorded and ``sum(out * v)``
+        backpropagated."""
+        runs = []
+        for attention in (encoder._attention, attention_reference):
+            monkeypatch.setattr(encoder, "_attention", attention)
+            for t in params.tensors.values():
+                t.zero_grad()
+            out = encode_sequence(self.IDS, params, RngStream(5, "pass"))
+            if v is not None:
+                ad.sum_all(ad.mul(out, v)).backward()
+            runs.append((out.data, {name: t.grad for name, t in params.named()}))
+        monkeypatch.undo()
+        return runs
+
+    @pytest.mark.parametrize("layers", [2, 3])
+    def test_recorded_float32_pass_and_gradients(self, monkeypatch, layers):
+        params = spread(make_params(vocab_size=20, d=8, layers=layers, heads=2, max_len=self.N,
+                                    emb_dropout=0.2, hidden_dropout=0.3, seed=5))
+        for t in params.tensors.values():
+            t.data = t.data.astype(np.float32)
+        assert len(_lanes(window_lengths(self.IDS), self.N)[1]) < len(self.IDS)
+        v = np.random.default_rng(6).standard_normal((len(self.IDS), 8)).astype(np.float32)
+        (out, grads), (ref_out, ref_grads) = self.passes(monkeypatch, params, v)
+        assert out.dtype == np.float32 and out.tobytes() == ref_out.tobytes()
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert g.dtype == np.float32 and g.tobytes() == ref_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_no_grad_float64_pass(self, monkeypatch, layers):
+        params = spread(make_params(vocab_size=20, d=8, layers=layers, heads=2, max_len=self.N,
+                                    seed=5))
+        with no_grad():
+            (out, _), (ref_out, _) = self.passes(monkeypatch, params)
+        assert out.dtype == np.float64 and out.tobytes() == ref_out.tobytes()

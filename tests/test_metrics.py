@@ -451,6 +451,13 @@ class TestSingularSpectrum:
 
 
 class TestProject2d:
+    @pytest.mark.parametrize("center", [True, False])
+    def test_pad_row_alone_rejected(self, center):
+        # a table of the pad row alone warned "Mean of empty slice" and gave
+        # an empty [0, 3] array
+        with pytest.raises(EmptyDatasetError, match="besides the pad row"):
+            project_2d(np.zeros((PAD_INDEX + 1, 4)), _vocab(0), center=center)
+
     def test_rank_one_y_is_zero(self, rng):
         emb = np.zeros((21, 4))
         emb[1:] = np.outer(np.arange(20) - 9.5, rng.standard_normal(4))

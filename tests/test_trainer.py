@@ -448,6 +448,38 @@ class TestCheckpoint:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "68140c97a9275c52a2c78dda6ec6f8276249647255302c22b5e386339d2b2a9b")
 
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        # a save that dies partway, as on a full disk, used to leave the
+        # previous checkpoint truncated to the bytes written so far
+        path = tmp_path / "ckpt.duo"
+        save_checkpoint(path, self._checkpoint())
+        before = path.read_bytes()
+        real_open = open
+
+        class FailingFile:
+            def __init__(self, *args):
+                self.f, self.written = real_open(*args), 0
+
+            def write(self, b):
+                if self.written > 100:
+                    raise OSError("no space left on device")
+                self.written += len(b)
+                return self.f.write(b)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        monkeypatch.setattr(duorec.trainer, "open", FailingFile, raising=False)
+        other = Checkpoint(params=make_params(vocab_size=12, d=8, max_len=6, seed=1),
+                           epoch=5, best_valid_hr5=0.75)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, other)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.duo"]
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.duo"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
